@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from multiprocessing import get_context
 from time import perf_counter
 
 from . import local_factors as lf
@@ -607,18 +606,11 @@ def _run_check(spec) -> CheckResult:
     return CheckResult(check_id, ok, detail, perf_counter() - start)
 
 
-def run_suite(name: str, budget: int = 4, jobs: int = 1) -> SuiteResult:
+def run_suite(name: str, budget: int = 4) -> SuiteResult:
     """Run one verification suite; results keep their listed order."""
     if name not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if budget < 1:
         raise ValueError(f"budget must be a positive degree bound, got {budget}")
-    if jobs < 1:
-        raise ValueError(f"worker count must be positive, got {jobs}")
     specs = _SUITE_BUILDERS[name](budget)
-    if jobs > 1 and len(specs) > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_run_check, specs)
-    else:
-        results = [_run_check(spec) for spec in specs]
-    return SuiteResult(name, tuple(results))
+    return SuiteResult(name, tuple(_run_check(spec) for spec in specs))

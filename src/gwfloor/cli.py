@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON (the default)")
         p.add_argument("--table", action="store_true", help="also print a text table")
         p.add_argument("--out", metavar="FILE", help="write the JSON document to FILE")
         p.add_argument(
@@ -124,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True, help="|".join(SUITE_NAMES))
-    p_ver.add_argument("--jobs", type=int, default=1)
     add_common(p_ver)
 
     return parser
@@ -268,7 +266,7 @@ def _cmd_pfister(args):
 
 
 def _cmd_verify(args):
-    result = run_suite(args.suite, budget=args.budget, jobs=args.jobs)
+    result = run_suite(args.suite, budget=args.budget)
     doc = result.to_json()
     lines = [f"suite {result.suite}: {len(result.checks)} checks"]
     for c in result.checks:

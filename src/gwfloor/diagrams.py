@@ -42,9 +42,11 @@ is the completeness certificate the test suite enforces.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations, product
+from operator import mul
 
 from .local_factors import (
     ElevatorSquare,
@@ -585,27 +587,64 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
         data = _orbit_data(diagram, marking, cfg)
         if data is None:
             continue
-        key, _ = data
+        key, joins = data
         if key in seen:
             continue
-        c_elev, c_marking = key
-        c_diagram = FloorDiagram(d, c_elev)
-        c_data = _orbit_data(c_diagram, c_marking, cfg)
-        if c_data is None or c_data[0] != key:
-            raise AssertionError("canonical encoding is not a fixed point")
+        if key == (diagram.elevators, marking):
+            # Already canonical: the orbit data just computed is the
+            # canonical encoding's own.
+            c_diagram, c_marking = diagram, marking
+        else:
+            c_elev, c_marking = key
+            c_diagram = FloorDiagram(d, c_elev)
+            c_data = _orbit_data(c_diagram, c_marking, cfg)
+            if c_data is None or c_data[0] != key:
+                raise AssertionError("canonical encoding is not a fixed point")
+            joins = c_data[1]
         tags = tuple(classify_pair(c_diagram, c_marking, p) for p in cfg)
-        seen[key] = MergedDiagram(c_diagram, c_marking, cfg, tags, c_data[1])
+        seen[key] = MergedDiagram(c_diagram, c_marking, cfg, tags, joins)
     return tuple(seen[k] for k in sorted(seen))
+
+
+def _evaluate(f: LocalFactor, nvars: int) -> TildeElement:
+    return f.evaluate(nvars)
+
+
+@cache
+def _multiset_product(factor_value, nvars: int, multiset: frozenset):
+    """Product of ``factor_value(f, nvars)`` over a factor multiset, given
+    as (factor, repeat) pairs.
+
+    Cached across configurations: at degree 4 with s <= 3 the 18,859
+    merged diagrams carry only 268 distinct (s, multiset) pairs.  Every
+    diagram has at least one factor, so the product is never empty.
+    """
+    return reduce(mul, (factor_value(f, nvars) for f, n in multiset for _ in range(n)))
+
+
+@cache
+def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
+    """How often each factor multiset occurs among the merged diagrams."""
+    return Counter(
+        frozenset(Counter(merged.factors()).items())
+        for merged in enumerate_merged_diagrams(d, cfg)
+    )
+
+
+def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):
+    """Add to ``total`` the multiplicity of every merged diagram of the
+    configuration: each distinct factor multiset is multiplied out once
+    and counted as often as it occurs."""
+    for multiset, n in _factor_multisets(d, cfg).items():
+        total = total + _multiset_product(factor_value, len(cfg), multiset) * n
+    return total
 
 
 @cache
 def floor_count(d: int, cfg: tuple[int, ...] = ()) -> TildeElement:
     """Symbolic enriched count: sum of merged-diagram multiplicities."""
     cfg = tuple(sorted(cfg))
-    total = TildeElement.zero(len(cfg))
-    for merged in enumerate_merged_diagrams(d, cfg):
-        total = total + merged.multiplicity()
-    return total
+    return _sum_by_multiset(d, cfg, _evaluate, TildeElement.zero(len(cfg)))
 
 
 @cache
@@ -613,10 +652,7 @@ def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
     """Residual count assembled from the mod-2 factor table directly --
     an independent path from residual-reducing floor_count."""
     cfg = tuple(sorted(cfg))
-    total = ResidualTilde.zero(len(cfg))
-    for merged in enumerate_merged_diagrams(d, cfg):
-        total = total + merged.residual_multiplicity()
-    return total
+    return _sum_by_multiset(d, cfg, residual_factor, ResidualTilde.zero(len(cfg)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmath import factor_prime_power, legendre_is_square
-from .univ import TildeElement, UnivElement
+from .univ import TildeElement, UnivElement, mask_labels
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,14 +178,17 @@ def specialize_field(e, model, assign: dict | None = None):
         raise TypeError(f"cannot specialize {type(e).__name__}")
     assign = assign or {}
     var_images = {}
-    for label in sorted({l for key in e.coeffs for l in key}):
+    used = 0
+    for key in e.coeffs:
+        used |= key
+    for label in mask_labels(used):
         if label not in assign:
             raise ValueError(f"no assignment for variable x{label}")
         var_images[label] = model.variable_class(assign[label])
     total = model.zero()
     for key, coeff in e.coeffs.items():
         term = model.from_univ(coeff)
-        for label in key:
+        for label in mask_labels(key):
             term = term * var_images[label]
         total = total + term
     return total

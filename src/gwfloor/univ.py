@@ -13,11 +13,22 @@ and ``h`` the hyperbolic form.  The derived symbols are
 
     <-1> = h - <1>,      <-2> = h - <2>.
 
+The residual ring F_2[eps]/(eps^2 - 1) is the quotient of the universal
+ring by (2, h), with eps the image of <2>.
+
 The multi-affine extension adjoins commuting variables ``x_1 .. x_s``
 subject to ``x_l**2 = 1``; ``x_l`` stands for the square class of the
-l-th double-point parameter.  Elements are sparse maps from subsets of
-``{1..s}`` to universal-ring coefficients, so multiplication convolves
-keys by symmetric difference.
+l-th double-point parameter.  One sparse container, ``MultiAffine``,
+holds its elements over either coefficient ring: a map from monomials to
+nonzero coefficients, where a monomial is an integer bitmask with bit
+l-1 set when x_l occurs, so multiplication convolves keys by XOR.  The
+subclasses ``TildeElement`` (universal coefficients) and
+``ResidualTilde`` (residual coefficients) fix the ring.
+
+Variable labels are validated only where they enter from outside: the
+constructor taking ``{frozenset(labels): coeff}``, ``variable``,
+``coefficient``, ``substitute_one``/``drop_variable`` and ``from_json``.
+Products, sums, the cascade and the residual reduction work on masks.
 
 All coefficients are Python integers and therefore arbitrary precision;
 no arithmetic in this module can overflow or round.
@@ -77,10 +88,6 @@ class UnivElement:
     def rank(self) -> int:
         return self.c1 + 2 * self.ch + self.c2
 
-    def coords(self) -> tuple[int, int, int]:
-        """Coordinates (n1, n2, m) = (<1>-coeff, <2>-coeff, h-coeff)."""
-        return (self.c1, self.c2, self.ch)
-
     def to_json(self) -> dict:
         return {"one": self.c1, "h": self.ch, "two": self.c2}
 
@@ -112,13 +119,56 @@ UNIV_MINUS_ONE = UNIV_H - UNIV_ONE
 UNIV_MINUS_TWO = UNIV_H - UNIV_TWO
 
 
-def univ_mul(a: UnivElement, b: UnivElement) -> UnivElement:
-    return a * b
-
-
 def univ_coords(e: UnivElement) -> tuple[int, int, int]:
     """Return (n1, n2, m) with e = n1*<1> + n2*<2> + m*h."""
-    return e.coords()
+    return (e.c1, e.c2, e.ch)
+
+
+# ---------------------------------------------------------------------------
+# Residual quotient (coefficients mod 2, h killed)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class ResidualElement:
+    """Element a + b*eps of F_2[eps]/(eps^2 - 1).
+
+    The quotient of the universal ring by (2, h); eps is the image of <2>.
+    """
+
+    a: int = 0
+    b: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", self.a & 1)
+        object.__setattr__(self, "b", self.b & 1)
+
+    def __add__(self, other: "ResidualElement") -> "ResidualElement":
+        return ResidualElement(self.a ^ other.a, self.b ^ other.b)
+
+    __sub__ = __add__
+
+    def __neg__(self) -> "ResidualElement":
+        return self
+
+    def __mul__(self, other: "ResidualElement") -> "ResidualElement":
+        return ResidualElement(
+            (self.a & other.a) ^ (self.b & other.b),
+            (self.a & other.b) ^ (self.b & other.a),
+        )
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def __repr__(self) -> str:
+        return {(0, 0): "0", (1, 0): "1", (0, 1): "eps", (1, 1): "1 + eps"}[
+            (self.a, self.b)
+        ]
+
+
+RES_ZERO = ResidualElement(0, 0)
+RES_ONE = ResidualElement(1, 0)
+RES_EPS = ResidualElement(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,102 +176,118 @@ def univ_coords(e: UnivElement) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _as_univ(value) -> UnivElement:
-    if isinstance(value, UnivElement):
-        return value
-    if isinstance(value, int):
-        return UnivElement(value, 0, 0)
-    raise TypeError(f"cannot coerce {value!r} to a universal-ring element")
+def _label_mask(labels: Iterable[int], nvars: int) -> int:
+    """Bitmask of a set of variable labels, each checked to lie in 1..nvars."""
+    labels = frozenset(labels)
+    mask = 0
+    for label in labels:
+        if not 1 <= label <= nvars:
+            raise ValueError(
+                f"variable label out of range in key {sorted(labels)} (1..{nvars})"
+            )
+        mask |= 1 << (label - 1)
+    return mask
 
 
-class TildeElement:
+def mask_labels(mask: int) -> tuple[int, ...]:
+    """The labels whose bits are set in ``mask``, ascending."""
+    return tuple(l for l in range(1, mask.bit_length() + 1) if mask >> (l - 1) & 1)
+
+
+class MultiAffine:
     """Sparse element of the multi-affine extension in ``nvars`` variables.
 
-    Coefficients are keyed by frozen subsets of {1..nvars}; the empty key
-    is the constant part.  Every variable is involutive, so keys multiply
-    by symmetric difference and no key ever repeats a variable.
+    ``coeffs`` maps monomial bitmasks to nonzero coefficients; key 0 is
+    the constant part.  Every variable is involutive, so keys multiply by
+    XOR and no key repeats a variable.  A subclass fixes the coefficient
+    ring through ``_zero``, ``_one`` and ``_coerce``, which maps an int
+    or a ring element into the ring and raises TypeError otherwise.
     """
 
     __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, nvars: int, coeffs: Mapping[frozenset, UnivElement] | None = None):
+    def __init__(self, nvars: int, coeffs: Mapping[frozenset, object] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         self.nvars = nvars
-        clean: dict[frozenset, UnivElement] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                key = frozenset(key)
-                if any(not 1 <= l <= nvars for l in key):
-                    raise ValueError(f"variable label out of range in key {sorted(key)}")
-                val = _as_univ(val)
-                if not val.is_zero():
-                    clean[key] = val
+        clean = {}
+        for key, val in (coeffs or {}).items():
+            mask = _label_mask(key, nvars)
+            val = self._coerce(val)
+            if not val.is_zero():
+                clean[mask] = val
         self.coeffs = clean
+
+    @classmethod
+    def _of_masks(cls, nvars: int, coeffs: dict):
+        """Wrap mask-keyed coefficients without checking keys; drop zeros."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, nvars: int) -> "TildeElement":
-        return cls(nvars, {frozenset(): _as_univ(value)})
+    def constant(cls, value, nvars: int):
+        return cls(nvars, {frozenset(): value})
 
     @classmethod
-    def variable(cls, label: int, nvars: int) -> "TildeElement":
+    def variable(cls, label: int, nvars: int):
         if not 1 <= label <= nvars:
             raise ValueError(f"variable label {label} out of range 1..{nvars}")
-        return cls(nvars, {frozenset({label}): UNIV_ONE})
+        return cls(nvars, {frozenset({label}): cls._one})
 
     @classmethod
-    def zero(cls, nvars: int) -> "TildeElement":
+    def zero(cls, nvars: int):
         return cls(nvars, {})
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_compatible(self, other: "TildeElement") -> None:
+    def _check_compatible(self, other) -> None:
         if self.nvars != other.nvars:
             raise ValueError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}"
             )
 
-    def __add__(self, other: "TildeElement") -> "TildeElement":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, UNIV_ZERO) + val
-        return TildeElement(self.nvars, out)
-
-    def __sub__(self, other: "TildeElement") -> "TildeElement":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, UNIV_ZERO) - val
-        return TildeElement(self.nvars, out)
-
-    def __neg__(self) -> "TildeElement":
-        return TildeElement(self.nvars, {k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, UnivElement)):
-            u = _as_univ(other)
-            return TildeElement(self.nvars, {k: v * u for k, v in self.coeffs.items()})
-        if not isinstance(other, TildeElement):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[frozenset, UnivElement] = {}
+        zero = self._zero
+        out = dict(self.coeffs)
+        for key, val in other.coeffs.items():
+            out[key] = out.get(key, zero) + val
+        return self._of_masks(self.nvars, out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return self._of_masks(self.nvars, {k: -v for k, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            try:
+                u = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+            return self._of_masks(self.nvars, {k: v * u for k, v in self.coeffs.items()})
+        self._check_compatible(other)
+        zero = self._zero
+        out = {}
         for ka, va in self.coeffs.items():
             for kb, vb in other.coeffs.items():
                 key = ka ^ kb
-                prod = va * vb
-                out[key] = out.get(key, UNIV_ZERO) + prod
-        return TildeElement(self.nvars, out)
+                out[key] = out.get(key, zero) + va * vb
+        return self._of_masks(self.nvars, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, UnivElement)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TildeElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.nvars == other.nvars and self.coeffs == other.coeffs
 
@@ -233,38 +299,70 @@ class TildeElement:
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, labels: Iterable[int]) -> UnivElement:
-        return self.coeffs.get(frozenset(labels), UNIV_ZERO)
+    def coefficient(self, labels: Iterable[int]):
+        return self.coeffs.get(_label_mask(labels, self.nvars), self._zero)
+
+    def terms(self) -> list[tuple[tuple[int, ...], object]]:
+        """(labels, coefficient) pairs ordered by degree, then by labels."""
+        return sorted(
+            ((mask_labels(k), v) for k, v in self.coeffs.items()),
+            key=lambda kv: (len(kv[0]), kv[0]),
+        )
+
+    def substitute_one(self, label: int):
+        """Set x_label = 1.  The result still lives in the same variable set."""
+        bit = _label_mask((label,), self.nvars)
+        zero = self._zero
+        out = {}
+        for key, val in self.coeffs.items():
+            key &= ~bit
+            out[key] = out.get(key, zero) + val
+        return self._of_masks(self.nvars, out)
+
+    def drop_variable(self, label: int):
+        """Remove an unused variable slot, shifting higher labels down by one."""
+        bit = _label_mask((label,), self.nvars)
+        low = bit - 1
+        out = {}
+        for key, val in self.coeffs.items():
+            if key & bit:
+                raise ValueError(f"variable {label} still occurs; substitute first")
+            out[key & low | key >> 1 & ~low] = val
+        return self._of_masks(self.nvars - 1, out)
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for labels, val in self.terms():
+            mono = "".join(f"x{l}" for l in labels)
+            parts.append(f"({val!r}){mono}" if mono else f"({val!r})")
+        return " + ".join(parts)
+
+
+class TildeElement(MultiAffine):
+    """Multi-affine element with universal-ring coefficients."""
+
+    __slots__ = ()
+
+    _zero = UNIV_ZERO
+    _one = UNIV_ONE
+
+    @staticmethod
+    def _coerce(value) -> UnivElement:
+        if isinstance(value, UnivElement):
+            return value
+        if isinstance(value, int):
+            return UnivElement(value, 0, 0)
+        raise TypeError(f"cannot coerce {value!r} to a universal-ring element")
 
     @property
     def rank(self) -> int:
         """Rank of the image under any field map (all x_l have rank 1)."""
         return sum(v.rank for v in self.coeffs.values())
 
-    def substitute_one(self, label: int) -> "TildeElement":
-        """Set x_label = <1>.  The result still lives in the same variable set."""
-        if not 1 <= label <= self.nvars:
-            raise ValueError(f"variable label {label} out of range")
-        out: dict[frozenset, UnivElement] = {}
-        for key, val in self.coeffs.items():
-            key = key - {label}
-            out[key] = out.get(key, UNIV_ZERO) + val
-        return TildeElement(self.nvars, out)
-
-    def drop_variable(self, label: int) -> "TildeElement":
-        """Remove an unused variable slot, shifting higher labels down by one."""
-        if not 1 <= label <= self.nvars:
-            raise ValueError(f"variable label {label} out of range")
-        out: dict[frozenset, UnivElement] = {}
-        for key, val in self.coeffs.items():
-            if label in key:
-                raise ValueError(f"variable {label} still occurs; substitute first")
-            out[frozenset(l - 1 if l > label else l for l in key)] = val
-        return TildeElement(self.nvars - 1, out)
-
     def to_json(self) -> list:
-        items = sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        return [{"vars": sorted(k), "coeff": v.to_json()} for k, v in items]
+        return [{"vars": list(labels), "coeff": v.to_json()} for labels, v in self.terms()]
 
     @classmethod
     def from_json(cls, data: list, nvars: int) -> "TildeElement":
@@ -274,24 +372,27 @@ class TildeElement:
         }
         return cls(nvars, coeffs)
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        parts = []
-        for key, val in items:
-            mono = "".join(f"x{l}" for l in sorted(key))
-            parts.append(f"({val!r}){mono}" if mono else f"({val!r})")
-        return " + ".join(parts)
 
+class ResidualTilde(MultiAffine):
+    """Multi-affine element with residual-ring coefficients."""
 
-def tilde_mul(a: TildeElement, b: TildeElement) -> TildeElement:
-    return a * b
+    __slots__ = ()
+
+    _zero = RES_ZERO
+    _one = RES_ONE
+
+    @staticmethod
+    def _coerce(value) -> ResidualElement:
+        if isinstance(value, ResidualElement):
+            return value
+        if isinstance(value, int):
+            return ResidualElement(value, 0)
+        raise TypeError(f"cannot coerce {value!r} to a residual-ring element")
 
 
 def top_coefficient(e: TildeElement) -> UnivElement:
     """Coefficient of the full monomial x_1 x_2 ... x_s."""
-    return e.coefficient(range(1, e.nvars + 1))
+    return e.coeffs.get((1 << e.nvars) - 1, UNIV_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +424,19 @@ def cascade_decompose(
     witnesses: list[TildeElement] = []
     current = e
     for label in order:
-        a_part: dict[frozenset, UnivElement] = {}
-        b_part: dict[frozenset, UnivElement] = {}
+        bit = 1 << (label - 1)
+        a_part: dict[int, UnivElement] = {}
+        b_part: dict[int, UnivElement] = {}
         for key, val in current.coeffs.items():
-            if label in key:
-                b_part[key - {label}] = val
+            if key & bit:
+                b_part[key ^ bit] = val
             else:
                 a_part[key] = val
-        a_elt = TildeElement(e.nvars, a_part)
-        b_elt = TildeElement(e.nvars, b_part)
+        a_elt = TildeElement._of_masks(e.nvars, a_part)
+        b_elt = TildeElement._of_masks(e.nvars, b_part)
         witnesses.append(a_elt + b_elt)
         current = b_elt
-    return witnesses, current.coefficient(())
+    return witnesses, current.coeffs.get(0, UNIV_ZERO)
 
 
 def cascade_reconstruct(
@@ -351,120 +453,6 @@ def cascade_reconstruct(
     return total + shift * full
 
 
-# ---------------------------------------------------------------------------
-# Residual quotient (coefficients mod 2, h killed)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ResidualElement:
-    """Element a + b*eps of F_2[eps]/(eps^2 - 1).
-
-    The quotient of the universal ring by (2, h); eps is the image of <2>.
-    """
-
-    a: int = 0
-    b: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a & 1)
-        object.__setattr__(self, "b", self.b & 1)
-
-    def __add__(self, other: "ResidualElement") -> "ResidualElement":
-        return ResidualElement(self.a ^ other.a, self.b ^ other.b)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "ResidualElement") -> "ResidualElement":
-        return ResidualElement(
-            (self.a & other.a) ^ (self.b & other.b),
-            (self.a & other.b) ^ (self.b & other.a),
-        )
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self) -> str:
-        return {(0, 0): "0", (1, 0): "1", (0, 1): "eps", (1, 1): "1 + eps"}[
-            (self.a, self.b)
-        ]
-
-
-RES_ZERO = ResidualElement(0, 0)
-RES_ONE = ResidualElement(1, 0)
-RES_EPS = ResidualElement(0, 1)
-
-
-class ResidualTilde:
-    """Multi-affine element with residual-ring coefficients."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs: Mapping[frozenset, ResidualElement] | None = None):
-        self.nvars = nvars
-        clean: dict[frozenset, ResidualElement] = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                key = frozenset(key)
-                if any(not 1 <= l <= nvars for l in key):
-                    raise ValueError(f"variable label out of range in key {sorted(key)}")
-                if not val.is_zero():
-                    clean[key] = val
-        self.coeffs = clean
-
-    @classmethod
-    def constant(cls, value: ResidualElement, nvars: int) -> "ResidualTilde":
-        return cls(nvars, {frozenset(): value})
-
-    @classmethod
-    def zero(cls, nvars: int) -> "ResidualTilde":
-        return cls(nvars, {})
-
-    def __add__(self, other: "ResidualTilde") -> "ResidualTilde":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, RES_ZERO) + val
-        return ResidualTilde(self.nvars, out)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "ResidualTilde") -> "ResidualTilde":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: dict[frozenset, ResidualElement] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                key = ka ^ kb
-                out[key] = out.get(key, RES_ZERO) + va * vb
-        return ResidualTilde(self.nvars, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidualTilde):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, labels: Iterable[int]) -> ResidualElement:
-        return self.coeffs.get(frozenset(labels), RES_ZERO)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        parts = []
-        for key, val in items:
-            mono = "".join(f"x{l}" for l in sorted(key))
-            parts.append(f"({val!r}){mono}" if mono else f"({val!r})")
-        return " + ".join(parts)
-
-
 def residual_reduce(e):
     """Image in the residual quotient: coefficients mod 2 with h killed.
 
@@ -474,7 +462,7 @@ def residual_reduce(e):
     if isinstance(e, UnivElement):
         return ResidualElement(e.c1, e.c2)
     if isinstance(e, TildeElement):
-        return ResidualTilde(
+        return ResidualTilde._of_masks(
             e.nvars, {k: ResidualElement(v.c1, v.c2) for k, v in e.coeffs.items()}
         )
     raise TypeError(f"cannot reduce {type(e).__name__}")

@@ -333,11 +333,8 @@ class ResidualReport:
             "from": list(self.cfg_from),
             "to": list(self.cfg_to),
             "residual": [
-                {"vars": sorted(key), "one": val.a, "eps": val.b}
-                for key, val in sorted(
-                    self.residual_delta.coeffs.items(),
-                    key=lambda kv: (len(kv[0]), sorted(kv[0])),
-                )
+                {"vars": list(labels), "one": val.a, "eps": val.b}
+                for labels, val in self.residual_delta.terms()
             ],
             "top": {"one": self.top.a, "eps": self.top.b},
             "base_zero": self.base_zero,

@@ -6,6 +6,7 @@ import pytest
 
 from gwfloor.diagrams import (
     FloorDiagram,
+    _multiset_product,
     dissolve_specialize,
     dissolved_config,
     diagram_multiplicity,
@@ -25,6 +26,7 @@ from gwfloor.univ import (
     UNIV_H,
     UNIV_ONE,
     UNIV_TWO,
+    ResidualTilde,
     TildeElement,
     residual_reduce,
 )
@@ -180,6 +182,38 @@ class TestCounts:
             assert floor_count_residual(3, cfg) == residual_reduce(
                 floor_count(3, cfg)
             )
+
+
+class TestMultisetMemo:
+    """floor_count and floor_count_residual multiply each distinct factor
+    multiset once; they must equal the naive per-diagram sums."""
+
+    @staticmethod
+    def _configs():
+        for d in (1, 2, 3):
+            n = 3 * d - 1
+            for s in range(0, n // 2 + 1):
+                for cfg in enumerate_merge_configs(n, s):
+                    yield d, cfg
+        for cfg in [(), (5,), (3, 8), (2, 5, 9)]:
+            yield 4, cfg
+
+    def test_matches_naive_sum(self):
+        for d, cfg in self._configs():
+            exact = TildeElement.zero(len(cfg))
+            residual = ResidualTilde.zero(len(cfg))
+            for merged in enumerate_merged_diagrams(d, cfg):
+                exact = exact + merged.multiplicity()
+                residual = residual + merged.residual_multiplicity()
+            assert floor_count(d, cfg) == exact, (d, cfg)
+            assert floor_count_residual(d, cfg) == residual, (d, cfg)
+
+    def test_unsupported_shape_raises_with_cold_memo(self):
+        _multiset_product.cache_clear()
+        with pytest.raises(ValueError, match="unsupported twin interaction"):
+            floor_count(4, (1, 3, 5, 7))
+        with pytest.raises(ValueError, match="unsupported twin interaction"):
+            floor_count_residual(4, (1, 3, 5, 7))
 
 
 class TestMergedJson:

@@ -33,7 +33,8 @@ univ_elements = st.builds(
 )
 
 
-def tilde_elements(nvars: int, coeff_range: int = 5):
+def label_dicts(nvars: int, coeff_range: int = 5):
+    """Label-set-keyed coefficient maps, the constructor's input format."""
     labels = st.frozensets(st.integers(1, nvars), max_size=nvars) if nvars else st.just(frozenset())
     coeff = st.builds(
         UnivElement,
@@ -41,9 +42,52 @@ def tilde_elements(nvars: int, coeff_range: int = 5):
         st.integers(-coeff_range, coeff_range),
         st.integers(-coeff_range, coeff_range),
     )
-    return st.dictionaries(labels, coeff, max_size=6).map(
-        lambda d: TildeElement(nvars, d)
-    )
+    return st.dictionaries(labels, coeff, max_size=6)
+
+
+def tilde_elements(nvars: int, coeff_range: int = 5):
+    return label_dicts(nvars, coeff_range).map(lambda d: TildeElement(nvars, d))
+
+
+# A frozenset-keyed reference for the bitmask container: plain dicts from
+# label sets to coefficients, zero coefficients dropped.
+
+
+def ref_clean(d):
+    return {k: v for k, v in d.items() if not v.is_zero()}
+
+
+def ref_add(a, b, zero):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, zero) + v
+    return ref_clean(out)
+
+
+def ref_mul(a, b, zero):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[ka ^ kb] = out.get(ka ^ kb, zero) + va * vb
+    return ref_clean(out)
+
+
+def ref_cascade(a, order):
+    witnesses, current = [], a
+    for label in order:
+        a_part = {k: v for k, v in current.items() if label not in k}
+        b_part = {k - {label}: v for k, v in current.items() if label in k}
+        witnesses.append(ref_add(a_part, b_part, UNIV_ZERO))
+        current = b_part
+    return witnesses, current.get(frozenset(), UNIV_ZERO)
+
+
+def ref_reduce(a):
+    return ref_clean({k: ResidualElement(v.c1, v.c2) for k, v in a.items()})
+
+
+def as_label_dict(e):
+    return {frozenset(labels): v for labels, v in e.terms()}
 
 
 class TestUnivElement:
@@ -99,6 +143,14 @@ class TestTildeElement:
             TildeElement.variable(3, 2)
         with pytest.raises(ValueError):
             TildeElement(1, {frozenset({2}): UNIV_ONE})
+        with pytest.raises(ValueError):
+            TildeElement(2, {frozenset({0}): UNIV_ONE})
+        with pytest.raises(ValueError):
+            ResidualTilde(2, {frozenset({1, 3}): RES_ONE})
+        with pytest.raises(ValueError):
+            TildeElement.from_json([{"vars": [4], "coeff": UNIV_ONE.to_json()}], 3)
+        with pytest.raises(ValueError):
+            TildeElement.from_json([{"vars": [0], "coeff": UNIV_ONE.to_json()}], 3)
 
     def test_coefficient_lookup(self):
         e = TildeElement(2, {frozenset({1}): UNIV_TWO})
@@ -217,3 +269,35 @@ class TestResidual:
         assert x1 * x1 == ResidualTilde.constant(RES_ONE, 2)
         eps = ResidualTilde.constant(RES_EPS, 2)
         assert (eps * x1).coefficient([1]) == RES_EPS
+
+
+class TestBitmaskContainer:
+    """The bitmask container agrees with the frozenset-keyed reference."""
+
+    @given(label_dicts(4), label_dicts(4))
+    @settings(max_examples=80)
+    def test_sum_and_product(self, a, b):
+        ea, eb = TildeElement(4, a), TildeElement(4, b)
+        ra, rb = ref_clean(a), ref_clean(b)
+        assert as_label_dict(ea) == ra
+        assert as_label_dict(ea + eb) == ref_add(ra, rb, UNIV_ZERO)
+        assert as_label_dict(ea * eb) == ref_mul(ra, rb, UNIV_ZERO)
+
+    @given(label_dicts(4), st.permutations([1, 2, 3, 4]))
+    @settings(max_examples=60)
+    def test_cascade(self, a, order):
+        witnesses, full = cascade_decompose(TildeElement(4, a), order)
+        ref_witnesses, ref_full = ref_cascade(ref_clean(a), order)
+        assert [as_label_dict(w) for w in witnesses] == ref_witnesses
+        assert full == ref_full
+
+    @given(label_dicts(3), label_dicts(3))
+    @settings(max_examples=60)
+    def test_residual_reduce_and_product(self, a, b):
+        ra, rb = ref_reduce(ref_clean(a)), ref_reduce(ref_clean(b))
+        reduced_a = residual_reduce(TildeElement(3, a))
+        reduced_b = residual_reduce(TildeElement(3, b))
+        assert as_label_dict(reduced_a) == ra
+        assert as_label_dict(reduced_a * reduced_b) == ref_mul(ra, rb, RES_ZERO)
+        assert as_label_dict(reduced_a + reduced_b) == ref_add(ra, rb, RES_ZERO)
+        assert reduced_a == ResidualTilde(3, ra)
