@@ -58,6 +58,7 @@ from .univ import (
 )
 from .wallcross import (
     SCHEMA_VERSION,
+    _all_assignments,
     pfister_element,
     residual_report,
     unit_shift_pairs,
@@ -124,11 +125,6 @@ class SuiteResult:
         }
 
 
-def _assignments(s: int, values: tuple[int, ...]):
-    for pattern in itertools.product(values, repeat=s):
-        yield dict(zip(range(1, s + 1), pattern))
-
-
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
@@ -186,7 +182,7 @@ def _check_pfister_torsion(q: int, s: int):
     model = FiniteField(q)
     element = pfister_element(s)
     doubled = element + element
-    for assign in _assignments(s, (0, 1)):
+    for assign in _all_assignments(s, (0, 1)):
         if not specialize_field(doubled, model, assign).is_zero():
             return False, f"nonzero at {assign}"
     return True, ""
@@ -316,7 +312,7 @@ def _check_dissolution(d: int, cfg: tuple[int, ...], j: int):
     rhs = floor_count(d, dissolved_config(cfg, j))
     for q in DISSOLUTION_ORDERS:
         model = FiniteField(q)
-        for assign in _assignments(s - 1, (0, 1)):
+        for assign in _all_assignments(s - 1, (0, 1)):
             if specialize_field(lhs, model, assign) != specialize_field(
                 rhs, model, assign
             ):
@@ -435,49 +431,21 @@ def _check_rational_binary():
 # ---------------------------------------------------------------------------
 
 
-_CHECK_FUNCS = {
-    "type_a_product": _check_type_a_product,
-    "square_field": _check_square_field,
-    "elevator_square": _check_elevator_square,
-    "universal_square_product": _check_universal_square_product,
-    "gw_laws": _check_gw_laws,
-    "pfister_torsion": _check_pfister_torsion,
-    "rank_oracle": _check_rank_oracle,
-    "count_anchor": _check_count_anchor,
-    "signature_invariance": _check_signature_invariance,
-    "anchor_type_a_m3": _check_anchor_type_a_m3,
-    "anchor_twin_t1": _check_anchor_twin_t1,
-    "anchor_twin_t2": _check_anchor_twin_t2,
-    "anchor_twin_t3": _check_anchor_twin_t3,
-    "anchor_crossing_product": _check_anchor_crossing_product,
-    "dissolution": _check_dissolution,
-    "wallcross_level": _check_wallcross_level,
-    "graph_connected": _check_graph_connected,
-    "residual_factors": _check_residual_factors,
-    "residual_twin_trees": _check_residual_twin_trees,
-    "residual_base": _check_residual_base,
-    "residual_transfer": _check_residual_transfer,
-    "pfister_aniso": _check_pfister_aniso,
-    "hyperbolic_plane": _check_hyperbolic_plane,
-    "rational_binary": _check_rational_binary,
-}
-
-
 def _identity_specs(budget: int):
     specs = []
-    for family in (
-        "type_a_product",
-        "square_field",
-        "elevator_square",
-        "universal_square_product",
+    for family, fn in (
+        ("type-a-product", _check_type_a_product),
+        ("square-field", _check_square_field),
+        ("elevator-square", _check_elevator_square),
+        ("universal-square-product", _check_universal_square_product),
     ):
         for m in range(1, MAX_IDENTITY_WEIGHT + 1):
-            specs.append((f"identity:{family.replace('_', '-')}:m={m}", family, (m,)))
+            specs.append((f"identity:{family}:m={m}", fn, (m,)))
     for q in GW_LAW_ORDERS:
-        specs.append((f"gw-laws:fq{q}", "gw_laws", (q,)))
+        specs.append((f"gw-laws:fq{q}", _check_gw_laws, (q,)))
     for q in GW_LAW_ORDERS:
         for s in range(0, 4):
-            specs.append((f"pfister-torsion:fq{q}:s={s}", "pfister_torsion", (q, s)))
+            specs.append((f"pfister-torsion:fq{q}:s={s}", _check_pfister_torsion, (q, s)))
     return specs
 
 
@@ -486,23 +454,23 @@ def _count_specs(budget: int):
     for d in range(1, min(3, budget) + 1):
         n = 3 * d - 1
         for s in range(0, n // 2 + 1):
-            specs.append((f"rank-oracle:d={d}:s={s}", "rank_oracle", (d, s)))
+            specs.append((f"rank-oracle:d={d}:s={s}", _check_rank_oracle, (d, s)))
     if budget >= 4:
         for s in range(0, 3):
-            specs.append((f"rank-oracle:d=4:s={s}", "rank_oracle", (4, s)))
+            specs.append((f"rank-oracle:d=4:s={s}", _check_rank_oracle, (4, s)))
     if budget >= 3:
-        specs.append(("count-anchor:d=3:s=0", "count_anchor", ()))
+        specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
         for s in range(0, 5):
             specs.append(
-                (f"signature-invariance:d=3:s={s}", "signature_invariance", (3, s))
+                (f"signature-invariance:d=3:s={s}", _check_signature_invariance, (3, s))
             )
     specs.extend(
         [
-            ("anchor:type-a-m3", "anchor_type_a_m3", ()),
-            ("anchor:twin-t1", "anchor_twin_t1", ()),
-            ("anchor:twin-t2", "anchor_twin_t2", ()),
-            ("anchor:twin-t3", "anchor_twin_t3", ()),
-            ("anchor:crossing-product", "anchor_crossing_product", ()),
+            ("anchor:type-a-m3", _check_anchor_type_a_m3, ()),
+            ("anchor:twin-t1", _check_anchor_twin_t1, ()),
+            ("anchor:twin-t2", _check_anchor_twin_t2, ()),
+            ("anchor:twin-t3", _check_anchor_twin_t3, ()),
+            ("anchor:crossing-product", _check_anchor_crossing_product, ()),
         ]
     )
     return specs
@@ -517,7 +485,7 @@ def _dissolution_specs(budget: int):
                 for j in range(1, s + 1):
                     cfg_str = ",".join(map(str, cfg))
                     specs.append(
-                        (f"dissolution:d={d}:cfg={cfg_str}:j={j}", "dissolution", (d, cfg, j))
+                        (f"dissolution:d={d}:cfg={cfg_str}:j={j}", _check_dissolution, (d, cfg, j))
                     )
     return specs
 
@@ -529,25 +497,25 @@ def _wallcross_specs(budget: int):
             continue
         n = 3 * d - 1
         for s in range(1, n // 2 + 1):
-            specs.append((f"wallcross:d={d}:s={s}", "wallcross_level", (d, s)))
+            specs.append((f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s)))
     for n in range(2, MAX_GRAPH_POINTS + 1):
         for s in range(0, n // 2 + 1):
-            specs.append((f"merge-graph:n={n}:s={s}", "graph_connected", (n, s)))
+            specs.append((f"merge-graph:n={n}:s={s}", _check_graph_connected, (n, s)))
     return specs
 
 
 def _residual_specs(budget: int):
     specs = []
     for m in range(1, MAX_RESIDUAL_WEIGHT + 1):
-        specs.append((f"residual-factors:m={m}", "residual_factors", (m,)))
-    specs.append(("residual-twin-trees", "residual_twin_trees", ()))
+        specs.append((f"residual-factors:m={m}", _check_residual_factors, (m,)))
+    specs.append(("residual-twin-trees", _check_residual_twin_trees, ()))
     for d in range(2, min(3, budget) + 1):
         n = 3 * d - 1
         for cfg_from, cfg_to in unit_shift_pairs(n, 1):
             specs.append(
                 (
                     f"residual-base:d={d}:{cfg_from[0]}-{cfg_to[0]}",
-                    "residual_base",
+                    _check_residual_base,
                     (d, cfg_from, cfg_to),
                 )
             )
@@ -560,7 +528,7 @@ def _residual_specs(budget: int):
                 specs.append(
                     (
                         f"residual-transfer:d=3:{from_str}>{to_str}",
-                        "residual_transfer",
+                        _check_residual_transfer,
                         (3, cfg_from, cfg_to),
                     )
                 )
@@ -568,9 +536,9 @@ def _residual_specs(budget: int):
 
 
 def _springer_specs(budget: int):
-    specs = [(f"springer:pfister-aniso:s={s}", "pfister_aniso", (s,)) for s in range(1, 9)]
-    specs.append(("springer:hyperbolic-plane", "hyperbolic_plane", ()))
-    specs.append(("springer:rational-binary", "rational_binary", ()))
+    specs = [(f"springer:pfister-aniso:s={s}", _check_pfister_aniso, (s,)) for s in range(1, 9)]
+    specs.append(("springer:hyperbolic-plane", _check_hyperbolic_plane, ()))
+    specs.append(("springer:rational-binary", _check_rational_binary, ()))
     return specs
 
 
@@ -597,10 +565,10 @@ _SUITE_BUILDERS = {
 
 
 def _run_check(spec) -> CheckResult:
-    check_id, fn_name, args = spec
+    check_id, fn, args = spec
     start = perf_counter()
     try:
-        ok, detail = _CHECK_FUNCS[fn_name](*args)
+        ok, detail = fn(*args)
     except Exception as exc:
         ok, detail = False, f"exception: {exc}"
     return CheckResult(check_id, ok, detail, perf_counter() - start)

@@ -112,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wall.add_argument("--degree", type=int, required=True)
     p_wall.add_argument("--merge-from", required=True, help="source merge positions")
     p_wall.add_argument("--merge-to", required=True, help="target merge positions")
-    p_wall.add_argument(
-        "--sweep", default="default", help="field sweep to run (only 'default')"
-    )
     add_common(p_wall)
 
     p_pf = sub.add_parser("pfister", help="Pfister element and its anisotropy verdict")
@@ -172,6 +169,10 @@ def _cmd_count(args):
             )
         raise UsageError("--pairs given without --merge positions")
     _validate_config(cfg, n)
+    if args.signs is not None and args.field != "real":
+        raise UsageError(f"--signs needs --field real, got --field {args.field}")
+    if args.assign is not None and not args.field.startswith("fq:"):
+        raise UsageError(f"--assign needs --field fq:Q, got --field {args.field}")
     s = len(cfg)
     value = floor_count(args.degree, cfg)
 
@@ -220,8 +221,6 @@ def _cmd_count(args):
 
 def _cmd_wallcross(args):
     _check_degree(args.degree, args.budget)
-    if args.sweep != "default":
-        raise UsageError(f"unknown sweep {args.sweep!r}; only 'default' is available")
     n = 3 * args.degree - 1
     cfg_from = _parse_positions(args.merge_from)
     cfg_to = _parse_positions(args.merge_to)
@@ -288,7 +287,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed command line and 0 after --help
+        return exc.code
     try:
         doc, lines, code = _COMMANDS[args.command](args)
     except UsageError as exc:

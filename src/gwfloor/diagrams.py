@@ -32,10 +32,15 @@ holding those marks:
 
 Two merged markings are identified when they differ by the order of a
 fused pair's two marks, or -- for a fused pair of two consecutive floor
-marks -- by relabeling those two floors throughout the diagram.  The
-identification is computed by taking a minimum over all 2^s variant
-encodings.  This rule set makes the rank of the total count equal the
-classical degree-d rational-curve count for every configuration, which
+marks -- by relabeling those two floors throughout the diagram.  Each
+class is kept as its minimum encoding over the variants of its type-R
+pairs.  The enumeration of marked diagrams is closed under both
+operations: a within-pair swap keeps every marking constraint, and no
+elevator joins two merged floors, so relabeling them gives another
+sorted tree with the same weights.  The minimum is therefore itself an
+enumerated marked diagram, and each class is met exactly once there.
+This rule set makes the rank of the total count equal the classical
+degree-d rational-curve count for every configuration, which
 is the completeness certificate the test suite enforces.
 """
 
@@ -394,13 +399,14 @@ def _apply_swaps(diagram_elevators, marking, cfg, pair_indices):
 
 
 def _orbit_data(diagram: FloorDiagram, marking: tuple, cfg: tuple):
-    """Canonical encoding plus the joint-twin detection.
+    """Pair tags plus the joint-twin detection for an orbit minimum.
 
-    Returns (key, joins) or None when some pair cannot be classified.
-    ``key`` is the minimum (elevators, marking) over all alternate
-    encodings of the type-R pairs.  ``joins`` lists index pairs (i, j)
-    of fused pairs whose two operations act identically on this marking:
-    a doubled weight-1 elevator pair together with the doubled floor pair
+    Returns (tags, joins) when this encoding is the minimum
+    (elevators, marking) over all alternate encodings of its type-R
+    pairs, and None when some alternate encoding is smaller or some pair
+    cannot be classified.  ``joins`` lists index pairs (i, j) of fused
+    pairs whose two operations act identically on this marking: a
+    doubled weight-1 elevator pair together with the doubled floor pair
     above it.  Such a pair of pairs forms one twin tree with two double
     points rather than two independent crossings.
     """
@@ -416,13 +422,12 @@ def _orbit_data(diagram: FloorDiagram, marking: tuple, cfg: tuple):
     # floors); type-A and twin pairs have a single valid order.
     swappable = [i for i, tag in enumerate(tags) if tag[0] == "R"]
     identity_key = (diagram.elevators, marking)
-    best = identity_key
     stabilizer = []
     for mask in range(1, 1 << len(swappable)):
         chosen = [swappable[b] for b in range(len(swappable)) if mask >> b & 1]
         key = _apply_swaps(diagram.elevators, marking, cfg, chosen)
-        if key < best:
-            best = key
+        if key < identity_key:
+            return None
         if key == identity_key:
             stabilizer.append(chosen)
 
@@ -447,7 +452,7 @@ def _orbit_data(diagram: FloorDiagram, marking: tuple, cfg: tuple):
         for k in (i, j):
             used.add(k)
         joins.append((i, j))
-    return best, tuple(sorted(joins))
+    return tuple(tags), tuple(sorted(joins))
 
 
 @dataclass(frozen=True)
@@ -567,43 +572,24 @@ class MergedDiagram:
         }
 
 
-def diagram_multiplicity(merged: MergedDiagram, s: int | None = None) -> TildeElement:
-    if s is not None and s != merged.s:
-        raise ValueError("variable count does not match the configuration")
-    return merged.multiplicity()
-
-
 @cache
 def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[MergedDiagram, ...]:
-    """All merged diagrams for the configuration, deduplicated canonically."""
+    """All merged diagrams for the configuration, one per orbit: the
+    marked diagrams that are their orbit's minimum encoding, sorted by
+    that encoding."""
     cfg = tuple(sorted(cfg))
     n = 3 * d - 1
     if any(not 1 <= p <= n - 1 for p in cfg) or any(
         b - a < 2 for a, b in zip(cfg, cfg[1:])
     ):
         raise ValueError(f"invalid merge configuration {cfg} for {n} positions")
-    seen: dict[tuple, MergedDiagram] = {}
+    out = []
     for diagram, marking in enumerate_diagrams(d):
         data = _orbit_data(diagram, marking, cfg)
-        if data is None:
-            continue
-        key, joins = data
-        if key in seen:
-            continue
-        if key == (diagram.elevators, marking):
-            # Already canonical: the orbit data just computed is the
-            # canonical encoding's own.
-            c_diagram, c_marking = diagram, marking
-        else:
-            c_elev, c_marking = key
-            c_diagram = FloorDiagram(d, c_elev)
-            c_data = _orbit_data(c_diagram, c_marking, cfg)
-            if c_data is None or c_data[0] != key:
-                raise AssertionError("canonical encoding is not a fixed point")
-            joins = c_data[1]
-        tags = tuple(classify_pair(c_diagram, c_marking, p) for p in cfg)
-        seen[key] = MergedDiagram(c_diagram, c_marking, cfg, tags, joins)
-    return tuple(seen[k] for k in sorted(seen))
+        if data is not None:
+            out.append(MergedDiagram(diagram, marking, cfg, *data))
+    out.sort(key=lambda m: (m.diagram.elevators, m.marking))
+    return tuple(out)
 
 
 def _evaluate(f: LocalFactor, nvars: int) -> TildeElement:

@@ -121,14 +121,11 @@ def default_field_sweep(s: int) -> list[tuple[object, dict]]:
     runs over all 2^s square/non-square choices; the closed model needs a
     single assignment since every unit is a square there.
     """
-    entries: list[tuple[object, dict]] = []
     real = RealField()
-    for pattern in itertools.product((1, -1), repeat=s):
-        entries.append((real, dict(zip(range(1, s + 1), pattern))))
+    entries = [(real, assign) for assign in _all_assignments(s, (1, -1))]
     for q in SWEEP_FQ_ORDERS:
         model = FiniteField(q)
-        for pattern in itertools.product((0, 1), repeat=s):
-            entries.append((model, dict(zip(range(1, s + 1), pattern))))
+        entries.extend((model, assign) for assign in _all_assignments(s, (0, 1)))
     entries.append((ClosedField(), {l: 0 for l in range(1, s + 1)}))
     return entries
 
@@ -210,7 +207,7 @@ def _all_assignments(s: int, values: tuple[int, ...]):
         yield dict(zip(range(1, s + 1), pattern))
 
 
-def wallcross_report(d: int, cfg_from, cfg_to, sweep=None) -> WallCrossReport:
+def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     """Evaluate every vanishing check for the given configuration pair."""
     cfg_from = tuple(cfg_from)
     cfg_to = tuple(cfg_to)
@@ -220,15 +217,13 @@ def wallcross_report(d: int, cfg_from, cfg_to, sweep=None) -> WallCrossReport:
     coefficient, witnesses = extract_universal_coefficient(delta, order)
     n1, n2, m = univ_coords(coefficient)
 
-    if sweep is None:
-        sweep = default_field_sweep(s)
     field_checks = tuple(
         FieldCheck(
             model.describe(),
             describe_assign(model, assign),
             specialize_field(delta, model, assign).is_zero(),
         )
-        for model, assign in sweep
+        for model, assign in default_field_sweep(s)
     )
 
     witnesses_zero = all(

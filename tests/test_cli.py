@@ -110,6 +110,32 @@ class TestCount:
         assert code == 2
 
 
+    def test_signs_need_real_field(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--degree", "3", "--merge", "5", "--signs=-"
+        )
+        assert code == 2
+        assert "--field symbolic" in err
+        assert not out
+
+    def test_assign_needs_finite_field(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "count",
+            "--degree",
+            "3",
+            "--merge",
+            "5",
+            "--field",
+            "real",
+            "--assign",
+            "ns",
+        )
+        assert code == 2
+        assert "--field real" in err
+        assert not out
+
+
 class TestWallcross:
     def test_unit_shift(self, capsys):
         doc = run_json(

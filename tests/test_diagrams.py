@@ -1,15 +1,18 @@
 """Floor diagrams, merge configurations, counts, and dissolution."""
 
 from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import pytest
 
 from gwfloor.diagrams import (
     FloorDiagram,
+    _apply_swaps,
     _multiset_product,
+    classify_pair,
     dissolve_specialize,
     dissolved_config,
-    diagram_multiplicity,
     enumerate_diagrams,
     enumerate_markings,
     enumerate_merge_configs,
@@ -173,10 +176,6 @@ class TestCounts:
                 )
                 assert cls.sig == 8 - 2 * s
 
-    def test_multiplicity_consistency(self):
-        for merged in enumerate_merged_diagrams(3, (5, 7)):
-            assert diagram_multiplicity(merged) == merged.multiplicity()
-
     def test_residual_two_path(self):
         for cfg in [(), (3,), (5, 7), (1, 3, 5)]:
             assert floor_count_residual(3, cfg) == residual_reduce(
@@ -214,6 +213,59 @@ class TestMultisetMemo:
             floor_count(4, (1, 3, 5, 7))
         with pytest.raises(ValueError, match="unsupported twin interaction"):
             floor_count_residual(4, (1, 3, 5, 7))
+
+
+@cache
+def _orbits(d: int, cfg: tuple[int, ...]) -> list[list[tuple]]:
+    """Every encoding of every classifiable marked diagram of the
+    configuration: the diagram's own first, then one per non-empty set
+    of its type-R pairs with their alternate-encoding operations applied."""
+    out = []
+    for diagram, marking in enumerate_diagrams(d):
+        tags = [classify_pair(diagram, marking, p) for p in cfg]
+        if None in tags:
+            continue
+        swappable = [i for i, tag in enumerate(tags) if tag[0] == "R"]
+        out.append(
+            [
+                _apply_swaps(diagram.elevators, marking, cfg, chosen)
+                for size in range(len(swappable) + 1)
+                for chosen in combinations(swappable, size)
+            ]
+        )
+    return out
+
+
+def _all_configs(max_degree: int):
+    for d in range(1, max_degree + 1):
+        n = 3 * d - 1
+        for s in range(0, n // 2 + 1):
+            for cfg in enumerate_merge_configs(n, s):
+                yield d, cfg
+
+
+class TestOrbitMinima:
+    """enumerate_merged_diagrams keeps a marked diagram only when it is its
+    orbit's minimum encoding, which is sound only if every alternate
+    encoding of an enumerated marked diagram is enumerated too."""
+
+    def test_enumeration_closed_under_pair_operations(self):
+        for d, cfg in _all_configs(4):
+            marked = {(dg.elevators, mk) for dg, mk in enumerate_diagrams(d)}
+            for encodings in _orbits(d, cfg):
+                for key in encodings[1:]:
+                    assert key in marked, (d, cfg, encodings[0], key)
+
+    def test_one_merged_diagram_per_orbit(self):
+        for d, cfg in _all_configs(4):
+            try:
+                merged = enumerate_merged_diagrams(d, cfg)
+            except ValueError:
+                # the unsupported shapes of TestUnsupportedShapes
+                continue
+            kept = [(m.diagram.elevators, m.marking) for m in merged]
+            minima = {min(encodings) for encodings in _orbits(d, cfg)}
+            assert kept == sorted(minima), (d, cfg)
 
 
 class TestMergedJson:
