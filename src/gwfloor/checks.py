@@ -336,6 +336,9 @@ def _check_wallcross_level(d: int, s: int):
                 for key, val in report.to_json()["checks"].items()
                 if val is False
             ]
+            bad = next((c for c in report.field_checks if not c.ok), None)
+            if bad is not None:
+                failed.append(f"field_zero {bad.model} {bad.assign}".rstrip())
             return False, f"{cfg_from} -> {cfg_to}: failed {failed}"
     return True, f"{len(pairs)} unit shifts"
 

@@ -14,14 +14,15 @@ import json
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .diagrams import (
-    enumerate_merge_configs,
-    enumerate_merged_diagrams,
-    floor_count,
-)
+from .diagrams import enumerate_merged_diagrams, floor_count, is_merge_config
 from .fields import ClosedField, FiniteField, RealField, specialize_field
 from .springer import form_report, pfister_concrete
-from .wallcross import SCHEMA_VERSION, pfister_element, wallcross_report
+from .wallcross import (
+    SCHEMA_VERSION,
+    describe_assign,
+    pfister_element,
+    wallcross_report,
+)
 
 _DEFAULT_BUDGET = 4
 
@@ -43,7 +44,7 @@ def _parse_positions(text: str) -> tuple[int, ...]:
 
 
 def _validate_config(cfg: tuple[int, ...], n: int) -> None:
-    if cfg not in enumerate_merge_configs(n, len(cfg)):
+    if not is_merge_config(cfg, n):
         raise UsageError(
             f"{cfg} is not a valid merge configuration for {n} points "
             "(positions must be ascending and at least 2 apart)"
@@ -82,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--table", action="store_true", help="also print a text table")
         p.add_argument("--out", metavar="FILE", help="write the JSON document to FILE")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=_DEFAULT_BUDGET,
-            help="largest degree the command may enumerate (default 4)",
-        )
 
     p_enum = sub.add_parser("enumerate", help="dump marked floor diagrams")
     p_enum.add_argument("--degree", type=int, required=True)
@@ -95,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="compute one enriched count")
     p_count.add_argument("--degree", type=int, required=True)
-    p_count.add_argument("--pairs", type=int, default=None, help="number of merged pairs")
     p_count.add_argument("--merge", default="", help="comma-separated merge positions")
     p_count.add_argument(
         "--field",
@@ -122,6 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, help="|".join(SUITE_NAMES))
     add_common(p_ver)
 
+    for p in (p_enum, p_count, p_wall, p_ver):
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=_DEFAULT_BUDGET,
+            help="largest degree the command may enumerate (default 4)",
+        )
     return parser
 
 
@@ -162,12 +163,6 @@ def _cmd_count(args):
     _check_degree(args.degree, args.budget)
     n = 3 * args.degree - 1
     cfg = _parse_positions(args.merge)
-    if args.pairs is not None and args.pairs != len(cfg):
-        if cfg:
-            raise UsageError(
-                f"--pairs {args.pairs} disagrees with {len(cfg)} merge positions"
-            )
-        raise UsageError("--pairs given without --merge positions")
     _validate_config(cfg, n)
     if args.signs is not None and args.field != "real":
         raise UsageError(f"--signs needs --field real, got --field {args.field}")
@@ -191,8 +186,9 @@ def _cmd_count(args):
         lines.append(f"  value {value!r}")
     elif args.field == "real":
         assign = _parse_signs(args.signs if args.signs is not None else "+" * s, s)
-        image = specialize_field(value, RealField(), assign)
-        doc["signs"] = "".join("+" if assign[l] == 1 else "-" for l in range(1, s + 1))
+        model = RealField()
+        image = specialize_field(value, model, assign)
+        doc["signs"] = describe_assign(model, assign)
         doc["signature"] = image.sig
         lines.append(f"  signs {doc['signs'] or '-'} rank {image.rank} signature {image.sig}")
     elif args.field == "closed":
@@ -209,9 +205,7 @@ def _cmd_count(args):
             args.assign if args.assign is not None else "/".join(["sq"] * s), s
         )
         image = specialize_field(value, model, assign)
-        doc["assign"] = "/".join(
-            "sq" if assign[l] == 0 else "ns" for l in range(1, s + 1)
-        )
+        doc["assign"] = describe_assign(model, assign)
         doc["disc"] = image.disc
         lines.append(f"  q={q} assign {doc['assign'] or '-'} rank {image.rank} disc bit {image.disc}")
     else:

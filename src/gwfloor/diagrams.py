@@ -69,6 +69,35 @@ from .univ import RES_ONE, ResidualTilde, TildeElement, UNIV_ONE
 # 1-based floor, elevator-tuple index, and per-floor end index.
 
 
+def _is_tree(d: int, edges) -> bool:
+    """Whether the (lo, hi) edges on floors 1..d close no cycle; d-1 such
+    edges form a spanning tree."""
+    parent = list(range(d + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for lo, hi in edges:
+        ra, rb = find(lo), find(hi)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+def _divergence(d: int, elevators) -> tuple[int, ...]:
+    """Down-end count E(f) = U(f) + 1 - L(f) forced at each floor f."""
+    up = [0] * (d + 1)
+    down = [0] * (d + 1)
+    for lo, hi, w in elevators:
+        up[lo] += w
+        down[hi] += w
+    return tuple(up[f] + 1 - down[f] for f in range(1, d + 1))
+
+
 @dataclass(frozen=True)
 class FloorDiagram:
     """Degree-d genus-0 floor diagram; ends are derived from divergence."""
@@ -82,23 +111,13 @@ class FloorDiagram:
             raise ValueError("degree must be positive")
         if len(self.elevators) != d - 1:
             raise ValueError("genus 0 requires exactly d-1 bounded elevators")
-        parent = list(range(d + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for lo, hi, w in self.elevators:
             if not (1 <= lo < hi <= d):
                 raise ValueError(f"bad elevator endpoints ({lo}, {hi})")
             if w < 1:
                 raise ValueError("elevator weight must be positive")
-            ra, rb = find(lo), find(hi)
-            if ra == rb:
-                raise ValueError("elevators must form a tree (cycle found)")
-            parent[ra] = rb
+        if not _is_tree(d, [(lo, hi) for lo, hi, _w in self.elevators]):
+            raise ValueError("elevators must form a tree (cycle found)")
         if tuple(self.elevators) != tuple(sorted(self.elevators)):
             raise ValueError("elevators must be listed in sorted order")
         if any(e < 0 for e in self.end_counts):
@@ -106,12 +125,7 @@ class FloorDiagram:
 
     @cached_property
     def end_counts(self) -> tuple[int, ...]:
-        up = [0] * (self.d + 1)
-        down = [0] * (self.d + 1)
-        for lo, hi, w in self.elevators:
-            up[lo] += w
-            down[hi] += w
-        return tuple(up[f] + 1 - down[f] for f in range(1, self.d + 1))
+        return _divergence(self.d, self.elevators)
 
     @property
     def n_marks(self) -> int:
@@ -157,43 +171,16 @@ def kontsevich_nd(d: int) -> int:
 _MAX_DEGREE = 4
 
 
-def _spanning_trees(d: int):
-    if d == 1:
-        yield ()
-        return
+def _weighted_diagrams(d: int):
     all_edges = list(combinations(range(1, d + 1), 2))
     for edges in combinations(all_edges, d - 1):
-        parent = list(range(d + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ok = True
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-        if ok:
-            yield edges
-
-
-def _weighted_diagrams(d: int):
-    for edges in _spanning_trees(d):
+        if not _is_tree(d, edges):
+            continue
         for weights in product(range(1, d + 1), repeat=len(edges)):
             elevators = tuple(
                 sorted((lo, hi, w) for (lo, hi), w in zip(edges, weights))
             )
-            up = [0] * (d + 1)
-            down = [0] * (d + 1)
-            for lo, hi, w in elevators:
-                up[lo] += w
-                down[hi] += w
-            if all(up[f] + 1 - down[f] >= 0 for f in range(1, d + 1)):
+            if min(_divergence(d, elevators)) >= 0:
                 yield FloorDiagram(d, elevators)
 
 
@@ -261,33 +248,34 @@ def enumerate_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
 # ---------------------------------------------------------------------------
 
 
+def is_merge_config(cfg: tuple[int, ...], n: int) -> bool:
+    """Whether cfg fuses disjoint mark pairs among n marks: positions
+    p_1 < ... < p_s in {1..n-1} with consecutive gaps >= 2."""
+    prev = -1  # p_1 >= 1 reads as a gap of 2 from here
+    for p in cfg:
+        if p - prev < 2:
+            return False
+        prev = p
+    return prev <= n - 1
+
+
 def enumerate_merge_configs(n: int, s: int) -> list[tuple[int, ...]]:
-    """All {p_1 < ... < p_s} in {1..n-1} with consecutive gaps >= 2."""
+    """All merge configurations of s pairs among n marks."""
     if s < 0 or 2 * s > n:
         raise ValueError(f"cannot place {s} disjoint pairs among {n} positions")
-    out = []
-    for combo in combinations(range(1, n), s):
-        if all(b - a >= 2 for a, b in zip(combo, combo[1:])):
-            out.append(combo)
-    return out
+    return [combo for combo in combinations(range(1, n), s) if is_merge_config(combo, n)]
 
 
 def unit_shifts(cfg: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """Configurations reachable by moving one pair a single position."""
+    cfg = tuple(cfg)
     out = []
     for i in range(len(cfg)):
         for delta in (-1, 1):
-            cand = list(cfg)
-            cand[i] += delta
-            cand.sort()
-            t = tuple(cand)
-            if len(set(t)) != len(t):
-                continue
-            if t[0] < 1 or t[-1] > n - 1:
-                continue
-            if all(b - a >= 2 for a, b in zip(t, t[1:])):
+            t = cfg[:i] + (cfg[i] + delta,) + cfg[i + 1 :]
+            if is_merge_config(t, n):
                 out.append(t)
-    return sorted(set(out) - {tuple(cfg)})
+    return sorted(out)
 
 
 def unit_shift_graph(configs, n: int) -> dict[tuple, list[tuple]]:
@@ -579,9 +567,7 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
     that encoding."""
     cfg = tuple(sorted(cfg))
     n = 3 * d - 1
-    if any(not 1 <= p <= n - 1 for p in cfg) or any(
-        b - a < 2 for a, b in zip(cfg, cfg[1:])
-    ):
+    if not is_merge_config(cfg, n):
         raise ValueError(f"invalid merge configuration {cfg} for {n} positions")
     out = []
     for diagram, marking in enumerate_diagrams(d):

@@ -67,9 +67,6 @@ class SquareClassCarrier:
         names = [self.generators[i] for i in range(self.size) if mask >> i & 1]
         return "<" + "*".join(names) + ">"
 
-    def all_monomials(self) -> range:
-        return range(1 << self.size)
-
     def __eq__(self, other):
         return isinstance(other, SquareClassCarrier) and self.generators == other.generators
 

@@ -71,13 +71,6 @@ class DiagonalForm:
     def rank(self) -> int:
         return len(self.entries)
 
-    def highest_variable(self) -> int | None:
-        """Largest variable label occurring in any entry, or None."""
-        top = 0
-        for _, bits in self.entries:
-            top = max(top, bits.bit_length())
-        return top or None
-
     def restrict_variables(self, nvars: int) -> "DiagonalForm":
         """Reinterpret the form over a smaller tower; all entries must fit."""
         return DiagonalForm(nvars, self.entries)
@@ -104,6 +97,14 @@ def pfister_concrete(s: int) -> DiagonalForm:
     return DiagonalForm(s, tuple(entries))
 
 
+def _split(entries: tuple, bit: int) -> tuple[tuple, tuple]:
+    """Partition entries by the parity of the variable at mask ``bit``;
+    divide it out of the uniformizer part."""
+    unit_part = tuple(e for e in entries if not e[1] & bit)
+    uniformizer_part = tuple((u, b ^ bit) for u, b in entries if b & bit)
+    return unit_part, uniformizer_part
+
+
 def springer_split(
     f: DiagonalForm, var: int
 ) -> tuple[DiagonalForm, DiagonalForm]:
@@ -111,14 +112,13 @@ def springer_split(
     uniformizer part."""
     if not 1 <= var <= f.nvars:
         raise ValueError(f"variable u{var} outside the {f.nvars}-variable tower")
-    bit = 1 << (var - 1)
-    unit_part = tuple(e for e in f.entries if not e[1] & bit)
-    uniformizer_part = tuple((u, b ^ bit) for u, b in f.entries if b & bit)
+    unit_part, uniformizer_part = _split(f.entries, 1 << (var - 1))
     return DiagonalForm(f.nvars, unit_part), DiagonalForm(f.nvars, uniformizer_part)
 
 
-def _rational_base_verdict(f: DiagonalForm) -> Verdict:
-    units = [u for u, _ in f.entries]
+def _rational_base_verdict(entries: tuple) -> Verdict:
+    """Verdict over Q for reduced entries that carry no tower variable."""
+    units = [u for u, _ in entries]
     if len(units) == 1:
         return Verdict.ANISOTROPIC
     if all(u > 0 for u in units) or all(u < 0 for u in units):
@@ -138,16 +138,22 @@ def is_anisotropic(f: DiagonalForm) -> Verdict:
     residue forms are; an isotropic residue makes the whole form
     isotropic, and an unsupported rational base leaves the verdict
     undetermined (UNSUPPORTED) unless an isotropic part settles it.
+    The form's entries were validated on construction, so the recursion
+    runs on bare entry tuples.
     """
-    if f.rank == 0:
+    return _verdict(f.entries)
+
+
+def _verdict(entries: tuple) -> Verdict:
+    if not entries:
         # The empty form has no nonzero vector at all.
         return Verdict.ANISOTROPIC
-    var = f.highest_variable()
-    if var is None:
-        return _rational_base_verdict(f)
-    unit_part, uniformizer_part = springer_split(f, var)
-    left = is_anisotropic(unit_part)
-    right = is_anisotropic(uniformizer_part)
+    top = max(bits for _, bits in entries)
+    if top == 0:
+        return _rational_base_verdict(entries)
+    unit_part, uniformizer_part = _split(entries, 1 << (top.bit_length() - 1))
+    left = _verdict(unit_part)
+    right = _verdict(uniformizer_part)
     if Verdict.ISOTROPIC in (left, right):
         return Verdict.ISOTROPIC
     if Verdict.UNSUPPORTED in (left, right):

@@ -46,11 +46,12 @@ class TestCount:
         assert doc["schema"] == "gwfloor/1"
         assert doc["rank"] == 12
 
-    def test_pairs_merge_consistency(self, capsys):
+    def test_unknown_pairs(self, capsys):
         code, out, err = run_cli(
-            capsys, "count", "--degree", "3", "--pairs", "2", "--merge", "5"
+            capsys, "count", "--degree", "3", "--pairs", "1", "--merge", "5"
         )
         assert code == 2
+        assert "unrecognized arguments: --pairs" in err
 
     def test_real_field(self, capsys):
         doc = run_json(
@@ -174,6 +175,11 @@ class TestPfister:
         assert doc["s"] == 3
         assert doc["verdict"] == "aniso"
         assert len(doc["form"]) == 16
+
+    def test_unknown_budget(self, capsys):
+        code, out, err = run_cli(capsys, "pfister", "--vars", "3", "--budget", "4")
+        assert code == 2
+        assert "unrecognized arguments: --budget" in err
 
 
 class TestVerify:

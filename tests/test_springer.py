@@ -1,10 +1,13 @@
 """Anisotropy certificates for diagonal forms over Laurent towers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwfloor.springer import (
     DiagonalForm,
     Verdict,
+    _rational_base_verdict,
     form_report,
     is_anisotropic,
     negate,
@@ -33,11 +36,9 @@ class TestDiagonalForm:
         b = DiagonalForm(1, ((-2, 1), (1, 0)))
         assert a == b
 
-    def test_rank_and_highest_variable(self):
+    def test_rank(self):
         f = DiagonalForm(3, ((1, 0b100), (1, 0b001), (-1, 0)))
         assert f.rank == 3
-        assert f.highest_variable() == 3
-        assert DiagonalForm(2, ((1, 0),)).highest_variable() is None
 
     def test_restrict_variables(self):
         f = DiagonalForm(3, ((1, 0b01), (-2, 0)))
@@ -138,6 +139,15 @@ class TestVerdicts:
         f = DiagonalForm(1, ((1, 0), (1, 0), (-1, 0), (2, 1)))
         assert is_anisotropic(f) is Verdict.UNSUPPORTED
 
+    def test_recursion_builds_no_forms(self, monkeypatch):
+        form = pfister_concrete(6)
+        built = []
+        monkeypatch.setattr(
+            DiagonalForm, "__post_init__", lambda self: built.append(self)
+        )
+        assert is_anisotropic(form) is Verdict.ANISOTROPIC
+        assert built == []
+
     def test_verdict_json_values(self):
         assert Verdict.ANISOTROPIC.value == "aniso"
         assert Verdict.ISOTROPIC.value == "iso"
@@ -151,3 +161,39 @@ class TestFormReport:
             "form": [[-2, []], [1, []], [-1, [1]], [2, [1]]],
             "verdict": "aniso",
         }
+
+
+# How far a residue verdict decides the whole form: one isotropic residue
+# makes it isotropic, and an unsupported one leaves it undetermined.
+_SEVERITY = {Verdict.ISOTROPIC: 2, Verdict.UNSUPPORTED: 1, Verdict.ANISOTROPIC: 0}
+
+
+def reference_verdict(f: DiagonalForm) -> Verdict:
+    """Springer's recursion unrolled: every residue form on the way down
+    gathers the entries of one monomial, so the verdict is the worst
+    rational verdict over the groups of entries with equal masks."""
+    groups: dict[int, list] = {}
+    for unit, bits in f.entries:
+        groups.setdefault(bits, []).append((unit, 0))
+    return max(
+        (_rational_base_verdict(tuple(g)) for g in groups.values()),
+        key=_SEVERITY.__getitem__,
+        default=Verdict.ANISOTROPIC,
+    )
+
+
+@st.composite
+def diagonal_forms(draw):
+    nvars = draw(st.integers(min_value=0, max_value=4))
+    entry = st.tuples(
+        st.sampled_from([1, -1, 2, -2, 4, -8, 9, -18]),
+        st.integers(min_value=0, max_value=(1 << nvars) - 1),
+    )
+    return DiagonalForm(nvars, tuple(draw(st.lists(entry, max_size=7))))
+
+
+class TestRecursionReference:
+    @settings(max_examples=400, deadline=None)
+    @given(diagonal_forms())
+    def test_matches_mask_groups(self, f):
+        assert is_anisotropic(f) is reference_verdict(f)

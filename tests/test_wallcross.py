@@ -1,9 +1,12 @@
 """Wall-crossing differences, cascade extraction, and report objects."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwfloor import checks
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
 from gwfloor.univ import (
     UNIV_H,
@@ -171,6 +174,23 @@ class TestWallCrossReport:
     def test_mismatched_configs_rejected(self):
         with pytest.raises(ValueError):
             delta_count(3, (4,), (1, 3))
+
+
+class TestWallcrossLevelCheck:
+    def test_failing_field_check_is_named(self, monkeypatch):
+        def one_field_fails(d, cfg_from, cfg_to):
+            report = wallcross_report(d, cfg_from, cfg_to)
+            field_checks = tuple(
+                replace(c, ok=False) if (c.model, c.assign) == ("fq:7", "ns") else c
+                for c in report.field_checks
+            )
+            return replace(report, field_checks=field_checks)
+
+        monkeypatch.setattr(checks, "wallcross_report", one_field_fails)
+        assert checks._check_wallcross_level(2, 1) == (
+            False,
+            "(1,) -> (2,): failed ['field_zero fq:7 ns']",
+        )
 
 
 class TestTransferCheck:
