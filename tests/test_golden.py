@@ -1,7 +1,8 @@
 """Golden stdout: each command's output must stay byte for byte the same.
 
 Each file under ``tests/golden/`` holds the standard output of one
-command.  A change that alters any of these outputs, however slightly,
+command: ``.json`` for the JSON document alone, ``.txt`` when ``--table``
+appends its text rendering.  A change that alters any of these outputs, however slightly,
 changes the documented results and must regenerate the file on purpose.
 """
 
@@ -15,6 +16,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "enumerate_d3": ["enumerate", "--degree", "3"],
+    "enumerate_d3_table": ["enumerate", "--degree", "3", "--table"],
     "count_d4_3_6_9": ["count", "--degree", "4", "--merge", "3,6,9"],
     "count_d3_5_7_real": [
         "count", "--degree", "3", "--merge", "5,7", "--field", "real", "--signs=--",
@@ -29,7 +31,9 @@ COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, capsys):
-    code = main(COMMANDS[name])
+    argv = COMMANDS[name]
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    suffix = ".txt" if "--table" in argv else ".json"
+    assert out.encode() == (GOLDEN / f"{name}{suffix}").read_bytes()
