@@ -109,13 +109,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def elapsed(self) -> float:
-        return sum(c.elapsed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
     def to_json(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,

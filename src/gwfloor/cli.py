@@ -196,11 +196,8 @@ def _cmd_count(args):
         doc["rank"] = image.rank
         lines.append(f"  rank {image.rank}")
     elif args.field.startswith("fq:"):
-        try:
-            q = int(args.field[3:])
-            model = FiniteField(q)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        q = int(args.field[3:])
+        model = FiniteField(q)
         assign = _parse_square_bits(
             args.assign if args.assign is not None else "/".join(["sq"] * s), s
         )
@@ -288,10 +285,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         doc, lines, code = _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(doc, sort_keys=True, indent=2)

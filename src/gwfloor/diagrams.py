@@ -455,54 +455,45 @@ class MergedDiagram:
     def s(self) -> int:
         return len(self.cfg)
 
-    def factors(self) -> list[LocalFactor]:
-        consumed = set()
-        joined: dict[int, int] = {}
+    def factors(self) -> tuple[LocalFactor, ...]:
+        """The local factors in a canonical order, so that equal multisets
+        give equal tuples: one factor per fused pair in label order (a
+        joined pair once, at its elevator pair), then the square of every
+        elevator no pair consumed, by weight.  Down ends contribute <1>
+        and are left out."""
+        joined = dict(self.joins)
+        consumed: set[int] = set()
         out: list[LocalFactor] = []
-        for i, j in self.joins:
-            joined[i] = j
-            joined[j] = i
-            # i fuses a doubled weight-1 elevator, j the doubled floors
-            # above it: one twin tree, two double points, odd circuit.
-            elev_tag, floor_tag = self.tags[i], self.tags[j]
-            for obj in (elev_tag[1], elev_tag[2]):
-                if self.diagram.elevators[obj[1]][2] != 1:
-                    raise ValueError("joined twin elevators must have weight 1")
-                consumed.add(obj)
-            out.append(
-                TwinTree(
-                    TwinTreeDescriptor(
-                        t=2,
-                        m_circ=1,
-                        labels=(i + 1, j + 1),
-                        bounded_edges=((1, i + 1),),
-                    )
-                )
-            )
         for j, tag in enumerate(self.tags, start=1):
             if j - 1 in joined:
-                continue
-            kind = tag[0]
-            if kind == "A":
-                obj, w = tag[1], tag[2]
-                consumed.add(obj)
-                out.append(TypeA(w, j))
-            elif kind == "T":
-                consumed.add(tag[1])
-                consumed.add(tag[2])
-                out.append(
-                    TwinTree(TwinTreeDescriptor(t=1, m_circ=2, labels=(j,)))
+                # pair j fuses a doubled weight-1 elevator and its partner
+                # the doubled floors above it: one twin tree, two double
+                # points, odd circuit.
+                for obj in tag[1:]:
+                    if self.diagram.elevators[obj[1]][2] != 1:
+                        raise ValueError("joined twin elevators must have weight 1")
+                    consumed.add(obj[1])
+                desc = TwinTreeDescriptor(
+                    t=2,
+                    m_circ=1,
+                    labels=(j, joined[j - 1] + 1),
+                    bounded_edges=((1, j),),
                 )
+                out.append(TwinTree(desc))
+            elif j - 1 in joined.values():
+                continue
+            elif tag[0] == "A":
+                if tag[1][0] == "elev":
+                    consumed.add(tag[1][1])
+                out.append(TypeA(tag[2], j))
+            elif tag[0] == "T":
+                out.append(TwinTree(TwinTreeDescriptor(t=1, m_circ=2, labels=(j,))))
             else:
                 out.append(TypeR(j))
-        for k, (_lo, _hi, w) in enumerate(self.diagram.elevators):
-            if ("elev", k) not in consumed:
-                out.append(ElevatorSquare(w))
-        for f, cnt in enumerate(self.diagram.end_counts, start=1):
-            for i in range(cnt):
-                if ("end", f, i) not in consumed:
-                    out.append(UnitEnd())
-        return out
+        weights = sorted(
+            w for k, (_lo, _hi, w) in enumerate(self.diagram.elevators) if k not in consumed
+        )
+        return (*out, *map(ElevatorSquare, weights))
 
     def multiplicity(self) -> TildeElement:
         total = TildeElement.constant(UNIV_ONE, self.s)
@@ -583,24 +574,21 @@ def _evaluate(f: LocalFactor, nvars: int) -> TildeElement:
 
 
 @cache
-def _multiset_product(factor_value, nvars: int, multiset: frozenset):
-    """Product of ``factor_value(f, nvars)`` over a factor multiset, given
-    as (factor, repeat) pairs.
+def _multiset_product(factor_value, nvars: int, multiset: tuple):
+    """Product of ``factor_value(f, nvars)`` over a canonical factor tuple.
 
     Cached across configurations: at degree 4 with s <= 3 the 18,859
-    merged diagrams carry only 268 distinct (s, multiset) pairs.  Every
-    diagram has at least one factor, so the product is never empty.
+    merged diagrams carry only 268 distinct (s, multiset) pairs.  The
+    product starts at <1>, because the degree-1 diagram has no factor.
     """
-    return reduce(mul, (factor_value(f, nvars) for f, n in multiset for _ in range(n)))
+    one = factor_value(UnitEnd(), nvars)
+    return reduce(mul, (factor_value(f, nvars) for f in multiset), one)
 
 
 @cache
 def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     """How often each factor multiset occurs among the merged diagrams."""
-    return Counter(
-        frozenset(Counter(merged.factors()).items())
-        for merged in enumerate_merged_diagrams(d, cfg)
-    )
+    return Counter(merged.factors() for merged in enumerate_merged_diagrams(d, cfg))
 
 
 def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):

@@ -84,8 +84,6 @@ class ClosedClass:
 
 
 class RealField:
-    name = "real"
-
     def zero(self) -> RealClass:
         return RealClass(0, 0)
 
@@ -113,7 +111,6 @@ class FiniteField:
         self.q = q
         self.p = p
         self.k = k
-        self.name = f"fq:{q}"
         self.bit_minus_one = 0 if self.is_square(-1) else 1
         self.bit_two = 0 if self.is_square(2) else 1
 
@@ -143,12 +140,10 @@ class FiniteField:
         return FqClass(1, value)
 
     def describe(self) -> str:
-        return self.name
+        return f"fq:{self.q}"
 
 
 class ClosedField:
-    name = "closed"
-
     def zero(self) -> ClosedClass:
         return ClosedClass(0)
 

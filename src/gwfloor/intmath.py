@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -49,14 +47,6 @@ def legendre_is_square(a: int, p: int) -> bool:
     if a == 0:
         raise ValueError("not a unit")
     return pow(a, (p - 1) // 2, p) == 1
-
-
-def is_rational_square(n: int) -> bool:
-    """Whether the nonzero integer n is a square in the rationals."""
-    if n <= 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

@@ -381,8 +381,12 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
     transfers = []
     if s >= 2:
         for target_from, target_to in unit_shift_pairs(n, s - 1):
-            target_delta = delta_count(d, target_from, target_to)
-            _, target_n2, _ = univ_coords(top_coefficient(target_delta))
+            # top_coefficient is linear: read the <2>-coordinate of the
+            # target's delta from the two counts, without the delta
+            target_n2 = (
+                top_coefficient(floor_count(d, target_from)).c2
+                - top_coefficient(floor_count(d, target_to)).c2
+            )
             transfers.append(
                 TransferCheck(
                     target_from=target_from,

@@ -25,6 +25,7 @@ from gwfloor.diagrams import (
     unit_shifts,
 )
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
+from gwfloor.local_factors import UnitEnd
 from gwfloor.univ import (
     UNIV_H,
     UNIV_ONE,
@@ -206,6 +207,23 @@ class TestMultisetMemo:
                 residual = residual + merged.residual_multiplicity()
             assert floor_count(d, cfg) == exact, (d, cfg)
             assert floor_count_residual(d, cfg) == residual, (d, cfg)
+
+    def test_factors_in_canonical_order(self):
+        """Equal factor multisets give equal factor tuples, so the memo
+        may key on the tuple; down ends contribute no factor."""
+        for d, cfg in _all_configs(4):
+            try:
+                merged = enumerate_merged_diagrams(d, cfg)
+            except ValueError:
+                # the unsupported shapes of TestUnsupportedShapes
+                assert (d, cfg[:4]) == (4, (1, 3, 5, 7)), cfg
+                continue
+            orders = {}
+            for m in merged:
+                factors = m.factors()
+                assert not any(isinstance(f, UnitEnd) for f in factors), m
+                orders.setdefault(frozenset(Counter(factors).items()), set()).add(factors)
+            assert all(len(tuples) == 1 for tuples in orders.values()), (d, cfg)
 
     def test_unsupported_shape_raises_with_cold_memo(self):
         _multiset_product.cache_clear()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gwfloor.intmath import (
     factor_prime_power,
     is_prime,
-    is_rational_square,
     legendre_is_square,
     odd_primes_up_to,
     squarefree_split,
@@ -43,13 +42,6 @@ def test_legendre_is_square():
     assert not legendre_is_square(-1, 7)
     with pytest.raises(ValueError):
         legendre_is_square(14, 7)
-
-
-def test_is_rational_square():
-    assert is_rational_square(1)
-    assert is_rational_square(144)
-    assert not is_rational_square(2)
-    assert not is_rational_square(-4)
 
 
 def test_squarefree_split_examples():

@@ -15,6 +15,8 @@ from gwfloor.univ import (
     TildeElement,
     UnivElement,
     cascade_reconstruct,
+    top_coefficient,
+    univ_coords,
 )
 from gwfloor.wallcross import (
     TransferCheck,
@@ -228,6 +230,15 @@ class TestResidualReport:
         assert len(report.transfers) == len(unit_shift_pairs(8, 1))
         assert all(t.both_zero for t in report.transfers)
         assert report.passed
+
+    @pytest.mark.parametrize("d, s", [(3, 2), (3, 3), (3, 4), (4, 2)])
+    def test_transfer_rhs_is_delta_parity(self, d, s):
+        """Each transfer's right side is the <2>-parity of the top
+        coefficient of its target's full delta."""
+        for cfg_from, cfg_to in unit_shift_pairs(3 * d - 1, s):
+            for t in residual_report(d, cfg_from, cfg_to).transfers:
+                delta = delta_count(d, t.target_from, t.target_to)
+                assert t.rhs == univ_coords(top_coefficient(delta))[1] % 2, t
 
     def test_json_shape(self):
         doc = residual_report(2, (1,), (2,)).to_json()
