@@ -50,7 +50,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import mul
 
 from .local_factors import (
@@ -386,48 +386,62 @@ def _apply_swaps(diagram_elevators, marking, cfg, pair_indices):
     return elevators, mk
 
 
-def _orbit_data(diagram: FloorDiagram, marking: tuple, cfg: tuple):
-    """Pair tags plus the joint-twin detection for an orbit minimum.
+@cache
+def _tag_table(d: int) -> tuple[tuple, ...]:
+    """``classify_pair`` at every position of every marked diagram, one
+    column per position: ``table[p - 1][k]`` tags pair p of
+    ``enumerate_diagrams(d)[k]``, for p = 1..3d-2."""
+    marked = enumerate_diagrams(d)
+    return tuple(
+        tuple(classify_pair(diagram, marking, p) for diagram, marking in marked)
+        for p in range(1, 3 * d - 1)
+    )
 
-    Returns (tags, joins) when this encoding is the minimum
-    (elevators, marking) over all alternate encodings of its type-R
-    pairs, and None when some alternate encoding is smaller or some pair
-    cannot be classified.  ``joins`` lists index pairs (i, j) of fused
-    pairs whose two operations act identically on this marking: a
-    doubled weight-1 elevator pair together with the doubled floor pair
-    above it.  Such a pair of pairs forms one twin tree with two double
-    points rather than two independent crossings.
+
+@cache
+def _orbit_test(d: int, index: int, rpos: tuple[int, ...]):
+    """Orbit test of marked diagram ``enumerate_diagrams(d)[index]`` when
+    its fused pairs at positions ``rpos`` are of type R.
+
+    Only type-R pairs admit a second encoding (the other within-pair
+    order, realised for two consecutive floor marks by relabeling the
+    floors); type-A and twin pairs have a single valid order.  Returns
+    None when some alternate encoding is smaller than the diagram's own,
+    and otherwise its stabiliser: the position tuples whose operations
+    leave the encoding unchanged.  Keyed on integers only, so a lookup
+    hashes no diagram or marking.
     """
-    tags = []
-    for p in cfg:
-        tag = classify_pair(diagram, marking, p)
-        if tag is None:
-            return None
-        tags.append(tag)
-
-    # Only type-R pairs admit a second encoding (the other within-pair
-    # order, realised for two consecutive floor marks by relabeling the
-    # floors); type-A and twin pairs have a single valid order.
-    swappable = [i for i, tag in enumerate(tags) if tag[0] == "R"]
+    diagram, marking = enumerate_diagrams(d)[index]
     identity_key = (diagram.elevators, marking)
-    stabilizer = []
-    for mask in range(1, 1 << len(swappable)):
-        chosen = [swappable[b] for b in range(len(swappable)) if mask >> b & 1]
-        key = _apply_swaps(diagram.elevators, marking, cfg, chosen)
+    stabiliser = []
+    for mask in range(1, 1 << len(rpos)):
+        chosen = [b for b in range(len(rpos)) if mask >> b & 1]
+        key = _apply_swaps(diagram.elevators, marking, rpos, chosen)
         if key < identity_key:
             return None
         if key == identity_key:
-            stabilizer.append(chosen)
+            stabiliser.append(tuple(rpos[b] for b in chosen))
+    return tuple(stabiliser)
 
+
+def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
+    """Joint-twin detection for an orbit minimum.
+
+    Lists index pairs (i, j) of fused pairs whose two operations act
+    identically on the marking: a doubled weight-1 elevator pair together
+    with the doubled floor pair above it.  Such a pair of pairs forms one
+    twin tree with two double points rather than two independent
+    crossings.  Any other stabiliser raises.
+    """
     joins: list[tuple[int, int]] = []
     used: set[int] = set()
-    for chosen in stabilizer:
-        if len(chosen) != 2 or used.intersection(chosen):
+    for positions in stabiliser:
+        if len(positions) != 2 or used.intersection(positions):
             raise ValueError(
                 "unsupported twin interaction between fused pairs "
-                f"{[cfg[i] for i in chosen]} (degree {diagram.d})"
+                f"{list(positions)} (degree {d})"
             )
-        i, j = chosen
+        i, j = map(cfg.index, positions)
         kinds = {tags[i][1][0], tags[i][2][0]}, {tags[j][1][0], tags[j][2][0]}
         if kinds[0] == {"floor"}:
             i, j = j, i
@@ -435,12 +449,83 @@ def _orbit_data(diagram: FloorDiagram, marking: tuple, cfg: tuple):
         if kinds[0] != {"elev"} or kinds[1] != {"floor"}:
             raise ValueError(
                 "unsupported twin interaction kinds at fused pairs "
-                f"{[cfg[k] for k in chosen]}"
+                f"{list(positions)}"
             )
-        for k in (i, j):
-            used.add(k)
+        used.update(positions)
         joins.append((i, j))
-    return tuple(tags), tuple(sorted(joins))
+    return tuple(sorted(joins))
+
+
+def _orbit_minima(d: int, cfg: tuple[int, ...]):
+    """Yield ``(index, tags, joins)`` for every marked diagram
+    ``enumerate_diagrams(d)[index]`` that is its orbit's minimum encoding
+    under the valid configuration cfg, in enumeration order.  Diagrams
+    with a pair that no rule classifies are skipped."""
+    table = _tag_table(d)
+    if cfg:
+        rows = zip(*(table[p - 1] for p in cfg))
+    else:
+        rows = repeat((), len(enumerate_diagrams(d)))
+    for index, tags in enumerate(rows):
+        if None in tags:
+            continue
+        rpos = tuple(p for p, tag in zip(cfg, tags) if tag[0] == "R")
+        stabiliser = _orbit_test(d, index, rpos)
+        if stabiliser is not None:
+            yield index, tags, _joins(d, cfg, tags, stabiliser)
+
+
+_FACTORS: list[LocalFactor] = []  # factor id -> local factor
+
+
+@cache
+def _factor_id(make, *args: int) -> int:
+    """Small integer id of the local factor ``make(*args)``, built and
+    interned on first use.  Ids index ``_FACTORS`` and are never reused, so
+    clearing this cache cannot make a stored id tuple stale."""
+    _FACTORS.append(make(*args))
+    return len(_FACTORS) - 1
+
+
+def _twin(label: int) -> TwinTree:
+    return TwinTree(TwinTreeDescriptor(t=1, m_circ=2, labels=(label,)))
+
+
+def _joined_twin(label: int, partner: int) -> TwinTree:
+    # a doubled weight-1 elevator and the doubled floors above it: one
+    # twin tree, two double points, odd circuit
+    return TwinTree(
+        TwinTreeDescriptor(
+            t=2, m_circ=1, labels=(label, partner), bounded_edges=((1, label),)
+        )
+    )
+
+
+def _factor_ids(elevators: tuple, tags: tuple, joins: tuple) -> tuple[int, ...]:
+    """Ids of a merged diagram's local factors in a canonical order, so
+    that equal multisets give equal tuples whatever order the ids were
+    interned in: one factor per fused pair in label order (a joined pair
+    once, at its elevator pair), then the square of every elevator no
+    pair consumed, by weight.  Down ends contribute <1> and are left out."""
+    joined = dict(joins)
+    weights = [w for _lo, _hi, w in elevators]  # 0 once a pair consumes it
+    out: list[int] = []
+    for j, (kind, obj, other) in enumerate(tags, start=1):
+        if kind == "A":
+            if obj[0] == "elev":
+                weights[obj[1]] = 0
+            out.append(_factor_id(TypeA, other, j))
+        elif kind == "T":
+            out.append(_factor_id(_twin, j))
+        elif j - 1 in joined:  # joins link two type-R pairs
+            for _elev, k in (obj, other):
+                if weights[k] != 1:
+                    raise ValueError("joined twin elevators must have weight 1")
+                weights[k] = 0
+            out.append(_factor_id(_joined_twin, j, joined[j - 1] + 1))
+        elif j - 1 not in joined.values():
+            out.append(_factor_id(TypeR, j))
+    return (*out, *[_factor_id(ElevatorSquare, w) for w in sorted(weights) if w])
 
 
 @dataclass(frozen=True)
@@ -456,44 +541,9 @@ class MergedDiagram:
         return len(self.cfg)
 
     def factors(self) -> tuple[LocalFactor, ...]:
-        """The local factors in a canonical order, so that equal multisets
-        give equal tuples: one factor per fused pair in label order (a
-        joined pair once, at its elevator pair), then the square of every
-        elevator no pair consumed, by weight.  Down ends contribute <1>
-        and are left out."""
-        joined = dict(self.joins)
-        consumed: set[int] = set()
-        out: list[LocalFactor] = []
-        for j, tag in enumerate(self.tags, start=1):
-            if j - 1 in joined:
-                # pair j fuses a doubled weight-1 elevator and its partner
-                # the doubled floors above it: one twin tree, two double
-                # points, odd circuit.
-                for obj in tag[1:]:
-                    if self.diagram.elevators[obj[1]][2] != 1:
-                        raise ValueError("joined twin elevators must have weight 1")
-                    consumed.add(obj[1])
-                desc = TwinTreeDescriptor(
-                    t=2,
-                    m_circ=1,
-                    labels=(j, joined[j - 1] + 1),
-                    bounded_edges=((1, j),),
-                )
-                out.append(TwinTree(desc))
-            elif j - 1 in joined.values():
-                continue
-            elif tag[0] == "A":
-                if tag[1][0] == "elev":
-                    consumed.add(tag[1][1])
-                out.append(TypeA(tag[2], j))
-            elif tag[0] == "T":
-                out.append(TwinTree(TwinTreeDescriptor(t=1, m_circ=2, labels=(j,))))
-            else:
-                out.append(TypeR(j))
-        weights = sorted(
-            w for k, (_lo, _hi, w) in enumerate(self.diagram.elevators) if k not in consumed
-        )
-        return (*out, *map(ElevatorSquare, weights))
+        """The local factors in the canonical order of ``_factor_ids``."""
+        ids = _factor_ids(self.diagram.elevators, self.tags, self.joins)
+        return tuple(_FACTORS[i] for i in ids)
 
     def multiplicity(self) -> TildeElement:
         total = TildeElement.constant(UNIV_ONE, self.s)
@@ -551,20 +601,27 @@ class MergedDiagram:
         }
 
 
+def _merge_config(d: int, cfg) -> tuple[int, ...]:
+    """cfg sorted, after checking that it is a merge configuration among
+    the 3d-1 marks of degree d."""
+    cfg = tuple(sorted(cfg))
+    n = 3 * d - 1
+    if not is_merge_config(cfg, n):
+        raise ValueError(f"invalid merge configuration {cfg} for {n} positions")
+    return cfg
+
+
 @cache
 def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[MergedDiagram, ...]:
     """All merged diagrams for the configuration, one per orbit: the
     marked diagrams that are their orbit's minimum encoding, sorted by
     that encoding."""
-    cfg = tuple(sorted(cfg))
-    n = 3 * d - 1
-    if not is_merge_config(cfg, n):
-        raise ValueError(f"invalid merge configuration {cfg} for {n} positions")
-    out = []
-    for diagram, marking in enumerate_diagrams(d):
-        data = _orbit_data(diagram, marking, cfg)
-        if data is not None:
-            out.append(MergedDiagram(diagram, marking, cfg, *data))
+    cfg = _merge_config(d, cfg)
+    marked = enumerate_diagrams(d)
+    out = [
+        MergedDiagram(*marked[index], cfg, tags, joins)
+        for index, tags, joins in _orbit_minima(d, cfg)
+    ]
     out.sort(key=lambda m: (m.diagram.elevators, m.marking))
     return tuple(out)
 
@@ -575,20 +632,25 @@ def _evaluate(f: LocalFactor, nvars: int) -> TildeElement:
 
 @cache
 def _multiset_product(factor_value, nvars: int, multiset: tuple):
-    """Product of ``factor_value(f, nvars)`` over a canonical factor tuple.
+    """Product of ``factor_value(f, nvars)`` over a canonical factor-id tuple.
 
     Cached across configurations: at degree 4 with s <= 3 the 18,859
     merged diagrams carry only 268 distinct (s, multiset) pairs.  The
     product starts at <1>, because the degree-1 diagram has no factor.
     """
     one = factor_value(UnitEnd(), nvars)
-    return reduce(mul, (factor_value(f, nvars) for f in multiset), one)
+    return reduce(mul, (factor_value(_FACTORS[i], nvars) for i in multiset), one)
 
 
 @cache
 def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
-    """How often each factor multiset occurs among the merged diagrams."""
-    return Counter(merged.factors() for merged in enumerate_merged_diagrams(d, cfg))
+    """How often each factor-id tuple occurs among the merged diagrams of
+    a valid configuration; no ``MergedDiagram`` is built."""
+    marked = enumerate_diagrams(d)
+    return Counter(
+        _factor_ids(marked[index][0].elevators, tags, joins)
+        for index, tags, joins in _orbit_minima(d, cfg)
+    )
 
 
 def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):
@@ -603,7 +665,7 @@ def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):
 @cache
 def floor_count(d: int, cfg: tuple[int, ...] = ()) -> TildeElement:
     """Symbolic enriched count: sum of merged-diagram multiplicities."""
-    cfg = tuple(sorted(cfg))
+    cfg = _merge_config(d, cfg)
     return _sum_by_multiset(d, cfg, _evaluate, TildeElement.zero(len(cfg)))
 
 
@@ -611,7 +673,7 @@ def floor_count(d: int, cfg: tuple[int, ...] = ()) -> TildeElement:
 def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
     """Residual count assembled from the mod-2 factor table directly --
     an independent path from residual-reducing floor_count."""
-    cfg = tuple(sorted(cfg))
+    cfg = _merge_config(d, cfg)
     return _sum_by_multiset(d, cfg, residual_factor, ResidualTilde.zero(len(cfg)))
 
 

@@ -7,9 +7,14 @@ from itertools import combinations
 import pytest
 
 from gwfloor.diagrams import (
+    _FACTORS,
     FloorDiagram,
     _apply_swaps,
+    _factor_id,
+    _factor_multisets,
     _multiset_product,
+    _orbit_test,
+    _tag_table,
     classify_pair,
     dissolve_specialize,
     dissolved_config,
@@ -225,12 +230,80 @@ class TestMultisetMemo:
                 orders.setdefault(frozenset(Counter(factors).items()), set()).add(factors)
             assert all(len(tuples) == 1 for tuples in orders.values()), (d, cfg)
 
+    def test_factor_ids_match_factors(self):
+        """The id tuples counted from the orbit-minimum generator are the
+        factor tuples of the merged diagrams, with the same multiplicities,
+        on every supported configuration at d = 4."""
+        supported = joined = 0
+        for d, cfg in _all_configs(4):
+            if d < 4 or cfg[:4] == (1, 3, 5, 7):
+                continue
+            merged = enumerate_merged_diagrams(d, cfg)
+            by_ids = Counter()
+            for ids, n in _factor_multisets(d, cfg).items():
+                by_ids[tuple(_FACTORS[i] for i in ids)] += n
+            assert by_ids == Counter(m.factors() for m in merged), cfg
+            assert len(by_ids) == len(_factor_multisets(d, cfg)), cfg
+            supported += 1
+            joined += sum(1 for m in merged if m.joins)
+        assert (supported, joined) == (141, 409)
+
+    def test_counts_survive_cold_caches_in_any_order(self):
+        configs = [
+            cfg for s in range(4) for cfg in enumerate_merge_configs(11, s)
+        ]
+        forward = [(floor_count(4, c), floor_count_residual(4, c)) for c in configs]
+        _clear_caches()
+        backward = [
+            (floor_count(4, c), floor_count_residual(4, c)) for c in reversed(configs)
+        ]
+        assert backward[::-1] == forward
+
     def test_unsupported_shape_raises_with_cold_memo(self):
-        _multiset_product.cache_clear()
-        with pytest.raises(ValueError, match="unsupported twin interaction"):
-            floor_count(4, (1, 3, 5, 7))
-        with pytest.raises(ValueError, match="unsupported twin interaction"):
-            floor_count_residual(4, (1, 3, 5, 7))
+        """A memoised orbit test never hides the raise: the join
+        classification runs on every call, cold or warm."""
+        _clear_caches()
+        self._assert_unsupported_raise()
+        self._assert_unsupported_raise()
+        floor_count(4, (1, 3, 5, 8))
+        floor_count_residual(4, (1, 3, 5, 8))
+        self._assert_unsupported_raise()
+
+    @staticmethod
+    def _assert_unsupported_raise():
+        for cfg in [(1, 3, 5, 7), (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)]:
+            for count in (floor_count, floor_count_residual):
+                with pytest.raises(ValueError, match="unsupported twin interaction"):
+                    count(4, cfg)
+
+
+def _clear_caches():
+    """Empty every cache behind the counts: the tag tables, the orbit
+    memo, the factor-id table, the multiset counts and products, and the
+    memoised results."""
+    for fn in (
+        _tag_table,
+        _orbit_test,
+        _factor_id,
+        _factor_multisets,
+        _multiset_product,
+        enumerate_merged_diagrams,
+        floor_count,
+        floor_count_residual,
+    ):
+        fn.cache_clear()
+
+
+class TestTagTable:
+    def test_matches_classify_pair(self):
+        for d in range(1, 5):
+            table = _tag_table(d)
+            marked = enumerate_diagrams(d)
+            assert len(table) == 3 * d - 2
+            assert all(len(column) == len(marked) for column in table)
+            for k, (diagram, marking) in enumerate(marked):
+                for p in range(1, 3 * d - 1):
+                    assert table[p - 1][k] == classify_pair(diagram, marking, p), (d, k, p)
 
 
 @cache
