@@ -2,12 +2,15 @@
 """Climb the Laurent tower and certify Pfister-form anisotropy per level.
 
 Prints, for each level s up to --levels, the rank of the concrete
-diagonal expansion, the anisotropy verdict from the residue recursion,
-and a check that both residue forms at the top variable are signed
-copies of the previous level.
+diagonal expansion, its anisotropy verdict (one pass over the groups of
+entries that share a monomial, which is where Springer's residue
+recursion ends), and a check that both residue forms at the top
+variable are signed copies of the previous level.  A negative --levels
+is a usage error (exit 2).
 """
 
 import argparse
+import sys
 
 from gwfloor.springer import (
     is_anisotropic,
@@ -17,10 +20,13 @@ from gwfloor.springer import (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--levels", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.levels < 0:
+        print(f"error: --levels must be nonnegative, got {args.levels}", file=sys.stderr)
+        return 2
 
     ok = True
     for s in range(0, args.levels + 1):

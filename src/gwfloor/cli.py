@@ -3,14 +3,15 @@
 All commands print a single JSON document to standard output (stable key
 order, no timestamps, byte-identical across reruns); ``--table`` adds a
 human-readable rendering, ``--out FILE`` redirects the JSON to a file.
-Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors.
+Exit codes: 0 on success, 1 when a verification check fails or the
+reader of standard output closes it early, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import SUITE_NAMES, run_suite
@@ -289,14 +290,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-    if args.table:
-        for line in lines:
-            print(line)
+    try:
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
+        if args.table:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (e.g. `| head`).  Point stdout at devnull
+        # so the interpreter's final flush raises nothing, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -4,19 +4,26 @@ Forms are diagonal with entries u * m where u is +-1 or +-2 (up to a
 rational square, reduced away on construction) and m is a squarefree
 monomial in the tower variables u_1..u_s.  Over the tower
 Q((u_1))..((u_s)) a form splits at the outermost variable into a unit
-part and a uniformizer part, and it is anisotropic exactly when both
-residue forms are; iterating strips one variable per level and reduces
-every question to small rational forms.
+part and a uniformizer part, and by Springer's theorem it is anisotropic
+exactly when both residue forms are (``springer_split`` gives the two
+residue forms, the certificate the checks inspect).
 
-Verdicts are data: forms whose rational base cases fall outside the
-supported shapes (indefinite of rank >= 3) report UNSUPPORTED rather
-than raising, so sweeps over generated forms never abort.
+Iterating the split all the way down sorts every entry by the parity of
+each variable in turn, so each bottom residue form is exactly the set of
+entries sharing one monomial mask, with that monomial divided out.  The
+verdict is therefore decided in one pass over the mask groups: ISOTROPIC
+if any group is isotropic over Q, otherwise UNSUPPORTED if any group's
+rational form falls outside the supported shapes (indefinite of rank
+>= 3), otherwise ANISOTROPIC.  Verdicts are data, so sweeps over
+generated forms never abort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 
 from .intmath import squarefree_split
 
@@ -29,6 +36,8 @@ class Verdict(Enum):
 
 def _reduce_unit(value: int) -> int:
     """Strip the square part of a nonzero integer; require class +-1, +-2."""
+    if value in (1, -1, 2, -2):
+        return value
     core, _ = squarefree_split(value)
     if abs(core) not in (1, 2):
         raise ValueError(
@@ -64,7 +73,7 @@ class DiagonalForm:
                 )
             clean.append((_reduce_unit(unit), bits))
         object.__setattr__(
-            self, "entries", tuple(sorted(clean, key=lambda e: (e[1], e[0])))
+            self, "entries", tuple(sorted(clean, key=itemgetter(1, 0)))
         )
 
     @property
@@ -116,49 +125,40 @@ def springer_split(
     return DiagonalForm(f.nvars, unit_part), DiagonalForm(f.nvars, uniformizer_part)
 
 
-def _rational_base_verdict(entries: tuple) -> Verdict:
-    """Verdict over Q for reduced entries that carry no tower variable."""
-    units = [u for u, _ in entries]
+def _rational_base_verdict(units: list) -> Verdict:
+    """Verdict over Q for the reduced units of a form with no tower variable."""
     if len(units) == 1:
         return Verdict.ANISOTROPIC
+    if len(units) == 2:
+        # <a, b> is isotropic iff -ab is a square; for a, b in {+-1, +-2}
+        # that happens exactly when b = -a.
+        a, b = units
+        return Verdict.ISOTROPIC if a == -b else Verdict.ANISOTROPIC
     if all(u > 0 for u in units) or all(u < 0 for u in units):
         # Definite forms have no real zero, hence no rational one.
         return Verdict.ANISOTROPIC
-    if len(units) == 2:
-        a, b = units
-        core, _ = squarefree_split(-a * b)
-        return Verdict.ISOTROPIC if core == 1 else Verdict.ANISOTROPIC
     return Verdict.UNSUPPORTED
 
 
 def is_anisotropic(f: DiagonalForm) -> Verdict:
-    """Recursion on the highest tower variable present.
+    """Springer's residue recursion, decided in one pass over mask groups.
 
-    A form over a Laurent level is anisotropic exactly when both of its
-    residue forms are; an isotropic residue makes the whole form
-    isotropic, and an unsupported rational base leaves the verdict
-    undetermined (UNSUPPORTED) unless an isotropic part settles it.
-    The form's entries were validated on construction, so the recursion
-    runs on bare entry tuples.
+    Splitting at every tower variable in turn leaves, at the bottom, one
+    rational residue form per monomial mask: the units of the entries
+    with that mask.  The form is anisotropic exactly when all of them
+    are, so one isotropic group makes it isotropic, and an unsupported
+    group leaves it undetermined (UNSUPPORTED) unless an isotropic one
+    settles it.  The empty form has no groups and is anisotropic.
+    Entries are sorted by mask on construction, so the groups are runs.
     """
-    return _verdict(f.entries)
-
-
-def _verdict(entries: tuple) -> Verdict:
-    if not entries:
-        # The empty form has no nonzero vector at all.
-        return Verdict.ANISOTROPIC
-    top = max(bits for _, bits in entries)
-    if top == 0:
-        return _rational_base_verdict(entries)
-    unit_part, uniformizer_part = _split(entries, 1 << (top.bit_length() - 1))
-    left = _verdict(unit_part)
-    right = _verdict(uniformizer_part)
-    if Verdict.ISOTROPIC in (left, right):
-        return Verdict.ISOTROPIC
-    if Verdict.UNSUPPORTED in (left, right):
-        return Verdict.UNSUPPORTED
-    return Verdict.ANISOTROPIC
+    verdict = Verdict.ANISOTROPIC
+    for _, group in groupby(f.entries, key=itemgetter(1)):
+        group_verdict = _rational_base_verdict([u for u, _ in group])
+        if group_verdict is Verdict.ISOTROPIC:
+            return group_verdict
+        if group_verdict is Verdict.UNSUPPORTED:
+            verdict = group_verdict
+    return verdict
 
 
 def form_report(f: DiagonalForm) -> dict:

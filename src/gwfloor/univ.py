@@ -276,12 +276,12 @@ class MultiAffine:
                 return NotImplemented
             return self._of_masks(self.nvars, {k: v * u for k, v in self.coeffs.items()})
         self._check_compatible(other)
-        zero = self._zero
         out = {}
         for ka, va in self.coeffs.items():
             for kb, vb in other.coeffs.items():
                 key = ka ^ kb
-                out[key] = out.get(key, zero) + va * vb
+                term = va * vb
+                out[key] = out[key] + term if key in out else term
         return self._of_masks(self.nvars, out)
 
     __rmul__ = __mul__

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gwfloor
 from gwfloor.cli import main
 
 
@@ -222,6 +227,23 @@ class TestOutput:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["schema"] == "gwfloor/1"
+
+    def test_reader_closing_early_prints_no_traceback(self):
+        # About 360 kB of JSON, far more than a pipe buffers, so the
+        # writer is still printing when the reader goes away.
+        src = Path(gwfloor.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gwfloor", "pfister", "--vars", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
 
     def test_usage_error_reports_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, "count", "--degree", "0")

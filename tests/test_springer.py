@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwfloor.intmath import squarefree_split
 from gwfloor.springer import (
     DiagonalForm,
     Verdict,
     _rational_base_verdict,
+    _split,
     form_report,
     is_anisotropic,
     negate,
@@ -20,10 +22,13 @@ class TestDiagonalForm:
     def test_unit_reduction(self):
         f = DiagonalForm(0, ((18, 0), (-50, 0)))
         assert f.entries == ((-2, 0), (2, 0))
+        g = DiagonalForm(0, ((4, 0), (-8, 0), (1, 0), (-2, 0)))
+        assert g.entries == ((-2, 0), (-2, 0), (1, 0), (1, 0))
 
     def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            DiagonalForm(0, ((5, 0),))  # class 5 not supported
+        for unit in (3, 5, 6, -7):  # square classes other than +-1, +-2
+            with pytest.raises(ValueError):
+                DiagonalForm(0, ((unit, 0),))
         with pytest.raises(ValueError):
             DiagonalForm(0, ((0, 0),))
         with pytest.raises(ValueError):
@@ -131,15 +136,35 @@ class TestVerdicts:
         g = DiagonalForm(1, ((1, 0), (-1, 1)))
         assert is_anisotropic(g) is Verdict.ANISOTROPIC
 
+    def test_binary_base_matches_square_class(self):
+        # <a, b> over Q is isotropic exactly when -ab is a square
+        units = (1, -1, 2, -2)
+        for a in units:
+            for b in units:
+                iso = squarefree_split(-a * b)[0] == 1
+                expected = Verdict.ISOTROPIC if iso else Verdict.ANISOTROPIC
+                assert _rational_base_verdict([a, b]) is expected
+
     def test_pfister_tower_is_anisotropic(self):
-        for s in range(0, 9):
-            assert is_anisotropic(pfister_concrete(s)) is Verdict.ANISOTROPIC
+        # the paper's claim stops at s = 8; s = 13 is the benchmark's top
+        for s in range(0, 14):
+            form = pfister_concrete(s)
+            assert recursive_verdict(form.entries) is Verdict.ANISOTROPIC
+            assert is_anisotropic(form) is Verdict.ANISOTROPIC
 
     def test_unsupported_propagates(self):
         f = DiagonalForm(1, ((1, 0), (1, 0), (-1, 0), (2, 1)))
         assert is_anisotropic(f) is Verdict.UNSUPPORTED
 
-    def test_recursion_builds_no_forms(self, monkeypatch):
+    def test_isotropic_group_outranks_unsupported_groups(self):
+        unsupported = ((1, 0b01), (1, 0b01), (-1, 0b01), (2, 0b10), (-1, 0b10), (1, 0b10))
+        f = DiagonalForm(2, unsupported)
+        assert is_anisotropic(f) is Verdict.UNSUPPORTED
+        # an isotropic group under a later mask settles the verdict
+        g = DiagonalForm(2, unsupported + ((2, 0b11), (-2, 0b11)))
+        assert is_anisotropic(g) is Verdict.ISOTROPIC
+
+    def test_verdict_builds_no_forms(self, monkeypatch):
         form = pfister_concrete(6)
         built = []
         monkeypatch.setattr(
@@ -163,37 +188,46 @@ class TestFormReport:
         }
 
 
-# How far a residue verdict decides the whole form: one isotropic residue
-# makes it isotropic, and an unsupported one leaves it undetermined.
-_SEVERITY = {Verdict.ISOTROPIC: 2, Verdict.UNSUPPORTED: 1, Verdict.ANISOTROPIC: 0}
+def recursive_verdict(entries: tuple) -> Verdict:
+    """Springer's residue recursion, the oracle for ``is_anisotropic``.
 
-
-def reference_verdict(f: DiagonalForm) -> Verdict:
-    """Springer's recursion unrolled: every residue form on the way down
-    gathers the entries of one monomial, so the verdict is the worst
-    rational verdict over the groups of entries with equal masks."""
-    groups: dict[int, list] = {}
-    for unit, bits in f.entries:
-        groups.setdefault(bits, []).append((unit, 0))
-    return max(
-        (_rational_base_verdict(tuple(g)) for g in groups.values()),
-        key=_SEVERITY.__getitem__,
-        default=Verdict.ANISOTROPIC,
-    )
+    Split at the highest tower variable present: the form is anisotropic
+    exactly when both residue forms are, an isotropic residue makes it
+    isotropic, and an unsupported rational base leaves it undetermined
+    unless an isotropic part settles it.
+    """
+    if not entries:
+        # The empty form has no nonzero vector at all.
+        return Verdict.ANISOTROPIC
+    top = max(bits for _, bits in entries)
+    if top == 0:
+        return _rational_base_verdict([u for u, _ in entries])
+    unit_part, uniformizer_part = _split(entries, 1 << (top.bit_length() - 1))
+    left = recursive_verdict(unit_part)
+    right = recursive_verdict(uniformizer_part)
+    if Verdict.ISOTROPIC in (left, right):
+        return Verdict.ISOTROPIC
+    if Verdict.UNSUPPORTED in (left, right):
+        return Verdict.UNSUPPORTED
+    return Verdict.ANISOTROPIC
 
 
 @st.composite
 def diagonal_forms(draw):
-    nvars = draw(st.integers(min_value=0, max_value=4))
+    """Forms on up to 6 variables with up to 12 entries.  The masks come
+    from a drawn pool of at most 12, so groups of three or more entries
+    under one mask, and unsupported groups under several masks, occur."""
+    nvars = draw(st.integers(min_value=0, max_value=6))
+    mask = st.integers(min_value=0, max_value=(1 << nvars) - 1)
+    masks = draw(st.lists(mask, min_size=1, max_size=12))
     entry = st.tuples(
-        st.sampled_from([1, -1, 2, -2, 4, -8, 9, -18]),
-        st.integers(min_value=0, max_value=(1 << nvars) - 1),
+        st.sampled_from([1, -1, 2, -2, 4, -8, 9, -18]), st.sampled_from(masks)
     )
-    return DiagonalForm(nvars, tuple(draw(st.lists(entry, max_size=7))))
+    return DiagonalForm(nvars, tuple(draw(st.lists(entry, max_size=12))))
 
 
 class TestRecursionReference:
     @settings(max_examples=400, deadline=None)
     @given(diagonal_forms())
-    def test_matches_mask_groups(self, f):
-        assert is_anisotropic(f) is reference_verdict(f)
+    def test_matches_recursion(self, f):
+        assert is_anisotropic(f) is recursive_verdict(f.entries)

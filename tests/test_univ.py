@@ -138,6 +138,15 @@ class TestTildeElement:
         one = TildeElement.constant(UNIV_ONE, 2)
         assert x * x == one
 
+    def test_cancelling_product_has_no_coefficients(self):
+        # (1 - x1)(1 + x1) = 1 - x1^2 = 0: the first product at each key
+        # is stored as it is, and the sum that cancels it is dropped
+        x = TildeElement.variable(1, 1)
+        one = TildeElement.constant(UNIV_ONE, 1)
+        product = (one - x) * (one + x)
+        assert product.coeffs == {}
+        assert product == TildeElement.zero(1)
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             TildeElement.variable(3, 2)
