@@ -24,8 +24,12 @@ COMMANDS = {
     "wallcross_d3_4_5": [
         "wallcross", "--degree", "3", "--merge-from", "4", "--merge-to", "5",
     ],
+    "wallcross_d3_4_5_table": [
+        "wallcross", "--degree", "3", "--merge-from", "4", "--merge-to", "5", "--table",
+    ],
     "pfister_3": ["pfister", "--vars", "3"],
     "verify_all": ["verify", "--suite", "all"],
+    "verify_wallcross_table": ["verify", "--suite", "wallcross", "--table"],
 }
 
 
