@@ -1,49 +1,46 @@
 #!/usr/bin/env python3
-"""Run the full wall-crossing verification over every unit shift.
+"""Run the wall-crossing and residual checks over every unit shift.
 
-For each degree in --degrees and every pair count s, the script walks all
-unit shifts of the merge-position graph, builds the wall-crossing report
-(rank, signature sweep, finite-field sweep, cascade reconstruction,
-witness vanishing), and prints one line per shift plus the residual
-summary for the same shift.  Nonzero exit on any failed report.
+Runs the checks of ``gwfloor verify`` for each degree in --degrees and
+each pair count s: the wall-crossing level check, then the residual
+check of each shift, printing one line per check.  A failing level names
+its first failing shift and that shift's failing checks; an unsupported
+shift is named on its level's line and never counted as a pass.  A
+degree outside 2 up to the largest supported degree exits 2; a failing
+check, 1.
 """
 
 import argparse
 import sys
 
-from gwfloor.wallcross import residual_report, unit_shift_pairs, wallcross_report
+from gwfloor.checks import _check_wallcross_level, _residual_level_specs, _run_check
+from gwfloor.diagrams import _MAX_DEGREE
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--degrees",
-        default="2,3",
-        help="comma-separated degrees to sweep (default 2,3)",
-    )
-    ap.add_argument("--verbose", action="store_true")
-    args = ap.parse_args()
-    degrees = [int(t) for t in args.degrees.split(",") if t]
+    ap.add_argument("--degrees", default="2,3", help="comma-separated degrees (default 2,3)")
+    args = ap.parse_args(argv)
+    try:
+        degrees = [int(t) for t in args.degrees.split(",") if t]
+    except ValueError:
+        degrees = []
+    if not degrees or not all(2 <= d <= _MAX_DEGREE for d in degrees):
+        print(
+            f"error: --degrees must list degrees in 2..{_MAX_DEGREE}, got {args.degrees!r}",
+            file=sys.stderr,
+        )
+        return 2
 
-    failed = 0
-    total = 0
+    results = []
     for d in degrees:
-        n = 3 * d - 1
-        for s in range(1, n // 2 + 1):
-            for cfg_from, cfg_to in unit_shift_pairs(n, s):
-                total += 1
-                report = wallcross_report(d, cfg_from, cfg_to)
-                residual = residual_report(d, cfg_from, cfg_to)
-                ok = report.passed and residual.passed
-                failed += not ok
-                if args.verbose or not ok:
-                    print(
-                        f"d={d} {cfg_from}->{cfg_to}: "
-                        f"n1={report.n1} n2={report.n2} m={report.m} "
-                        f"wallcross={'ok' if report.passed else 'FAIL'} "
-                        f"residual={'ok' if residual.passed else 'FAIL'}"
-                    )
-    print(f"{total} unit shifts checked, {failed} failures")
+        for s in range(1, (3 * d - 1) // 2 + 1):
+            specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s))]
+            for spec in specs + _residual_level_specs(d, s):
+                results.append(_run_check(spec))
+                print(results[-1].line())
+    failed = sum(not r.passed for r in results)
+    print(f"{len(results)} checks, {failed} failed")
     return 1 if failed else 0
 
 

@@ -4,7 +4,8 @@ All commands print a single JSON document to standard output (stable key
 order, no timestamps, byte-identical across reruns); ``--table`` adds a
 human-readable rendering, ``--out FILE`` redirects the JSON to a file.
 Exit codes: 0 on success, 1 when a verification check fails or the
-reader of standard output closes it early, 2 on usage errors.
+reader of standard output closes it early, 2 on usage errors (an
+``--out`` file that cannot be written among them).
 """
 
 from __future__ import annotations
@@ -221,19 +222,15 @@ def _cmd_wallcross(args):
     if len(cfg_from) != len(cfg_to):
         raise UsageError("source and target must merge the same number of pairs")
     report = wallcross_report(args.degree, cfg_from, cfg_to)
-    doc = report.to_json()
-    checks = doc["checks"]
     lines = [
         f"degree {args.degree}: {list(cfg_from)} -> {list(cfg_to)}",
         f"  coefficient (n1, n2, m) = ({report.n1}, {report.n2}, {report.m})",
     ]
-    for key in ("rank_zero", "broccoli", "parity", "witnesses_zero", "reconstruction"):
-        lines.append(f"  {key:<16} {'ok' if checks[key] else 'FAIL'}")
-    bad = [c for c in checks["field_zero"] if not c["ok"]]
-    lines.append(
-        f"  field_zero       {len(checks['field_zero']) - len(bad)}/{len(checks['field_zero'])} ok"
-    )
-    return doc, lines, 0 if report.passed else 1
+    for key, ok in report.verdicts().items():
+        lines.append(f"  {key:<16} {'ok' if ok else 'FAIL'}")
+    fields = report.field_checks
+    lines.append(f"  field_zero       {sum(c.ok for c in fields)}/{len(fields)} ok")
+    return report.to_json(), lines, 0 if report.passed else 1
 
 
 def _cmd_pfister(args):
@@ -260,10 +257,7 @@ def _cmd_verify(args):
     result = run_suite(args.suite, budget=args.budget)
     doc = result.to_json()
     lines = [f"suite {result.suite}: {len(result.checks)} checks"]
-    for c in result.checks:
-        mark = "ok  " if c.passed else "FAIL"
-        detail = f" -- {c.detail}" if c.detail else ""
-        lines.append(f"  {mark} {c.check_id}{detail}")
+    lines += [c.line() for c in result.checks]
     lines.append(f"overall: {'PASS' if result.passed else 'FAIL'}")
     return doc, lines, 0 if result.passed else 1
 
@@ -290,11 +284,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(doc, sort_keys=True, indent=2)
-    try:
-        if args.out:
+    if args.out:
+        try:
             with open(args.out, "w") as handle:
                 handle.write(text + "\n")
-        else:
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    try:
+        if not args.out:
             print(text)
         if args.table:
             for line in lines:

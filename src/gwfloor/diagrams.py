@@ -424,6 +424,11 @@ def _orbit_test(d: int, index: int, rpos: tuple[int, ...]):
     return tuple(stabiliser)
 
 
+class UnsupportedShapeError(ValueError):
+    """Raised by the counts for a merge configuration whose diagrams have a
+    fused-pair interaction the local-factor model does not cover."""
+
+
 def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
     """Joint-twin detection for an orbit minimum.
 
@@ -431,13 +436,13 @@ def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
     identically on the marking: a doubled weight-1 elevator pair together
     with the doubled floor pair above it.  Such a pair of pairs forms one
     twin tree with two double points rather than two independent
-    crossings.  Any other stabiliser raises.
+    crossings.  Any other stabiliser raises ``UnsupportedShapeError``.
     """
     joins: list[tuple[int, int]] = []
     used: set[int] = set()
     for positions in stabiliser:
         if len(positions) != 2 or used.intersection(positions):
-            raise ValueError(
+            raise UnsupportedShapeError(
                 "unsupported twin interaction between fused pairs "
                 f"{list(positions)} (degree {d})"
             )
@@ -447,7 +452,7 @@ def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
             i, j = j, i
             kinds = kinds[1], kinds[0]
         if kinds[0] != {"elev"} or kinds[1] != {"floor"}:
-            raise ValueError(
+            raise UnsupportedShapeError(
                 "unsupported twin interaction kinds at fused pairs "
                 f"{list(positions)}"
             )

@@ -169,18 +169,33 @@ class WallCrossReport:
     def s(self) -> int:
         return len(self.cfg_from)
 
+    def verdicts(self) -> dict[str, bool]:
+        """The report's named yes/no checks, in report order; the field
+        images are the per-model ``field_checks``."""
+        return {
+            "rank_zero": self.rank_zero,
+            "broccoli": self.broccoli,
+            "parity": self.parity,
+            "witnesses_zero": self.witnesses_zero,
+            "reconstruction": self.reconstruction,
+        }
+
     @property
     def passed(self) -> bool:
-        return (
-            self.rank_zero
-            and self.broccoli
-            and self.parity
-            and self.witnesses_zero
-            and self.reconstruction
-            and all(c.ok for c in self.field_checks)
-        )
+        return not self.failed_checks()
+
+    def failed_checks(self) -> list[str]:
+        """Names of the failing checks, the first failing field image as
+        ``field_zero <model> <assignment>``; empty when the report passes."""
+        failed = [name for name, ok in self.verdicts().items() if not ok]
+        bad = next((c for c in self.field_checks if not c.ok), None)
+        if bad is not None:
+            failed.append(f"field_zero {bad.model} {bad.assign}".rstrip())
+        return failed
 
     def to_json(self) -> dict:
+        checks = self.verdicts()
+        checks["field_zero"] = [c.to_json() for c in self.field_checks]
         return {
             "schema": SCHEMA_VERSION,
             "d": self.d,
@@ -190,14 +205,7 @@ class WallCrossReport:
             "n1": self.n1,
             "n2": self.n2,
             "m": self.m,
-            "checks": {
-                "rank_zero": self.rank_zero,
-                "broccoli": self.broccoli,
-                "parity": self.parity,
-                "field_zero": [c.to_json() for c in self.field_checks],
-                "witnesses_zero": self.witnesses_zero,
-                "reconstruction": self.reconstruction,
-            },
+            "checks": checks,
             "passed": self.passed,
         }
 

@@ -228,6 +228,14 @@ class TestOutput:
         doc = json.loads(target.read_text())
         assert doc["schema"] == "gwfloor/1"
 
+    def test_unwritable_out_file_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "count.json"
+        code, out, err = run_cli(capsys, "count", "--degree", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
     def test_reader_closing_early_prints_no_traceback(self):
         # About 360 kB of JSON, far more than a pipe buffers, so the
         # writer is still printing when the reader goes away.

@@ -6,9 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from gwfloor import checks
 from gwfloor.diagrams import (
     _FACTORS,
     FloorDiagram,
+    UnsupportedShapeError,
     _apply_swaps,
     _factor_id,
     _factor_multisets,
@@ -273,7 +275,7 @@ class TestMultisetMemo:
     def _assert_unsupported_raise():
         for cfg in [(1, 3, 5, 7), (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)]:
             for count in (floor_count, floor_count_residual):
-                with pytest.raises(ValueError, match="unsupported twin interaction"):
+                with pytest.raises(UnsupportedShapeError, match="unsupported twin"):
                     count(4, cfg)
 
 
@@ -388,6 +390,14 @@ class TestUnsupportedShapes:
         # supported twin-tree interaction shapes
         with pytest.raises(ValueError, match="unsupported twin interaction"):
             floor_count(4, (1, 3, 5, 7))
+
+    def test_rank_oracle_names_unsupported_configuration(self):
+        # set aside and named, never counted among the configurations
+        # at rank 620
+        assert checks._check_rank_oracle(4, 4) == (
+            True,
+            "34 configurations at rank 620; 1 unsupported: (1, 3, 5, 7)",
+        )
 
 
 class TestDissolution:

@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from gwfloor.diagrams import _MAX_DEGREE as TOP
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -27,3 +31,52 @@ class TestPfisterTower:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "tower verified"
         assert len(out.splitlines()) == 4
+
+
+class TestRankSweep:
+    def test_default_ranges_pass(self, capsys):
+        assert load_script("rank_sweep").main([]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "10 checks, 0 failed"
+
+    def test_degree_four_names_unsupported_configurations(self, capsys):
+        main = load_script("rank_sweep").main
+        assert main(["--max-degree", "4", "--max-pairs", "5"]) == 0
+        out = capsys.readouterr().out
+        for cfg in ["(1, 3, 5, 7)", "(1, 3, 5, 7, 9)", "(1, 3, 5, 7, 10)"]:
+            assert f" {cfg}" in out
+        assert out.splitlines()[-1] == "16 checks, 0 failed"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-degree", "0"], f"--max-degree must be in 1..{TOP}, got 0"),
+            (
+                ["--max-degree", str(TOP + 1)],
+                f"--max-degree must be in 1..{TOP}, got {TOP + 1}",
+            ),
+            (["--max-pairs", "-1"], "--max-pairs must be nonnegative, got -1"),
+        ],
+    )
+    def test_bad_range_is_a_usage_error(self, capsys, argv, message):
+        assert load_script("rank_sweep").main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestWallcrossSweep:
+    def test_default_degrees_pass(self, capsys):
+        assert load_script("wallcross_sweep").main(["--degrees", "2,3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "49 checks, 0 failed"
+
+    @pytest.mark.parametrize("degrees", [str(TOP + 1), "x", "1", f"2,{TOP + 1}", ""])
+    def test_bad_degrees_are_a_usage_error(self, capsys, degrees):
+        assert load_script("wallcross_sweep").main(["--degrees", degrees]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: --degrees must list degrees in 2..{TOP}")
+
+    def test_verbose_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load_script("wallcross_sweep").main(["--verbose"])
+        assert exc.value.code == 2

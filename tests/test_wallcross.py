@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwfloor import checks
+from gwfloor.diagrams import UnsupportedShapeError
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
 from gwfloor.univ import (
     UNIV_H,
@@ -193,6 +194,40 @@ class TestWallcrossLevelCheck:
             False,
             "(1,) -> (2,): failed ['field_zero fq:7 ns']",
         )
+
+    def test_unsupported_shift_is_named(self, monkeypatch):
+        def unsupported_from_two(d, cfg_from, cfg_to):
+            if cfg_from == (2,):
+                raise UnsupportedShapeError("unsupported twin interaction")
+            return wallcross_report(d, cfg_from, cfg_to)
+
+        monkeypatch.setattr(checks, "wallcross_report", unsupported_from_two)
+        assert checks._check_wallcross_level(2, 1) == (
+            True,
+            "2 unit shifts; 1 unsupported: (2,) -> (3,)",
+        )
+
+    def test_level_with_no_supported_shift_fails(self, monkeypatch):
+        def unsupported(d, cfg_from, cfg_to):
+            raise UnsupportedShapeError("unsupported twin interaction")
+
+        monkeypatch.setattr(checks, "wallcross_report", unsupported)
+        result = checks._run_check(("level", checks._check_wallcross_level, (2, 1)))
+        assert not result.passed
+        assert result.detail == (
+            "3 unsupported: (1,) -> (2,), (2,) -> (3,), (3,) -> (4,)"
+        )
+
+    def test_verdicts_drive_passed(self):
+        report = wallcross_report(2, (1,), (2,))
+        assert list(report.verdicts()) == [
+            "rank_zero",
+            "broccoli",
+            "parity",
+            "witnesses_zero",
+            "reconstruction",
+        ]
+        assert not replace(report, witnesses_zero=False).passed
 
 
 class TestTransferCheck:
