@@ -41,7 +41,7 @@ from .diagrams import (
     kontsevich_nd,
     unit_shift_graph,
 )
-from .fields import FiniteField, FqClass, RealField, specialize_field
+from .fields import FqClass, RealField, finite_field, specialize_field
 from .springer import (
     DiagonalForm,
     Verdict,
@@ -186,7 +186,7 @@ def _check_universal_square_product(m: int):
 
 
 def _check_gw_laws(q: int):
-    model = FiniteField(q)
+    model = finite_field(q)
     h = model.from_univ(UNIV_H)
     one = model.one()
     two = model.from_univ(UNIV_TWO)
@@ -206,7 +206,7 @@ def _check_gw_laws(q: int):
 
 
 def _check_pfister_torsion(q: int, s: int):
-    model = FiniteField(q)
+    model = finite_field(q)
     element = pfister_element(s)
     doubled = element + element
     for assign in _all_assignments(s, (0, 1)):
@@ -338,7 +338,7 @@ def _check_dissolution(d: int, cfg: tuple[int, ...], j: int):
     lhs = dissolve_specialize(floor_count(d, cfg), j)
     rhs = floor_count(d, dissolved_config(cfg, j))
     for q in DISSOLUTION_ORDERS:
-        model = FiniteField(q)
+        model = finite_field(q)
         for assign in _all_assignments(s - 1, (0, 1)):
             if specialize_field(lhs, model, assign) != specialize_field(
                 rhs, model, assign
@@ -358,9 +358,13 @@ def _check_wallcross_level(d: int, s: int):
         unit_shift_pairs(3 * d - 1, s),
         _shift_name,
     )
-    for pair, failed in failures.items():
-        if failed:
-            return False, f"{_shift_name(pair)}: failed {failed}{unsupported}"
+    failing = [(pair, failed) for pair, failed in failures.items() if failed]
+    if failing:
+        pair, failed = failing[0]
+        return False, (
+            f"{len(failing)} of {len(failures)} unit shifts failed; "
+            f"first {_shift_name(pair)}: failed {failed}{unsupported}"
+        )
     return True, f"{len(failures)} unit shifts{unsupported}"
 
 

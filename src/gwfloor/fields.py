@@ -14,11 +14,27 @@ Three concrete targets are supported.
 one unit square class per variable.  Assignments must be units: for the
 real model a sign (+1 or -1), for a finite field a square/nonsquare bit
 (0 or 1), and the closed model ignores the value.
+
+Every variable maps to a rank-one class, so the image of an element is a
+pair of integers read off its terms in one pass.  An assignment is a flip
+mask: bit l-1 is set when x_l is negative (real) or a nonsquare (F_q).
+With c a term's coefficient and k its monomial mask,
+
+* real: rank = sum rank(c), and sig = sum of +-(c1 + c2), the sign
+  negative when popcount(k & mask) is odd;
+* F_q: rank = sum rank(c), and disc = XOR over the terms of
+  disc(c) ^ (rank(c) & 1 & parity of popcount(k & mask));
+* closed: rank = sum rank(c).
+
+``evaluate`` is that pass; each model's ``flip`` validates one assigned
+value and gives its bit of the mask.  ``finite_field(q)`` shares one model
+per order among all callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .intmath import factor_prime_power, legendre_is_square
 from .univ import TildeElement, UnivElement, mask_labels
@@ -92,12 +108,27 @@ class RealField:
 
     def from_univ(self, u: UnivElement) -> RealClass:
         # <1> -> (1,1), h -> (2,0), <2> -> (1,1).
-        return RealClass(u.c1 + 2 * u.ch + u.c2, u.c1 + u.c2)
+        return self.evaluate({0: u}, 0)
 
-    def variable_class(self, value) -> RealClass:
+    def flip(self, value) -> int:
         if value not in (1, -1):
             raise ValueError(f"real assignment must be a sign, got {value!r}")
-        return RealClass(1, value)
+        return 1 if value == -1 else 0
+
+    def variable_class(self, value) -> RealClass:
+        return RealClass(1, -1 if self.flip(value) else 1)
+
+    def evaluate(self, coeffs, negative: int) -> RealClass:
+        """Image of the multi-affine element with these coefficients, the
+        variables in ``negative`` (a label mask) sent to -1."""
+        rank = sig = 0
+        for key, c in coeffs.items():
+            rank += c.c1 + 2 * c.ch + c.c2
+            if (key & negative).bit_count() & 1:
+                sig -= c.c1 + c.c2
+            else:
+                sig += c.c1 + c.c2
+        return RealClass(rank, sig)
 
     def describe(self) -> str:
         return "real"
@@ -129,18 +160,39 @@ class FiniteField:
         return FqClass(1, 0)
 
     def from_univ(self, u: UnivElement) -> FqClass:
-        disc = ((u.ch & 1) * self.bit_minus_one) ^ ((u.c2 & 1) * self.bit_two)
-        return FqClass(u.rank, disc)
+        return self.evaluate({0: u}, 0)
 
-    def variable_class(self, value) -> FqClass:
+    def flip(self, value) -> int:
         if value not in (0, 1):
             raise ValueError(
                 f"finite-field assignment must be a square bit (0 or 1), got {value!r}"
             )
-        return FqClass(1, value)
+        return value
+
+    def variable_class(self, value) -> FqClass:
+        return FqClass(1, self.flip(value))
+
+    def evaluate(self, coeffs, nonsquare: int) -> FqClass:
+        """Image of the multi-affine element with these coefficients, the
+        variables in ``nonsquare`` (a label mask) sent to a nonsquare."""
+        minus_one, two = self.bit_minus_one, self.bit_two
+        rank = disc = 0
+        for key, c in coeffs.items():
+            r = c.c1 + 2 * c.ch + c.c2
+            rank += r
+            # h = <1> + <-1> has the discriminant of -1; each nonsquare
+            # variable shifts the discriminant of an odd-rank term.
+            disc ^= (c.ch & minus_one) ^ (c.c2 & two) ^ (r & (key & nonsquare).bit_count() & 1)
+        return FqClass(rank, disc)
 
     def describe(self) -> str:
         return f"fq:{self.q}"
+
+
+@cache
+def finite_field(q: int) -> FiniteField:
+    """The model of F_q shared by every caller: one per order."""
+    return FiniteField(q)
 
 
 class ClosedField:
@@ -151,10 +203,18 @@ class ClosedField:
         return ClosedClass(1)
 
     def from_univ(self, u: UnivElement) -> ClosedClass:
-        return ClosedClass(u.rank)
+        return self.evaluate({0: u}, 0)
+
+    def flip(self, value) -> int:
+        return 0
 
     def variable_class(self, value) -> ClosedClass:
         return ClosedClass(1)
+
+    def evaluate(self, coeffs, flips: int) -> ClosedClass:
+        """Image of the multi-affine element with these coefficients; every
+        unit is a square, so the flips do not matter."""
+        return ClosedClass(sum(c.rank for c in coeffs.values()))
 
     def describe(self) -> str:
         return "closed"
@@ -172,18 +232,12 @@ def specialize_field(e, model, assign: dict | None = None):
     if not isinstance(e, TildeElement):
         raise TypeError(f"cannot specialize {type(e).__name__}")
     assign = assign or {}
-    var_images = {}
     used = 0
     for key in e.coeffs:
         used |= key
+    flips = 0
     for label in mask_labels(used):
         if label not in assign:
             raise ValueError(f"no assignment for variable x{label}")
-        var_images[label] = model.variable_class(assign[label])
-    total = model.zero()
-    for key, coeff in e.coeffs.items():
-        term = model.from_univ(coeff)
-        for label in mask_labels(key):
-            term = term * var_images[label]
-        total = total + term
-    return total
+        flips |= model.flip(assign[label]) << (label - 1)
+    return model.evaluate(e.coeffs, flips)

@@ -20,6 +20,7 @@ sweeps over many configuration pairs never abort on a failing check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .diagrams import (
     floor_count_residual,
     unit_shifts,
 )
-from .fields import ClosedField, FiniteField, RealField, specialize_field
+from .fields import ClosedField, FiniteField, RealField, finite_field
 from .univ import (
     UNIV_ONE,
     UNIV_TWO,
@@ -48,6 +49,12 @@ SCHEMA_VERSION = "gwfloor/1"
 
 SWEEP_FQ_ORDERS = (5, 7, 11, 13)
 WITNESS_FQ_ORDERS = (5, 7, 11)
+
+# The models of every sweep, built once.
+_REAL = RealField()
+_SWEEP_FQ = tuple(map(finite_field, SWEEP_FQ_ORDERS))
+_WITNESS_FQ = tuple(map(finite_field, WITNESS_FQ_ORDERS))
+_CLOSED = ClosedField()
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +121,31 @@ def describe_assign(model, assign: dict) -> str:
     return ""
 
 
+def _entries(model, assignments) -> list[tuple]:
+    return [
+        (
+            model,
+            tuple(assign.items()),
+            sum(model.flip(value) << (label - 1) for label, value in assign.items()),
+            model.describe(),
+            describe_assign(model, assign),
+        )
+        for assign in assignments
+    ]
+
+
+@functools.cache
+def _sweep(s: int) -> tuple[tuple, ...]:
+    """The entries of ``default_field_sweep(s)``, built once per s.  Each is
+    (model, assignment as (label, value) pairs, the assignment's flip mask
+    for ``model.evaluate``, model name, assignment name)."""
+    entries = _entries(_REAL, _all_assignments(s, (1, -1)))
+    for model in _SWEEP_FQ:
+        entries += _entries(model, _all_assignments(s, (0, 1)))
+    entries += _entries(_CLOSED, [{l: 0 for l in range(1, s + 1)}])
+    return tuple(entries)
+
+
 def default_field_sweep(s: int) -> list[tuple[object, dict]]:
     """Deterministic sweep: real signs, finite fields, closed rank check.
 
@@ -121,13 +153,7 @@ def default_field_sweep(s: int) -> list[tuple[object, dict]]:
     runs over all 2^s square/non-square choices; the closed model needs a
     single assignment since every unit is a square there.
     """
-    real = RealField()
-    entries = [(real, assign) for assign in _all_assignments(s, (1, -1))]
-    for q in SWEEP_FQ_ORDERS:
-        model = FiniteField(q)
-        entries.extend((model, assign) for assign in _all_assignments(s, (0, 1)))
-    entries.append((ClosedField(), {l: 0 for l in range(1, s + 1)}))
-    return entries
+    return [(model, dict(assign)) for model, assign, *_ in _sweep(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +251,19 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     coefficient, witnesses = extract_universal_coefficient(delta, order)
     n1, n2, m = univ_coords(coefficient)
 
+    # Every sweep assigns all s variables, so the models evaluate the
+    # coefficients directly.
     field_checks = tuple(
-        FieldCheck(
-            model.describe(),
-            describe_assign(model, assign),
-            specialize_field(delta, model, assign).is_zero(),
-        )
-        for model, assign in default_field_sweep(s)
+        FieldCheck(model_name, assign_name, model.evaluate(delta.coeffs, flips).is_zero())
+        for model, _, flips, model_name, assign_name in _sweep(s)
     )
 
+    # All 2^s square/nonsquare assignments are the flip masks below 2^s.
     witnesses_zero = all(
-        specialize_field(w, FiniteField(q), assign).is_zero()
+        model.evaluate(w.coeffs, flips).is_zero()
         for w in witnesses
-        for q in WITNESS_FQ_ORDERS
-        for assign in _all_assignments(s, (0, 1))
+        for model in _WITNESS_FQ
+        for flips in range(1 << s)
     )
     reconstruction = (
         cascade_reconstruct(list(witnesses), coefficient, order, s) == delta
@@ -348,12 +373,35 @@ class ResidualReport:
 
 def unit_shift_pairs(n: int, s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Unordered unit-shift pairs at the given level, in a stable order."""
+    return list(_unit_shift_pairs(n, s))
+
+
+@functools.cache
+def _unit_shift_pairs(n: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     pairs = []
     for cfg in enumerate_merge_configs(n, s):
         for other in unit_shifts(cfg, n):
             if cfg < other:
                 pairs.append((cfg, other))
-    return sorted(pairs)
+    return tuple(sorted(pairs))
+
+
+@functools.cache
+def _transfer_targets(d: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Each unit-shift pair with s pairs at degree d, with the <2>-parity of
+    its delta's top coefficient: the right side of the transfer congruence
+    for every source with s + 1 pairs.  An unsupported target raises, and
+    nothing is cached."""
+    targets = []
+    for target_from, target_to in _unit_shift_pairs(3 * d - 1, s):
+        # top_coefficient is linear: read the <2>-coordinate of the
+        # target's delta from the two counts, without the delta
+        target_n2 = (
+            top_coefficient(floor_count(d, target_from)).c2
+            - top_coefficient(floor_count(d, target_to)).c2
+        )
+        targets.append((target_from, target_to, target_n2 % 2))
+    return tuple(targets)
 
 
 def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
@@ -367,7 +415,6 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
     cfg_from = tuple(cfg_from)
     cfg_to = tuple(cfg_to)
     s = len(cfg_from)
-    n = 3 * d - 1
 
     delta = delta_count(d, cfg_from, cfg_to)
     residual_delta = floor_count_residual(d, cfg_from) - floor_count_residual(
@@ -386,23 +433,12 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
 
     base_zero = (top.a == 0) if s == 1 else None
 
-    transfers = []
+    transfers = ()
     if s >= 2:
-        for target_from, target_to in unit_shift_pairs(n, s - 1):
-            # top_coefficient is linear: read the <2>-coordinate of the
-            # target's delta from the two counts, without the delta
-            target_n2 = (
-                top_coefficient(floor_count(d, target_from)).c2
-                - top_coefficient(floor_count(d, target_to)).c2
-            )
-            transfers.append(
-                TransferCheck(
-                    target_from=target_from,
-                    target_to=target_to,
-                    lhs=top.a,
-                    rhs=target_n2 % 2,
-                )
-            )
+        transfers = tuple(
+            TransferCheck(target_from, target_to, top.a, rhs)
+            for target_from, target_to, rhs in _transfer_targets(d, s - 1)
+        )
 
     return ResidualReport(
         d=d,
@@ -411,5 +447,5 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
         residual_delta=residual_delta,
         top=top,
         base_zero=base_zero,
-        transfers=tuple(transfers),
+        transfers=transfers,
     )

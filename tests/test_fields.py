@@ -1,10 +1,13 @@
 """Field models and specialization of universal elements."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwfloor.fields import (
+    ClosedClass,
     ClosedField,
     FiniteField,
     FqClass,
@@ -25,6 +28,56 @@ from gwfloor.univ import (
 univ_elements = st.builds(
     UnivElement, st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)
 )
+
+
+def _monomials(nvars):
+    return st.lists(st.booleans(), min_size=nvars, max_size=nvars).map(
+        lambda bits: frozenset(l for l, b in enumerate(bits, 1) if b)
+    )
+
+
+tilde_elements = st.integers(0, 4).flatmap(
+    lambda nvars: st.dictionaries(_monomials(nvars), univ_elements, max_size=8).map(
+        lambda cs: TildeElement(nvars, cs)
+    )
+)
+
+ORACLE_MODELS = (
+    RealField(),
+    *(FiniteField(q) for q in (5, 7, 9, 11, 13, 17)),
+    ClosedField(),
+)
+
+
+def symbol_images(model):
+    """Images of <1>, h and <2>: h = <1> + <-1>, and <2> is a square in F_q
+    exactly when ``bit_two`` is 0."""
+    if isinstance(model, RealField):
+        return RealClass(1, 1), RealClass(2, 0), RealClass(1, 1)
+    if isinstance(model, FiniteField):
+        return FqClass(1, 0), FqClass(2, model.bit_minus_one), FqClass(1, model.bit_two)
+    return ClosedClass(1), ClosedClass(2), ClosedClass(1)
+
+
+def scaled(n, c, zero):
+    total = zero
+    for _ in range(abs(n)):
+        total = total + c if n > 0 else total - c
+    return total
+
+
+def naive_specialize(e, model, assign):
+    """The term-by-term class product: each coefficient's image, written
+    from the symbol images, times the class of each of its variables."""
+    one, h, two = symbol_images(model)
+    zero = model.zero()
+    total = zero
+    for labels, c in e.terms():
+        term = scaled(c.c1, one, zero) + scaled(c.ch, h, zero) + scaled(c.c2, two, zero)
+        for label in labels:
+            term = term * model.variable_class(assign[label])
+        total = total + term
+    return total
 
 
 class TestRealField:
@@ -140,3 +193,23 @@ class TestSpecialize:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             specialize_field(3, RealField())
+
+    def test_rejects_non_units_of_occurring_variables(self):
+        e = TildeElement.variable(1, 2)
+        with pytest.raises(ValueError, match="real assignment must be a sign"):
+            specialize_field(e, RealField(), {1: 0, 2: 1})
+        with pytest.raises(ValueError, match="square bit"):
+            specialize_field(e, FiniteField(5), {1: 2, 2: 0})
+        # x2 does not occur, so its value is never read
+        assert specialize_field(e, RealField(), {1: -1, 2: 0}) == RealClass(1, -1)
+
+    @given(tilde_elements)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_term_by_term_product(self, e):
+        for model in ORACLE_MODELS:
+            values = (1, -1) if isinstance(model, RealField) else (0, 1)
+            for pattern in itertools.product(values, repeat=e.nvars):
+                assign = dict(zip(range(1, e.nvars + 1), pattern))
+                assert specialize_field(e, model, assign) == naive_specialize(
+                    e, model, assign
+                ), (model.describe(), assign)

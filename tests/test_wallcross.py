@@ -133,6 +133,14 @@ class TestSweep:
         assert describe_assign(FiniteField(5), {1: 0, 2: 1}) == "sq/ns"
         assert describe_assign(ClosedField(), {1: 0}) == ""
 
+    def test_returned_sweep_is_fresh(self):
+        sweep = default_field_sweep(1)
+        snapshot = [(model, dict(assign)) for model, assign in sweep]
+        sweep[0][1][1] = 99
+        sweep[-1][1][2] = 0
+        sweep.pop()
+        assert default_field_sweep(1) == snapshot
+
 
 class TestWallCrossReport:
     def test_unit_shift_passes(self):
@@ -192,7 +200,7 @@ class TestWallcrossLevelCheck:
         monkeypatch.setattr(checks, "wallcross_report", one_field_fails)
         assert checks._check_wallcross_level(2, 1) == (
             False,
-            "(1,) -> (2,): failed ['field_zero fq:7 ns']",
+            "3 of 3 unit shifts failed; first (1,) -> (2,): failed ['field_zero fq:7 ns']",
         )
 
     def test_unsupported_shift_is_named(self, monkeypatch):
@@ -275,6 +283,24 @@ class TestResidualReport:
                 delta = delta_count(d, t.target_from, t.target_to)
                 assert t.rhs == univ_coords(top_coefficient(delta))[1] % 2, t
 
+    @pytest.mark.parametrize("d, s", [(3, 2), (3, 3), (4, 2)])
+    def test_transfers_follow_target_order(self, d, s):
+        targets = unit_shift_pairs(3 * d - 1, s - 1)
+        for cfg_from, cfg_to in unit_shift_pairs(3 * d - 1, s):
+            transfers = residual_report(d, cfg_from, cfg_to).transfers
+            assert [(t.target_from, t.target_to) for t in transfers] == targets
+
+    def test_unsupported_target_raises_every_time(self):
+        # The source is supported; its target (1,3,5,7) -> (1,3,5,8) is not.
+        shift = ((1, 3, 5, 8, 10), (1, 3, 6, 8, 10))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(UnsupportedShapeError) as exc:
+                residual_report(4, *shift)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "[1, 3, 5, 7]" in messages[0]
+
     def test_json_shape(self):
         doc = residual_report(2, (1,), (2,)).to_json()
         assert doc["schema"] == "gwfloor/1"
@@ -289,6 +315,13 @@ class TestUnitShiftPairs:
         assert pairs == sorted(pairs)
         for a, b in pairs:
             assert a < b
+
+    def test_returned_list_is_fresh(self):
+        pairs = unit_shift_pairs(8, 1)
+        snapshot = list(pairs)
+        pairs.reverse()
+        pairs.append(((1,), (9,)))
+        assert unit_shift_pairs(8, 1) == snapshot
 
     def test_membership(self):
         pairs = unit_shift_pairs(5, 2)
