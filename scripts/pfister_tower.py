@@ -11,7 +11,7 @@ copies of the previous level.  A negative --levels exits 2.
 import argparse
 import sys
 
-from gwfloor.checks import _check_pfister_aniso, _run_check
+from gwfloor.checks import pfister_specs, run_checks
 
 
 def main(argv=None) -> int:
@@ -22,11 +22,7 @@ def main(argv=None) -> int:
         print(f"error: --levels must be nonnegative, got {args.levels}", file=sys.stderr)
         return 2
 
-    ok = True
-    for s in range(args.levels + 1):
-        result = _run_check((f"springer:pfister-aniso:s={s}", _check_pfister_aniso, (s,)))
-        print(result.line())
-        ok = ok and result.passed
+    ok = all(r.passed for r in run_checks(pfister_specs(args.levels)))
     print("tower verified" if ok else "tower check FAILED")
     return 0 if ok else 1
 

@@ -11,7 +11,7 @@ supported range or a negative --max-pairs exits 2; a failing check, 1.
 import argparse
 import sys
 
-from gwfloor.checks import _check_rank_oracle, _run_check
+from gwfloor.checks import rank_specs, run_checks
 from gwfloor.diagrams import _MAX_DEGREE
 
 
@@ -30,12 +30,7 @@ def main(argv=None) -> int:
         print(f"error: --max-pairs must be nonnegative, got {args.max_pairs}", file=sys.stderr)
         return 2
 
-    results = []
-    for d in range(1, args.max_degree + 1):
-        top = (3 * d - 1) // 2 if d < 4 else min((3 * d - 1) // 2, args.max_pairs)
-        for s in range(top + 1):
-            results.append(_run_check((f"rank-oracle:d={d}:s={s}", _check_rank_oracle, (d, s))))
-            print(results[-1].line())
+    results = run_checks(rank_specs(args.max_degree, args.max_pairs))
     failed = sum(not r.passed for r in results)
     print(f"{len(results)} checks, {failed} failed")
     return 1 if failed else 0

@@ -2,18 +2,18 @@
 """Run the wall-crossing and residual checks over every unit shift.
 
 Runs the checks of ``gwfloor verify`` for each degree in --degrees and
-each pair count s: the wall-crossing level check, then the residual
-check of each shift, printing one line per check.  A failing level names
-its first failing shift and that shift's failing checks; an unsupported
-shift is named on its level's line and never counted as a pass.  A
-degree outside 2 up to the largest supported degree exits 2; a failing
-check, 1.
+each pair count s that has a unit shift: the wall-crossing level check,
+then the residual check of each shift, printing one line per check.  A
+failing level names its first failing shift and that shift's failing
+checks; an unsupported shift is named on its level's line and never
+counted as a pass.  A degree outside 2 up to the largest supported
+degree exits 2; a failing check, 1.
 """
 
 import argparse
 import sys
 
-from gwfloor.checks import _check_wallcross_level, _residual_level_specs, _run_check
+from gwfloor.checks import run_checks, shift_level_specs, shift_levels
 from gwfloor.diagrams import _MAX_DEGREE
 
 
@@ -32,13 +32,9 @@ def main(argv=None) -> int:
         )
         return 2
 
-    results = []
-    for d in degrees:
-        for s in range(1, (3 * d - 1) // 2 + 1):
-            specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s))]
-            for spec in specs + _residual_level_specs(d, s):
-                results.append(_run_check(spec))
-                print(results[-1].line())
+    results = run_checks(
+        spec for d in degrees for s in shift_levels(d) for spec in shift_level_specs(d, s)
+    )
     failed = sum(not r.passed for r in results)
     print(f"{len(results)} checks, {failed} failed")
     return 1 if failed else 0

@@ -10,10 +10,10 @@ Each suite bundles related checks into individually named verdicts:
   and the worked local-factor anchor values.
 - ``dissolution``: field-level agreement of parameter specialisation
   with the counts at the dissolved configuration.
-- ``wallcross``: full vanishing reports for every unit shift, plus
-  connectivity of the merge-configuration graph.
-- ``residual``: the mod-2 factor table computed along two independent
-  pipelines, the one-pair base case, and the transfer congruence.
+- ``wallcross``: full vanishing reports for every level (d, s) with a
+  unit shift, plus connectivity of the merge-configuration graph.
+- ``residual``: the mod-2 factor table along two independent pipelines,
+  then the base case and the transfer congruence of those levels.
 - ``springer``: anisotropy certificates over the Laurent tower.
 - ``all``: everything above, in that order.
 
@@ -21,7 +21,8 @@ Checks never abort a sweep: a crash inside one check is reported as a
 failing verdict, and an unsupported configuration is never a pass (see
 ``_supported``).  Results carry wall-clock times for interactive use
 but serialise without them so repeated runs are byte-identical.  The
-scripts under ``scripts/`` run these checks over wider ranges.
+scripts under ``scripts/`` run these checks over wider ranges, built by
+the same public level builders and run by ``run_checks``.
 """
 
 from __future__ import annotations
@@ -68,16 +69,9 @@ from .wallcross import (
     wallcross_report,
 )
 
-SUITE_NAMES = (
-    "identities",
-    "counts",
-    "dissolution",
-    "wallcross",
-    "residual",
-    "springer",
-    "all",
-)
-
+# The degrees at which the wallcross and residual suites gate every level
+# that has a unit shift.
+SHIFT_DEGREES = (2, 3)
 GW_LAW_ORDERS = (5, 7, 11, 13, 17)
 DISSOLUTION_ORDERS = (5, 7, 11)
 MAX_IDENTITY_WEIGHT = 60
@@ -126,12 +120,13 @@ class SuiteResult:
         }
 
 
-def _supported(fn, items, name=str):
+def _supported(fn, items, noun, name=str):
     """Map ``fn`` over the items that raise no ``UnsupportedShapeError``.
 
     Returns those results and a note for the check's detail that tallies
     and names the other items, never counted as passes ("" if none).  If
-    no item is supported, the note is raised, so the check fails.
+    no item is supported, the note is raised, so the check fails; with
+    no items at all, it reads "no <noun>".
     """
     results = {}
     unsupported = []
@@ -140,12 +135,10 @@ def _supported(fn, items, name=str):
             results[item] = fn(item)
         except UnsupportedShapeError:
             unsupported.append(name(item))
-    if not unsupported:
-        return results, ""
-    note = f"{len(unsupported)} unsupported: {', '.join(unsupported)}"
+    note = f"{len(unsupported)} unsupported: {', '.join(unsupported)}" if unsupported else ""
     if not results:
-        raise UnsupportedShapeError(note)
-    return results, f"; {note}"
+        raise UnsupportedShapeError(note or f"no {noun}")
+    return results, note and f"; {note}"
 
 
 def _shift_name(pair) -> str:
@@ -223,7 +216,7 @@ def _check_pfister_torsion(q: int, s: int):
 def _check_rank_oracle(d: int, s: int):
     expected = kontsevich_nd(d)
     ranks, unsupported = _supported(
-        lambda cfg: floor_count(d, cfg).rank, enumerate_merge_configs(3 * d - 1, s)
+        lambda cfg: floor_count(d, cfg).rank, enumerate_merge_configs(3 * d - 1, s), "configurations"
     )
     for cfg, r in ranks.items():
         if r != expected:
@@ -356,6 +349,7 @@ def _check_wallcross_level(d: int, s: int):
     failures, unsupported = _supported(
         lambda pair: wallcross_report(d, *pair).failed_checks(),
         unit_shift_pairs(3 * d - 1, s),
+        "unit shifts",
         _shift_name,
     )
     failing = [(pair, failed) for pair, failed in failures.items() if failed]
@@ -413,14 +407,12 @@ def _check_residual_twin_trees():
     return True, ""
 
 
-def _check_residual_base(d: int, cfg_from: tuple[int, ...], cfg_to: tuple[int, ...]):
-    report = residual_report(d, tuple(cfg_from), tuple(cfg_to))
-    return report.base_zero is True, f"top coefficient {report.top!r}"
-
-
-def _check_residual_transfer(d: int, cfg_from: tuple[int, ...], cfg_to: tuple[int, ...]):
-    report = residual_report(d, tuple(cfg_from), tuple(cfg_to))
-    ok = bool(report.transfers) and all(t.both_zero for t in report.transfers)
+def _check_residual(d: int, cfg_from: tuple[int, ...], cfg_to: tuple[int, ...]):
+    """The one-pair base case at s = 1, the transfer congruence above it."""
+    report = residual_report(d, cfg_from, cfg_to)
+    if report.s == 1:
+        return report.base_zero, f"top coefficient {report.top!r}"
+    ok = bool(report.transfers) and report.passed
     return ok, f"{len(report.transfers)} dissolved targets"
 
 
@@ -478,15 +470,51 @@ def _identity_specs(budget: int):
     return specs
 
 
-def _count_specs(budget: int):
+def shift_levels(d: int) -> range:
+    """The pair counts s with a unit shift at degree d: 2s < 3d - 1, so
+    that a configuration has a free point to move a pair to."""
+    return range(1, (3 * d - 2) // 2 + 1)
+
+
+def _gated_levels(budget: int):
+    return [(d, s) for d in SHIFT_DEGREES if d <= budget for s in shift_levels(d)]
+
+
+def _cfg_name(cfg) -> str:
+    return ",".join(map(str, cfg))
+
+
+def rank_specs(max_degree: int, max_pairs: int):
+    """The rank oracle at degrees 1..max_degree and every pair count s,
+    at most max_pairs from degree 4 on."""
     specs = []
-    for d in range(1, min(3, budget) + 1):
-        n = 3 * d - 1
-        for s in range(0, n // 2 + 1):
-            specs.append((f"rank-oracle:d={d}:s={s}", _check_rank_oracle, (d, s)))
-    if budget >= 4:
-        for s in range(0, 3):
-            specs.append((f"rank-oracle:d=4:s={s}", _check_rank_oracle, (4, s)))
+    for d in range(1, max_degree + 1):
+        top = (3 * d - 1) // 2 if d < 4 else min((3 * d - 1) // 2, max_pairs)
+        specs += [(f"rank-oracle:d={d}:s={s}", _check_rank_oracle, (d, s)) for s in range(top + 1)]
+    return specs
+
+
+def shift_level_specs(d: int, s: int):
+    """The wall-crossing check of level (d, s), then the residual check
+    of each of its unit shifts: the base case at s = 1, the transfer
+    congruence above it."""
+    specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s))]
+    for cfg_from, cfg_to in unit_shift_pairs(3 * d - 1, s):
+        if s == 1:
+            check_id = f"residual-base:d={d}:{cfg_from[0]}-{cfg_to[0]}"
+        else:
+            check_id = f"residual-transfer:d={d}:{_cfg_name(cfg_from)}>{_cfg_name(cfg_to)}"
+        specs.append((check_id, _check_residual, (d, cfg_from, cfg_to)))
+    return specs
+
+
+def pfister_specs(levels: int):
+    """The Pfister anisotropy check at tower levels s = 0..levels."""
+    return [(f"springer:pfister-aniso:s={s}", _check_pfister_aniso, (s,)) for s in range(levels + 1)]
+
+
+def _count_specs(budget: int):
+    specs = rank_specs(min(4, budget), 2)
     if budget >= 3:
         specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
         for s in range(0, 5):
@@ -512,41 +540,17 @@ def _dissolution_specs(budget: int):
         for s in range(1, n // 2 + 1):
             for cfg in enumerate_merge_configs(n, s):
                 for j in range(1, s + 1):
-                    cfg_str = ",".join(map(str, cfg))
                     specs.append(
-                        (f"dissolution:d={d}:cfg={cfg_str}:j={j}", _check_dissolution, (d, cfg, j))
+                        (f"dissolution:d={d}:cfg={_cfg_name(cfg)}:j={j}", _check_dissolution, (d, cfg, j))
                     )
     return specs
 
 
 def _wallcross_specs(budget: int):
-    specs = []
-    for d in (2, 3):
-        if d > budget:
-            continue
-        n = 3 * d - 1
-        for s in range(1, n // 2 + 1):
-            specs.append((f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s)))
+    specs = [shift_level_specs(d, s)[0] for d, s in _gated_levels(budget)]
     for n in range(2, MAX_GRAPH_POINTS + 1):
         for s in range(0, n // 2 + 1):
             specs.append((f"merge-graph:n={n}:s={s}", _check_graph_connected, (n, s)))
-    return specs
-
-
-def _residual_level_specs(d: int, s: int):
-    """The residual check of each unit shift with s pairs at degree d:
-    the base case at s = 1, the transfer congruence above it."""
-    specs = []
-    for cfg_from, cfg_to in unit_shift_pairs(3 * d - 1, s):
-        if s == 1:
-            check_id = f"residual-base:d={d}:{cfg_from[0]}-{cfg_to[0]}"
-            fn = _check_residual_base
-        else:
-            from_str = ",".join(map(str, cfg_from))
-            to_str = ",".join(map(str, cfg_to))
-            check_id = f"residual-transfer:d={d}:{from_str}>{to_str}"
-            fn = _check_residual_transfer
-        specs.append((check_id, fn, (d, cfg_from, cfg_to)))
     return specs
 
 
@@ -555,16 +559,14 @@ def _residual_specs(budget: int):
     for m in range(1, MAX_RESIDUAL_WEIGHT + 1):
         specs.append((f"residual-factors:m={m}", _check_residual_factors, (m,)))
     specs.append(("residual-twin-trees", _check_residual_twin_trees, ()))
-    for d in range(2, min(3, budget) + 1):
-        specs.extend(_residual_level_specs(d, 1))
-    if budget >= 3:
-        for s in range(2, 5):
-            specs.extend(_residual_level_specs(3, s))
+    # the base checks of every gated level, then the transfers above them
+    for d, s in sorted(_gated_levels(budget), key=lambda level: level[1] > 1):
+        specs.extend(shift_level_specs(d, s)[1:])
     return specs
 
 
 def _springer_specs(budget: int):
-    specs = [(f"springer:pfister-aniso:s={s}", _check_pfister_aniso, (s,)) for s in range(1, 9)]
+    specs = pfister_specs(8)[1:]
     specs.append(("springer:hyperbolic-plane", _check_hyperbolic_plane, ()))
     specs.append(("springer:rational-binary", _check_rational_binary, ()))
     return specs
@@ -590,6 +592,7 @@ _SUITE_BUILDERS = {
     "springer": _springer_specs,
     "all": _all_specs,
 }
+SUITE_NAMES = tuple(_SUITE_BUILDERS)
 
 
 def _run_check(spec) -> CheckResult:
@@ -602,6 +605,15 @@ def _run_check(spec) -> CheckResult:
     except Exception as exc:
         ok, detail = False, f"exception: {exc}"
     return CheckResult(check_id, ok, detail, perf_counter() - start)
+
+
+def run_checks(specs) -> list[CheckResult]:
+    """Run the specs in order, printing each row as its check finishes."""
+    results = []
+    for spec in specs:
+        results.append(_run_check(spec))
+        print(results[-1].line())
+    return results
 
 
 def run_suite(name: str, budget: int = 4) -> SuiteResult:

@@ -47,7 +47,9 @@ from .univ import (
 
 SCHEMA_VERSION = "gwfloor/1"
 
-SWEEP_FQ_ORDERS = (5, 7, 11, 13)
+# One order per pair of square bits of -1 and 2: the image of a class over
+# F_q depends on nothing else (q = 5, 7, 3, 1 mod 8 in turn).
+SWEEP_FQ_ORDERS = (5, 7, 11, 17)
 WITNESS_FQ_ORDERS = (5, 7, 11)
 
 # The models of every sweep, built once.

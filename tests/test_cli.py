@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gwfloor
+from gwfloor.checks import run_suite
 from gwfloor.cli import main
 
 
@@ -199,6 +201,16 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_keeps_the_checks_of_its_degrees(self, budget):
+        def degree(check_id):
+            found = re.search(r"\bd=(\d+)", check_id)
+            return int(found.group(1)) if found else 0
+
+        full = [c.check_id for c in run_suite("all", 4).checks]
+        kept = [c.check_id for c in run_suite("all", budget).checks]
+        assert kept == [i for i in full if degree(i) <= budget]
 
     def test_table_flag(self, capsys):
         code, out, err = run_cli(

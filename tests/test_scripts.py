@@ -1,5 +1,6 @@
 """Command-line behaviour of the scripts under ``scripts/``."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +16,15 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_script_imports_no_private_check_name(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "gwfloor.checks":
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            assert not (isinstance(node.value, ast.Name) and node.value.id == "checks")
 
 
 class TestPfisterTower:
@@ -67,7 +77,7 @@ class TestRankSweep:
 class TestWallcrossSweep:
     def test_default_degrees_pass(self, capsys):
         assert load_script("wallcross_sweep").main(["--degrees", "2,3"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "49 checks, 0 failed"
+        assert capsys.readouterr().out.splitlines()[-1] == "48 checks, 0 failed"
 
     @pytest.mark.parametrize("degrees", [str(TOP + 1), "x", "1", f"2,{TOP + 1}", ""])
     def test_bad_degrees_are_a_usage_error(self, capsys, degrees):

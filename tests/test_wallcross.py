@@ -20,6 +20,7 @@ from gwfloor.univ import (
     univ_coords,
 )
 from gwfloor.wallcross import (
+    SWEEP_FQ_ORDERS,
     TransferCheck,
     default_field_sweep,
     delta_count,
@@ -133,6 +134,10 @@ class TestSweep:
         assert describe_assign(FiniteField(5), {1: 0, 2: 1}) == "sq/ns"
         assert describe_assign(ClosedField(), {1: 0}) == ""
 
+    def test_sweep_orders_have_distinct_square_bits(self):
+        bits = {(FiniteField(q).bit_minus_one, FiniteField(q).bit_two) for q in SWEEP_FQ_ORDERS}
+        assert len(bits) == len(SWEEP_FQ_ORDERS) == 4
+
     def test_returned_sweep_is_fresh(self):
         sweep = default_field_sweep(1)
         snapshot = [(model, dict(assign)) for model, assign in sweep]
@@ -225,6 +230,17 @@ class TestWallcrossLevelCheck:
         assert result.detail == (
             "3 unsupported: (1,) -> (2,), (2,) -> (3,), (3,) -> (4,)"
         )
+
+    def test_level_with_no_unit_shift_fails(self):
+        # d = 3 has one configuration with s = 4 pairs and no free point
+        result = checks._run_check(("level", checks._check_wallcross_level, (3, 4)))
+        assert (result.passed, result.detail) == (False, "no unit shifts")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_shift_levels_are_the_levels_with_a_unit_shift(self, d):
+        n = 3 * d - 1
+        with_shift = [s for s in range(n // 2 + 1) if unit_shift_pairs(n, s)]
+        assert list(checks.shift_levels(d)) == with_shift
 
     def test_verdicts_drive_passed(self):
         report = wallcross_report(2, (1,), (2,))
