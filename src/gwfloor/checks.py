@@ -381,9 +381,10 @@ def _check_residual_factors(m: int):
         lf.TwinEdge(m, 1),
         lf.UnitEnd(),
     ]
+    # over two variables, so the table also meets a label no factor carries
     for factor in factors:
-        direct = lf.residual_factor(factor, 1)
-        reduced = residual_reduce(factor.evaluate(1))
+        direct = lf.residual_factor(factor, 2)
+        reduced = residual_reduce(factor.evaluate(2))
         if direct != reduced:
             return False, f"pipelines disagree on {factor}"
     return True, ""

@@ -18,7 +18,7 @@ import sys
 from .checks import SUITE_NAMES, run_suite
 from .diagrams import enumerate_merged_diagrams, floor_count, is_merge_config
 from .fields import ClosedField, FiniteField, RealField, specialize_field
-from .springer import form_report, pfister_concrete
+from .springer import MAX_TOWER_VARS, form_report, pfister_concrete
 from .wallcross import (
     SCHEMA_VERSION,
     describe_assign,
@@ -197,7 +197,7 @@ def _cmd_count(args):
         image = specialize_field(value, ClosedField(), {l: 0 for l in range(1, s + 1)})
         doc["rank"] = image.rank
         lines.append(f"  rank {image.rank}")
-    elif args.field.startswith("fq:"):
+    elif args.field.startswith("fq:") and args.field[3:].isdigit():
         q = int(args.field[3:])
         model = FiniteField(q)
         assign = _parse_square_bits(
@@ -208,7 +208,10 @@ def _cmd_count(args):
         doc["disc"] = image.disc
         lines.append(f"  q={q} assign {doc['assign'] or '-'} rank {image.rank} disc bit {image.disc}")
     else:
-        raise UsageError(f"unknown field model {args.field!r}")
+        raise UsageError(
+            f"unknown field model {args.field!r}; --field takes symbolic, real, closed, "
+            "or fq:Q for an odd prime power Q"
+        )
     return doc, lines, 0
 
 
@@ -237,6 +240,8 @@ def _cmd_pfister(args):
     s = args.vars
     if s < 0:
         raise UsageError(f"--vars must be nonnegative, got {s}")
+    if s > MAX_TOWER_VARS:
+        raise UsageError(f"--vars must be at most {MAX_TOWER_VARS}, got {s}")
     element = pfister_element(s)
     concrete = form_report(pfister_concrete(s))
     doc = {

@@ -28,6 +28,12 @@ from operator import itemgetter
 from .intmath import squarefree_split
 
 
+# The largest tower the ``pfister`` command and scripts/pfister_tower.py
+# accept.  The Pfister element and the concrete form both double with each
+# level, and the command's cost grows about fourfold per two levels.
+MAX_TOWER_VARS = 14
+
+
 class Verdict(Enum):
     ANISOTROPIC = "aniso"
     ISOTROPIC = "iso"
@@ -82,7 +88,14 @@ class DiagonalForm:
 
     def restrict_variables(self, nvars: int) -> "DiagonalForm":
         """Reinterpret the form over a smaller tower; all entries must fit."""
-        return DiagonalForm(nvars, self.entries)
+        if nvars < 0:
+            raise ValueError(f"variable count must be nonnegative, got {nvars}")
+        # entries are sorted by mask, so the last one has the largest
+        if self.entries and self.entries[-1][1] >> nvars:
+            raise ValueError(
+                f"monomial mask {self.entries[-1][1]:#x} exceeds {nvars} variables"
+            )
+        return _derived(nvars, self.entries)
 
     def to_json(self) -> list:
         return [
@@ -91,19 +104,29 @@ class DiagonalForm:
         ]
 
 
+def _derived(nvars: int, entries: tuple) -> DiagonalForm:
+    """A form built from entries that are already reduced, sorted and
+    within nvars variables, as every form derived from another one is:
+    only the public constructor validates."""
+    form = object.__new__(DiagonalForm)
+    object.__setattr__(form, "nvars", nvars)
+    object.__setattr__(form, "entries", entries)
+    return form
+
+
 def negate(f: DiagonalForm) -> DiagonalForm:
-    return DiagonalForm(f.nvars, tuple((-u, b) for u, b in f.entries))
+    # negation reverses the order of the units under each mask
+    entries = sorted(((-u, b) for u, b in f.entries), key=itemgetter(1, 0))
+    return _derived(f.nvars, tuple(entries))
 
 
 def pfister_concrete(s: int) -> DiagonalForm:
-    """Diagonal expansion of <1,-2> tensored with <1,-u_l> for l = 1..s."""
+    """Diagonal expansion of <1,-2> tensored with <1,-u_l> for l = 1..s:
+    under each mask b the entries <1,-2> times (-1)^|b|, in sorted order."""
     if s < 0:
         raise ValueError(f"variable count must be nonnegative, got {s}")
-    entries: list[tuple[int, int]] = [(1, 0), (-2, 0)]
-    for label in range(1, s + 1):
-        bit = 1 << (label - 1)
-        entries = entries + [(-u, b | bit) for u, b in entries]
-    return DiagonalForm(s, tuple(entries))
+    units = ((-2, 1), (-1, 2))  # <1,-2> and <-1,2>, each sorted
+    return _derived(s, tuple((u, b) for b in range(1 << s) for u in units[b.bit_count() & 1]))
 
 
 def _split(entries: tuple, bit: int) -> tuple[tuple, tuple]:
@@ -122,7 +145,7 @@ def springer_split(
     if not 1 <= var <= f.nvars:
         raise ValueError(f"variable u{var} outside the {f.nvars}-variable tower")
     unit_part, uniformizer_part = _split(f.entries, 1 << (var - 1))
-    return DiagonalForm(f.nvars, unit_part), DiagonalForm(f.nvars, uniformizer_part)
+    return _derived(f.nvars, unit_part), _derived(f.nvars, uniformizer_part)
 
 
 def _rational_base_verdict(units: list) -> Verdict:

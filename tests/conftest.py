@@ -1,5 +1,16 @@
 import sys
 
+import pytest
+
+from gwfloor.checks import run_suite
+
+
+@pytest.fixture(scope="session")
+def suite_all():
+    """``run_suite("all")`` at the default budget 4, run once per session:
+    the result of ``gwfloor verify --suite all``."""
+    return run_suite("all")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the per-criterion acceptance verdicts after the run.

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import gwfloor
+from gwfloor import cli
 from gwfloor.checks import run_suite
 from gwfloor.cli import main
+from gwfloor.springer import MAX_TOWER_VARS
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,16 @@ class TestCount:
             capsys, "count", "--degree", "2", "--field", "fq:4"
         )
         assert code == 2
+        # a malformed order names the option and the models it accepts
+        code, out, err = run_cli(
+            capsys, "count", "--degree", "2", "--field", "fq:abc"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: unknown field model 'fq:abc'; --field takes symbolic, real, "
+            "closed, or fq:Q for an odd prime power Q\n"
+        )
 
     def test_sign_count_mismatch(self, capsys):
         code, out, err = run_cli(
@@ -188,6 +200,18 @@ class TestPfister:
         assert code == 2
         assert "unrecognized arguments: --budget" in err
 
+    def test_vars_above_the_tower_bound_build_nothing(self, capsys, monkeypatch):
+        def refuse(s):
+            raise AssertionError(f"built a {s}-variable tower")
+
+        monkeypatch.setattr(cli, "pfister_element", refuse)
+        monkeypatch.setattr(cli, "pfister_concrete", refuse)
+        top = MAX_TOWER_VARS + 1
+        code, out, err = run_cli(capsys, "pfister", "--vars", str(top))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --vars must be at most {MAX_TOWER_VARS}, got {top}\n"
+
 
 class TestVerify:
     def test_springer_suite(self, capsys):
@@ -203,12 +227,12 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize("budget", [1, 2, 3])
-    def test_budget_keeps_the_checks_of_its_degrees(self, budget):
+    def test_budget_keeps_the_checks_of_its_degrees(self, budget, suite_all):
         def degree(check_id):
             found = re.search(r"\bd=(\d+)", check_id)
             return int(found.group(1)) if found else 0
 
-        full = [c.check_id for c in run_suite("all", 4).checks]
+        full = [c.check_id for c in suite_all.checks]
         kept = [c.check_id for c in run_suite("all", budget).checks]
         assert kept == [i for i in full if degree(i) <= budget]
 

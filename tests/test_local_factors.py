@@ -136,8 +136,9 @@ class TestTwinTreeDescriptor:
 
 class TestTwinTree:
     def test_single_point_even_circuit(self):
-        desc = TwinTreeDescriptor(t=1, m_circ=2, labels=(1,))
-        assert twin_tree_factor(desc, 1) == TildeElement.constant(UNIV_ONE, 1)
+        for m_circ in (0, 2):
+            desc = TwinTreeDescriptor(t=1, m_circ=m_circ, labels=(1,))
+            assert twin_tree_factor(desc, 1) == TildeElement.constant(UNIV_ONE, 1)
 
     def test_two_points_odd_circuit(self):
         desc = TwinTreeDescriptor(t=2, m_circ=1, labels=(1, 2))

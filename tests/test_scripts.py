@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gwfloor.diagrams import _MAX_DEGREE as TOP
+from gwfloor.springer import MAX_TOWER_VARS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -34,6 +35,15 @@ class TestPfisterTower:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--levels must be nonnegative, got -1" in err
+
+    def test_levels_above_the_tower_bound_build_nothing(self, capsys, monkeypatch):
+        module = load_script("pfister_tower")
+        monkeypatch.setattr(module, "pfister_specs", lambda levels: pytest.fail("built specs"))
+        top = MAX_TOWER_VARS + 1
+        assert module.main(["--levels", str(top)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --levels must be at most {MAX_TOWER_VARS}, got {top}\n"
 
     def test_small_tower_verifies(self, capsys):
         main = load_script("pfister_tower").main
