@@ -6,8 +6,9 @@ Each suite bundles related checks into individually named verdicts:
   carrier for weights 1..60, plus the finite-field ring laws and the
   2-torsion of the Pfister element.
 - ``counts``: the rank oracle against the classical recursion, the
-  degree-3 anchor value, signature invariance across merge positions,
-  and the worked local-factor anchor values.
+  degree-3 anchor value, signature invariance across merge positions
+  at the tabulated Welschinger invariant, and the worked local-factor
+  anchor values.
 - ``dissolution``: field-level agreement of parameter specialisation
   with the counts at the dissolved configuration.
 - ``wallcross``: full vanishing reports for every level (d, s) with a
@@ -77,6 +78,18 @@ DISSOLUTION_ORDERS = (5, 7, 11)
 MAX_IDENTITY_WEIGHT = 60
 MAX_RESIDUAL_WEIGHT = 40
 MAX_GRAPH_POINTS = 12
+
+# Welschinger invariants W_{d,s} of the projective plane: rational curves
+# of degree d through 3d - 1 - 2s real points and s pairs of complex
+# conjugate points, counted with Welschinger signs (Itenberg-Kharlamov-
+# Shustin; Arroyo-Brugallé-López de Medrano).  WELSCHINGER[d][s] is the
+# real signature of the count with every pair parameter negative.
+WELSCHINGER = {
+    1: (1, 1),
+    2: (1, 1, 1),
+    3: (8, 6, 4, 2, 0),
+    4: (240, 144, 80, 40, 16, 0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +252,16 @@ def _all_negative_signature(d: int, cfg: tuple[int, ...]) -> int:
 
 
 def _check_signature_invariance(d: int, s: int):
-    n = 3 * d - 1
-    sigs = {
-        cfg: _all_negative_signature(d, cfg)
-        for cfg in enumerate_merge_configs(n, s)
-    }
+    sigs, unsupported = _supported(
+        lambda cfg: _all_negative_signature(d, cfg), enumerate_merge_configs(3 * d - 1, s), "configurations"
+    )
     values = sorted(set(sigs.values()))
     if len(values) != 1:
-        return False, f"signatures differ across configurations: {values}"
-    if s == 0 and d == 3 and values[0] != 8:
-        return False, f"expected signature 8, got {values[0]}"
-    return True, f"common signature {values[0]}"
+        return False, f"signatures differ across configurations: {values}{unsupported}"
+    expected = WELSCHINGER[d][s]
+    if values[0] != expected:
+        return False, f"expected Welschinger invariant {expected}, got signature {values[0]}{unsupported}"
+    return True, f"common signature {values[0]}{unsupported}"
 
 
 def _check_anchor_type_a_m3():

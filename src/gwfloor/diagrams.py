@@ -32,16 +32,23 @@ holding those marks:
 
 Two merged markings are identified when they differ by the order of a
 fused pair's two marks, or -- for a fused pair of two consecutive floor
-marks -- by relabeling those two floors throughout the diagram.  Each
-class is kept as its minimum encoding over the variants of its type-R
-pairs.  The enumeration of marked diagrams is closed under both
-operations: a within-pair swap keeps every marking constraint, and no
-elevator joins two merged floors, so relabeling them gives another
-sorted tree with the same weights.  The minimum is therefore itself an
-enumerated marked diagram, and each class is met exactly once there.
-This rule set makes the rank of the total count equal the classical
-degree-d rational-curve count for every configuration, which
-is the completeness certificate the test suite enforces.
+marks -- by relabeling those two floors throughout the diagram.  The
+enumeration of marked diagrams is closed under both operations: a
+within-pair swap keeps every marking constraint, and no elevator joins
+two merged floors, so relabeling them gives another sorted tree with the
+same weights.  Each class (orbit) therefore lies among the enumerated
+marked diagrams.  The counts weigh orbits instead of visiting them: an
+orbit with no fused pair of two floors has only mark swaps, which always
+change the marking, so it has exactly 2^r members (r its type-R pairs),
+all with the same pair classes, elevator weights and local factors; n
+such marked diagrams hold n / 2^r orbits.  Fusing two floors at a
+position is an orbit invariant, and those orbits are each counted at
+their minimum encoding, where joined twins and unsupported shapes are
+detected.  ``enumerate_merged_diagrams`` lists every orbit's minimum and
+is the oracle of the weighted counts.  This rule set makes the rank of
+the total count equal the classical degree-d rational-curve count for
+every configuration, which is the completeness certificate the test
+suite enforces.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import combinations, product, repeat
-from operator import mul
+from itertools import combinations, product
+from operator import mul, or_
 
 from .local_factors import (
     ElevatorSquare,
@@ -410,11 +417,25 @@ def _orbit_test(d: int, index: int, rpos: tuple[int, ...]):
     and otherwise its stabiliser: the position tuples whose operations
     leave the encoding unchanged.  Keyed on integers only, so a lookup
     hashes no diagram or marking.
+
+    A mark swap changes only its own two marks, so a descending pair of
+    non-floor marks proves a smaller encoding at once; once every such
+    pair ascends, swaps without a floor relabeling only give larger
+    encodings, and only the sets with a relabeling are searched.
     """
     diagram, marking = enumerate_diagrams(d)[index]
+    relabelings = 0  # bit b set when the pair at rpos[b] fuses two floors
+    for b, p in enumerate(rpos):
+        o1, o2 = marking[p - 1], marking[p]
+        if o1[0] == o2[0] == "floor":
+            relabelings |= 1 << b
+        elif o2 < o1:
+            return None
     identity_key = (diagram.elevators, marking)
     stabiliser = []
     for mask in range(1, 1 << len(rpos)):
+        if not mask & relabelings:
+            continue
         chosen = [b for b in range(len(rpos)) if mask >> b & 1]
         key = _apply_swaps(diagram.elevators, marking, rpos, chosen)
         if key < identity_key:
@@ -429,7 +450,7 @@ class UnsupportedShapeError(ValueError):
     fused-pair interaction the local-factor model does not cover."""
 
 
-def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
+def _joins(diagram: FloorDiagram, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
     """Joint-twin detection for an orbit minimum.
 
     Lists index pairs (i, j) of fused pairs whose two operations act
@@ -444,7 +465,7 @@ def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
         if len(positions) != 2 or used.intersection(positions):
             raise UnsupportedShapeError(
                 "unsupported twin interaction between fused pairs "
-                f"{list(positions)} (degree {d})"
+                f"{list(positions)} (degree {diagram.d})"
             )
         i, j = map(cfg.index, positions)
         kinds = {tags[i][1][0], tags[i][2][0]}, {tags[j][1][0], tags[j][2][0]}
@@ -456,28 +477,28 @@ def _joins(d: int, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
                 "unsupported twin interaction kinds at fused pairs "
                 f"{list(positions)}"
             )
+        if any(diagram.elevators[obj[1]][2] != 1 for obj in tags[i][1:]):
+            raise ValueError("joined twin elevators must have weight 1")
         used.update(positions)
         joins.append((i, j))
     return tuple(sorted(joins))
 
 
-def _orbit_minima(d: int, cfg: tuple[int, ...]):
+def _orbit_minima(d: int, cfg: tuple[int, ...], indices):
     """Yield ``(index, tags, joins)`` for every marked diagram
-    ``enumerate_diagrams(d)[index]`` that is its orbit's minimum encoding
-    under the valid configuration cfg, in enumeration order.  Diagrams
-    with a pair that no rule classifies are skipped."""
-    table = _tag_table(d)
-    if cfg:
-        rows = zip(*(table[p - 1] for p in cfg))
-    else:
-        rows = repeat((), len(enumerate_diagrams(d)))
-    for index, tags in enumerate(rows):
+    ``enumerate_diagrams(d)[index]``, index in ``indices`` (ascending),
+    that is its orbit's minimum encoding under the valid configuration
+    cfg.  Diagrams with a pair that no rule classifies are skipped."""
+    marked = enumerate_diagrams(d)
+    rows = list(zip(*(_tag_table(d)[p - 1] for p in cfg))) if cfg else [()] * len(marked)
+    for index in indices:
+        tags = rows[index]
         if None in tags:
             continue
         rpos = tuple(p for p, tag in zip(cfg, tags) if tag[0] == "R")
         stabiliser = _orbit_test(d, index, rpos)
         if stabiliser is not None:
-            yield index, tags, _joins(d, cfg, tags, stabiliser)
+            yield index, tags, _joins(marked[index][0], cfg, tags, stabiliser)
 
 
 _FACTORS: list[LocalFactor] = []  # factor id -> local factor
@@ -506,31 +527,107 @@ def _joined_twin(label: int, partner: int) -> TwinTree:
     )
 
 
-def _factor_ids(elevators: tuple, tags: tuple, joins: tuple) -> tuple[int, ...]:
+_R = ("R",)
+
+
+def _pair_class(tag: tuple) -> tuple:
+    """What a classified pair's tag contributes to the local factors:
+    ``("A", "elev", w)`` or ``("A", "end", 1)`` for type A on an elevator
+    of weight w or on a down end, ``("T",)`` for a twin, ``("R",)``."""
+    if tag[0] == "A":
+        return ("A", tag[1][0], tag[2])
+    return (tag[0],) if tag[0] == "T" else _R
+
+
+def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
+    return tuple(sorted(w for _lo, _hi, w in diagram.elevators))
+
+
+@cache
+def _factor_ids(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tuple[int, ...]:
     """Ids of a merged diagram's local factors in a canonical order, so
     that equal multisets give equal tuples whatever order the ids were
     interned in: one factor per fused pair in label order (a joined pair
     once, at its elevator pair), then the square of every elevator no
-    pair consumed, by weight.  Down ends contribute <1> and are left out."""
+    pair consumed, by weight.  ``weights`` are the diagram's elevator
+    weights, ``classes`` the ``_pair_class`` of each fused pair.  A type-A
+    pair on an elevator consumes that elevator; a joined pair consumes
+    its two weight-1 elevators.  Down ends contribute <1> and are left
+    out."""
     joined = dict(joins)
-    weights = [w for _lo, _hi, w in elevators]  # 0 once a pair consumes it
+    left = list(weights)
     out: list[int] = []
-    for j, (kind, obj, other) in enumerate(tags, start=1):
+    for j, (kind, *rest) in enumerate(classes, start=1):
         if kind == "A":
-            if obj[0] == "elev":
-                weights[obj[1]] = 0
-            out.append(_factor_id(TypeA, other, j))
+            on, w = rest
+            if on == "elev":
+                left.remove(w)
+            out.append(_factor_id(TypeA, w, j))
         elif kind == "T":
             out.append(_factor_id(_twin, j))
         elif j - 1 in joined:  # joins link two type-R pairs
-            for _elev, k in (obj, other):
-                if weights[k] != 1:
-                    raise ValueError("joined twin elevators must have weight 1")
-                weights[k] = 0
+            left.remove(1)
+            left.remove(1)
             out.append(_factor_id(_joined_twin, j, joined[j - 1] + 1))
         elif j - 1 not in joined.values():
             out.append(_factor_id(TypeR, j))
-    return (*out, *[_factor_id(ElevatorSquare, w) for w in sorted(weights) if w])
+    return (*out, *[_factor_id(ElevatorSquare, w) for w in sorted(left)])
+
+
+@cache
+def _class_table(d: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Row bitmasks over ``enumerate_diagrams(d)``, bit k for marked
+    diagram k, derived from ``_tag_table(d)``.
+
+    Returns ``(classes, fused_floors, descending, weights)``.  For pair
+    p, ``classes[p - 1]`` lists ``(pair class, rows)``; ``fused_floors[p - 1]``
+    holds the rows whose pair p is type R on two floor marks, which are
+    in no class; ``descending[p - 1]`` the rows whose pair p is type R on
+    two other marks in descending order.  ``weights`` lists ``(sorted
+    elevator weights, rows)``.  An unclassifiable pair is in no mask.
+    """
+    classes, fused_floors, descending = [], [], []
+    for column in _tag_table(d):
+        rows: dict[tuple, list[int]] = {}
+        floors, down = [], []
+        for k, tag in enumerate(column):
+            if tag is None:
+                continue
+            if tag[0] == "R" and tag[1][0] == tag[2][0] == "floor":
+                floors.append(k)
+                continue
+            if tag[0] == "R" and tag[2] < tag[1]:
+                down.append(k)
+            rows.setdefault(_pair_class(tag), []).append(k)
+        classes.append(tuple((cls, _mask(ks)) for cls, ks in rows.items()))
+        fused_floors.append(_mask(floors))
+        descending.append(_mask(down))
+    weights: dict[tuple, list[int]] = {}
+    for k, (diagram, _marking) in enumerate(enumerate_diagrams(d)):
+        weights.setdefault(_weights(diagram), []).append(k)
+    return (
+        tuple(classes),
+        tuple(fused_floors),
+        tuple(descending),
+        tuple((w, _mask(ks)) for w, ks in weights.items()),
+    )
+
+
+def _mask(indices: list[int]) -> int:
+    """The int with exactly the bits ``indices`` set (ascending)."""
+    buf = bytearray(indices[-1] // 8 + 1 if indices else 0)
+    for k in indices:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, ascending."""
+    text = bin(mask)[:1:-1]  # bit k at text[k]
+    k = text.find("1")
+    while k >= 0:
+        yield k
+        k = text.find("1", k + 1)
 
 
 @dataclass(frozen=True)
@@ -547,7 +644,8 @@ class MergedDiagram:
 
     def factors(self) -> tuple[LocalFactor, ...]:
         """The local factors in the canonical order of ``_factor_ids``."""
-        ids = _factor_ids(self.diagram.elevators, self.tags, self.joins)
+        classes = tuple(map(_pair_class, self.tags))
+        ids = _factor_ids(_weights(self.diagram), classes, self.joins)
         return tuple(_FACTORS[i] for i in ids)
 
     def multiplicity(self) -> TildeElement:
@@ -625,7 +723,7 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
     marked = enumerate_diagrams(d)
     out = [
         MergedDiagram(*marked[index], cfg, tags, joins)
-        for index, tags, joins in _orbit_minima(d, cfg)
+        for index, tags, joins in _orbit_minima(d, cfg, range(len(marked)))
     ]
     out.sort(key=lambda m: (m.diagram.elevators, m.marking))
     return tuple(out)
@@ -640,7 +738,8 @@ def _multiset_product(factor_value, nvars: int, multiset: tuple):
     """Product of ``factor_value(f, nvars)`` over a canonical factor-id tuple.
 
     Cached across configurations: at degree 4 with s <= 3 the 18,859
-    merged diagrams carry only 268 distinct (s, multiset) pairs.  The
+    orbits carry only 268 distinct (s, multiset) pairs, so each product
+    is multiplied out once and then scaled by its orbit count.  The
     product starts at <1>, because the degree-1 diagram has no factor.
     """
     one = factor_value(UnitEnd(), nvars)
@@ -649,13 +748,45 @@ def _multiset_product(factor_value, nvars: int, multiset: tuple):
 
 @cache
 def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
-    """How often each factor-id tuple occurs among the merged diagrams of
-    a valid configuration; no ``MergedDiagram`` is built."""
+    """How often each factor-id tuple occurs among the merged diagrams
+    (the orbits) of a valid configuration, counted by orbit weights (see
+    the module docstring); no ``MergedDiagram`` is built.
+
+    A depth-first walk over the positions ANDs the class masks of
+    ``_class_table``, so each leaf holds the rows of one class tuple, and
+    its rows of one elevator-weight tuple share one factor tuple.  The
+    rows that fuse two floors take ``_orbit_minima`` instead.
+    """
+    classes, fused_floors, descending, weights = _class_table(d)
+    counts: Counter = Counter()
+
+    def walk(i: int, rows: int, chosen: tuple, r: int):
+        if i < len(cfg):
+            for cls, mask in classes[cfg[i] - 1]:
+                if sub := rows & mask:
+                    walk(i + 1, sub, (*chosen, cls), r + (cls == _R))
+            return
+        for w, mask in weights:
+            n = (rows & mask).bit_count()
+            if n % (1 << r):
+                raise RuntimeError(
+                    f"configuration {cfg}: {n} marked diagrams with pair "
+                    f"classes {chosen} and elevator weights {w} are not a "
+                    f"whole number of orbits of size {1 << r}"
+                )
+            if n:
+                counts[_factor_ids(w, chosen, ())] += n >> r
+
     marked = enumerate_diagrams(d)
-    return Counter(
-        _factor_ids(marked[index][0].elevators, tags, joins)
-        for index, tags, joins in _orbit_minima(d, cfg)
-    )
+    walk(0, (1 << len(marked)) - 1, (), 0)
+    # A descending pair of non-floor marks rules out an orbit minimum
+    # (see ``_orbit_test``), so those rows need no visit.
+    visit = reduce(or_, (fused_floors[p - 1] for p in cfg), 0)
+    visit &= ~reduce(or_, (descending[p - 1] for p in cfg), 0)
+    for index, tags, joins in _orbit_minima(d, cfg, _bits(visit)):
+        pair_classes = tuple(map(_pair_class, tags))
+        counts[_factor_ids(_weights(marked[index][0]), pair_classes, joins)] += 1
+    return counts
 
 
 def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):

@@ -48,14 +48,13 @@ from .univ import (
 SCHEMA_VERSION = "gwfloor/1"
 
 # One order per pair of square bits of -1 and 2: the image of a class over
-# F_q depends on nothing else (q = 5, 7, 3, 1 mod 8 in turn).
+# F_q depends on nothing else (q = 5, 7, 3, 1 mod 8 in turn).  Both the
+# field sweep and the witness check evaluate over these fields.
 SWEEP_FQ_ORDERS = (5, 7, 11, 17)
-WITNESS_FQ_ORDERS = (5, 7, 11)
 
 # The models of every sweep, built once.
 _REAL = RealField()
 _SWEEP_FQ = tuple(map(finite_field, SWEEP_FQ_ORDERS))
-_WITNESS_FQ = tuple(map(finite_field, WITNESS_FQ_ORDERS))
 _CLOSED = ClosedField()
 
 
@@ -264,7 +263,7 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     witnesses_zero = all(
         model.evaluate(w.coeffs, flips).is_zero()
         for w in witnesses
-        for model in _WITNESS_FQ
+        for model in _SWEEP_FQ
         for flips in range(1 << s)
     )
     reconstruction = (

@@ -1,18 +1,21 @@
 """Floor diagrams, merge configurations, counts, and dissolution."""
 
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 
-from gwfloor import checks
+from gwfloor import checks, diagrams
 from gwfloor.diagrams import (
     _FACTORS,
     FloorDiagram,
     UnsupportedShapeError,
     _apply_swaps,
+    _class_table,
     _factor_id,
+    _factor_ids,
     _factor_multisets,
     _multiset_product,
     _orbit_test,
@@ -32,7 +35,7 @@ from gwfloor.diagrams import (
     unit_shifts,
 )
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
-from gwfloor.local_factors import UnitEnd
+from gwfloor.local_factors import UnitEnd, residual_factor
 from gwfloor.univ import (
     UNIV_H,
     UNIV_ONE,
@@ -191,6 +194,42 @@ class TestCounts:
             )
 
 
+class TestWelschinger:
+    """The all-negative real signature is the Welschinger invariant W_{d,s}
+    tabulated in ``checks.WELSCHINGER``."""
+
+    @pytest.mark.parametrize(
+        "s, value, unsupported",
+        [
+            (0, 240, ""),
+            (1, 144, ""),
+            (2, 80, ""),
+            (3, 40, ""),
+            (4, 16, "; 1 unsupported: (1, 3, 5, 7)"),
+            (5, 0, "; 2 unsupported: (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)"),
+        ],
+    )
+    def test_degree_four(self, s, value, unsupported):
+        """Every supported configuration at d = 4 has the tabulated
+        signature; the unsupported ones are named, never counted."""
+        assert checks.WELSCHINGER[4][s] == value
+        assert checks._check_signature_invariance(4, s) == (
+            True,
+            f"common signature {value}{unsupported}",
+        )
+
+    def test_table_covers_every_pair_count(self):
+        for d, values in checks.WELSCHINGER.items():
+            assert len(values) == (3 * d - 1) // 2 + 1, d
+
+    def test_wrong_value_names_expected_and_measured(self, monkeypatch):
+        monkeypatch.setitem(checks.WELSCHINGER, 3, (8, 6, 5, 2, 0))
+        assert checks._check_signature_invariance(3, 2) == (
+            False,
+            "expected Welschinger invariant 5, got signature 4",
+        )
+
+
 class TestMultisetMemo:
     """floor_count and floor_count_residual multiply each distinct factor
     multiset once; they must equal the naive per-diagram sums."""
@@ -233,22 +272,83 @@ class TestMultisetMemo:
             assert all(len(tuples) == 1 for tuples in orders.values()), (d, cfg)
 
     def test_factor_ids_match_factors(self):
-        """The id tuples counted from the orbit-minimum generator are the
-        factor tuples of the merged diagrams, with the same multiplicities,
-        on every supported configuration at d = 4."""
+        """The id tuples counted by orbit weights are the factor tuples of
+        the merged diagrams (the orbit minima), with the same
+        multiplicities, on every supported configuration at d <= 4."""
         supported = joined = 0
         for d, cfg in _all_configs(4):
-            if d < 4 or cfg[:4] == (1, 3, 5, 7):
+            if (d, cfg[:4]) == (4, (1, 3, 5, 7)):
                 continue
             merged = enumerate_merged_diagrams(d, cfg)
             by_ids = Counter()
             for ids, n in _factor_multisets(d, cfg).items():
                 by_ids[tuple(_FACTORS[i] for i in ids)] += n
-            assert by_ids == Counter(m.factors() for m in merged), cfg
-            assert len(by_ids) == len(_factor_multisets(d, cfg)), cfg
+            assert by_ids == Counter(m.factors() for m in merged), (d, cfg)
+            assert len(by_ids) == len(_factor_multisets(d, cfg)), (d, cfg)
             supported += 1
             joined += sum(1 for m in merged if m.joins)
-        assert (supported, joined) == (141, 409)
+        assert (supported, joined) == (185, 414)
+
+    def test_counts_match_orbit_minima_everywhere(self):
+        """floor_count and floor_count_residual equal the sums over the
+        orbit minima of enumerate_merged_diagrams on every configuration
+        at d <= 4, and the unsupported ones raise the oracle's message."""
+        products = {}
+
+        def oracle(merged, nvars, value, zero):
+            total = zero(nvars)
+            for factors, n in Counter(m.factors() for m in merged).items():
+                key = (value, nvars, factors)
+                if key not in products:
+                    products[key] = reduce(
+                        mul, (value(f, nvars) for f in factors), value(UnitEnd(), nvars)
+                    )
+                total = total + products[key] * n
+            return total
+
+        unsupported = []
+        for d, cfg in _all_configs(4):
+            try:
+                merged = enumerate_merged_diagrams(d, cfg)
+            except UnsupportedShapeError as exc:
+                for count in (floor_count, floor_count_residual):
+                    with pytest.raises(UnsupportedShapeError) as raised:
+                        count(d, cfg)
+                    assert str(raised.value) == str(exc)
+                unsupported.append((cfg, str(exc)))
+                continue
+            s = len(cfg)
+            exact = oracle(merged, s, lambda f, n: f.evaluate(n), TildeElement.zero)
+            residual = oracle(merged, s, residual_factor, ResidualTilde.zero)
+            assert floor_count(d, cfg) == exact, (d, cfg)
+            assert floor_count_residual(d, cfg) == residual, (d, cfg)
+        message = "unsupported twin interaction between fused pairs [1, 3, 5, 7] (degree 4)"
+        assert unsupported == [
+            ((1, 3, 5, 7), message),
+            ((1, 3, 5, 7, 9), message),
+            ((1, 3, 5, 7, 10), message),
+        ]
+
+    def test_orbit_weights_must_divide(self, monkeypatch):
+        """A leaf whose row count is not a whole number of orbits raises
+        and names the configuration: drop one row from an R-class mask."""
+        classes, *rest = _class_table(3)
+        column = 6 - 1
+        classes = list(classes)
+        classes[column] = tuple(
+            (cls, mask & (mask - 1) if cls == ("R",) else mask)
+            for cls, mask in classes[column]
+        )
+        corrupt = (tuple(classes), *rest)
+        monkeypatch.setattr(diagrams, "_class_table", lambda d: corrupt)
+        _clear_caches()
+        try:
+            with pytest.raises(RuntimeError, match=r"configuration \(6,\): .*\('R',\)"):
+                floor_count(3, (6,))
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        assert floor_count(3, (6,)).rank == 12
 
     def test_counts_survive_cold_caches_in_any_order(self):
         configs = [
@@ -280,13 +380,15 @@ class TestMultisetMemo:
 
 
 def _clear_caches():
-    """Empty every cache behind the counts: the tag tables, the orbit
-    memo, the factor-id table, the multiset counts and products, and the
-    memoised results."""
+    """Empty every cache behind the counts: the tag and class tables, the
+    orbit memo, the factor-id tables, the multiset counts and products,
+    and the memoised results."""
     for fn in (
         _tag_table,
+        _class_table,
         _orbit_test,
         _factor_id,
+        _factor_ids,
         _factor_multisets,
         _multiset_product,
         enumerate_merged_diagrams,
@@ -359,6 +461,33 @@ class TestOrbitMinima:
             kept = [(m.diagram.elevators, m.marking) for m in merged]
             minima = {min(encodings) for encodings in _orbits(d, cfg)}
             assert kept == sorted(minima), (d, cfg)
+
+    def test_orbit_test_matches_full_search(self):
+        """The orbit test's shortcuts (a descending non-floor pair; only
+        sets with a floor relabeling searched) agree with comparing every
+        alternate encoding."""
+        for d, cfg in _all_configs(4):
+            for index, (diagram, marking) in enumerate(enumerate_diagrams(d)):
+                tags = [classify_pair(diagram, marking, p) for p in cfg]
+                if None in tags:
+                    continue
+                rpos = tuple(p for p, tag in zip(cfg, tags) if tag[0] == "R")
+                own = (diagram.elevators, marking)
+                keys = {
+                    chosen: _apply_swaps(diagram.elevators, marking, rpos, chosen)
+                    for size in range(1, len(rpos) + 1)
+                    for chosen in combinations(range(len(rpos)), size)
+                }
+                if any(key < own for key in keys.values()):
+                    expected = None
+                else:
+                    expected = {
+                        tuple(rpos[b] for b in chosen)
+                        for chosen, key in keys.items()
+                        if key == own
+                    }
+                got = _orbit_test(d, index, rpos)
+                assert (got if got is None else set(got)) == expected, (d, cfg, index)
 
 
 class TestMergedJson:
