@@ -17,14 +17,9 @@ import sys
 
 from .checks import SUITE_NAMES, run_suite
 from .diagrams import enumerate_merged_diagrams, floor_count, is_merge_config
-from .fields import ClosedField, FiniteField, RealField, specialize_field
+from .fields import ClosedField, RealField, finite_field, specialize_field
 from .springer import MAX_TOWER_VARS, form_report, pfister_concrete
-from .wallcross import (
-    SCHEMA_VERSION,
-    describe_assign,
-    pfister_element,
-    wallcross_report,
-)
+from .wallcross import SCHEMA_VERSION, pfister_element, wallcross_report
 
 _DEFAULT_BUDGET = 4
 
@@ -190,7 +185,7 @@ def _cmd_count(args):
         assign = _parse_signs(args.signs if args.signs is not None else "+" * s, s)
         model = RealField()
         image = specialize_field(value, model, assign)
-        doc["signs"] = describe_assign(model, assign)
+        doc["signs"] = model.describe_assign(assign)
         doc["signature"] = image.sig
         lines.append(f"  signs {doc['signs'] or '-'} rank {image.rank} signature {image.sig}")
     elif args.field == "closed":
@@ -199,12 +194,12 @@ def _cmd_count(args):
         lines.append(f"  rank {image.rank}")
     elif args.field.startswith("fq:") and args.field[3:].isdigit():
         q = int(args.field[3:])
-        model = FiniteField(q)
+        model = finite_field(q)
         assign = _parse_square_bits(
             args.assign if args.assign is not None else "/".join(["sq"] * s), s
         )
         image = specialize_field(value, model, assign)
-        doc["assign"] = describe_assign(model, assign)
+        doc["assign"] = model.describe_assign(assign)
         doc["disc"] = image.disc
         lines.append(f"  q={q} assign {doc['assign'] or '-'} rank {image.rank} disc bit {image.disc}")
     else:

@@ -10,10 +10,12 @@ Three concrete targets are supported.
   disc(ab) = rank(b)*disc(a) + rank(a)*disc(b) mod 2.
 * ``ClosedField``: rank only, the quadratically closed case.
 
-``specialize_field`` pushes a multi-affine element through a model, given
-one unit square class per variable.  Assignments must be units: for the
-real model a sign (+1 or -1), for a finite field a square/nonsquare bit
-(0 or 1), and the closed model ignores the value.
+Each model owns its assignments: ``values`` are one variable's unit
+values in sweep order (real: the signs 1, -1; F_q: the square bits 0, 1;
+closed: 0, a value it ignores), and ``describe_assign`` names an
+assignment ("+-", "sq/ns", "").  ``specialize_field`` pushes a universal
+or multi-affine element through a model; it is the one entry point that
+validates a dict assignment.
 
 Every variable maps to a rank-one class, so the image of an element is a
 pair of integers read off its terms in one pass.  An assignment is a flip
@@ -26,9 +28,10 @@ With c a term's coefficient and k its monomial mask,
   disc(c) ^ (rank(c) & 1 & parity of popcount(k & mask));
 * closed: rank = sum rank(c).
 
-``evaluate`` is that pass; each model's ``flip`` validates one assigned
-value and gives its bit of the mask.  ``finite_field(q)`` shares one model
-per order among all callers.
+``evaluate`` is that pass, and a universal element is the coefficient of
+the empty monomial; each model's ``flip`` validates one assigned value
+and gives its bit of the mask.  ``finite_field(q)`` shares one model per
+order among all callers.
 """
 
 from __future__ import annotations
@@ -100,23 +103,12 @@ class ClosedClass:
 
 
 class RealField:
-    def zero(self) -> RealClass:
-        return RealClass(0, 0)
-
-    def one(self) -> RealClass:
-        return RealClass(1, 1)
-
-    def from_univ(self, u: UnivElement) -> RealClass:
-        # <1> -> (1,1), h -> (2,0), <2> -> (1,1).
-        return self.evaluate({0: u}, 0)
+    values = (1, -1)
 
     def flip(self, value) -> int:
         if value not in (1, -1):
             raise ValueError(f"real assignment must be a sign, got {value!r}")
         return 1 if value == -1 else 0
-
-    def variable_class(self, value) -> RealClass:
-        return RealClass(1, -1 if self.flip(value) else 1)
 
     def evaluate(self, coeffs, negative: int) -> RealClass:
         """Image of the multi-affine element with these coefficients, the
@@ -133,8 +125,13 @@ class RealField:
     def describe(self) -> str:
         return "real"
 
+    def describe_assign(self, assign: dict) -> str:
+        return "".join("+" if assign[l] == 1 else "-" for l in sorted(assign))
+
 
 class FiniteField:
+    values = (0, 1)
+
     def __init__(self, q: int):
         p, k = factor_prime_power(q)
         if p == 2 or q <= 3:
@@ -153,24 +150,12 @@ class FiniteField:
         # when it is a square mod p or the extension degree is even.
         return self.k % 2 == 0 or legendre_is_square(a, self.p)
 
-    def zero(self) -> FqClass:
-        return FqClass(0, 0)
-
-    def one(self) -> FqClass:
-        return FqClass(1, 0)
-
-    def from_univ(self, u: UnivElement) -> FqClass:
-        return self.evaluate({0: u}, 0)
-
     def flip(self, value) -> int:
         if value not in (0, 1):
             raise ValueError(
                 f"finite-field assignment must be a square bit (0 or 1), got {value!r}"
             )
         return value
-
-    def variable_class(self, value) -> FqClass:
-        return FqClass(1, self.flip(value))
 
     def evaluate(self, coeffs, nonsquare: int) -> FqClass:
         """Image of the multi-affine element with these coefficients, the
@@ -188,6 +173,9 @@ class FiniteField:
     def describe(self) -> str:
         return f"fq:{self.q}"
 
+    def describe_assign(self, assign: dict) -> str:
+        return "/".join("sq" if assign[l] == 0 else "ns" for l in sorted(assign))
+
 
 @cache
 def finite_field(q: int) -> FiniteField:
@@ -196,20 +184,10 @@ def finite_field(q: int) -> FiniteField:
 
 
 class ClosedField:
-    def zero(self) -> ClosedClass:
-        return ClosedClass(0)
-
-    def one(self) -> ClosedClass:
-        return ClosedClass(1)
-
-    def from_univ(self, u: UnivElement) -> ClosedClass:
-        return self.evaluate({0: u}, 0)
+    values = (0,)
 
     def flip(self, value) -> int:
         return 0
-
-    def variable_class(self, value) -> ClosedClass:
-        return ClosedClass(1)
 
     def evaluate(self, coeffs, flips: int) -> ClosedClass:
         """Image of the multi-affine element with these coefficients; every
@@ -218,6 +196,9 @@ class ClosedField:
 
     def describe(self) -> str:
         return "closed"
+
+    def describe_assign(self, assign: dict) -> str:
+        return ""
 
 
 def specialize_field(e, model, assign: dict | None = None):
@@ -228,7 +209,7 @@ def specialize_field(e, model, assign: dict | None = None):
     assigned; assigning a non-unit raises ValueError.
     """
     if isinstance(e, UnivElement):
-        return model.from_univ(e)
+        return model.evaluate({0: e}, 0)
     if not isinstance(e, TildeElement):
         raise TypeError(f"cannot specialize {type(e).__name__}")
     assign = assign or {}

@@ -11,14 +11,19 @@ The hyperbolic reduction imposes <g> + <-g> = h for every class g, where
 h = <1> + <-1>.  Every monomial containing the -1 bit rewrites as
 h - <positive part>, leaving a free module on {h} together with the
 monomials not involving -1.  Products follow from h*<g> = h and h*h = 2h.
+
+The raw constructors at the end (``m_a1_raw``, ``gamma_hat_raw``,
+``type_a_closed_raw``, ``elevator_square_closed_raw``) rebuild the local
+factors symbol by symbol in the reduced ring: an oracle for their closed
+forms, which the identity suite checks for every m up to 60.  The count
+path never imports this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .intmath import squarefree_split
+from .intmath import odd_primes_up_to, squarefree_split
 from .univ import UnivElement
 
 
@@ -282,3 +287,75 @@ def hyp_univ_reduce(e: GroupRingElement) -> HypUnivElement:
         else:
             coeffs[mask] = coeffs.get(mask, 0) + c
     return HypUnivElement(e.carrier, hcoeff, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Raw symbol-by-symbol constructions
+# ---------------------------------------------------------------------------
+
+
+def carrier_for(max_m: int, formal: tuple[str, ...] = ()) -> SquareClassCarrier:
+    """Carrier large enough for every symbol appearing up to weight max_m."""
+    return SquareClassCarrier(odd_primes_up_to(max(max_m, 3)), formal)
+
+
+def m_a1_raw(m: int, carrier: SquareClassCarrier) -> HypUnivElement:
+    """The rank-m class counting an m-fold cover: <m> + ((m-1)//2) h for
+    odd m, (m//2) h for even m."""
+    if m < 1:
+        raise ValueError("weight must be positive")
+    if m % 2:
+        return HypUnivElement.of_int(carrier, m) + HypUnivElement.h(carrier, (m - 1) // 2)
+    return HypUnivElement.h(carrier, m // 2)
+
+
+def gamma_hat_raw(
+    m: int, carrier: SquareClassCarrier, d_symbol: str | None = None
+) -> HypUnivElement:
+    """Vertex correction factor of weight m with parameter square class d.
+
+    ``d_symbol`` names a formal generator of the carrier standing for d;
+    None means d = 1.  Rank is m in every case.
+    """
+    if m < 1:
+        raise ValueError("weight must be positive")
+    dbit = carrier.bit(d_symbol) if d_symbol is not None else 0
+
+    def sym(n: int, extra_bit: int = 0, coeff: int = 1) -> HypUnivElement:
+        return HypUnivElement.symbol(carrier, carrier.class_of_int(n) ^ extra_bit, coeff)
+
+    if m % 2:
+        c = (m - 1) // 2
+        return sym(m) + sym(2 * m, 0, c) + sym(-2 * m, dbit, c)
+    if m % 4 == 0:
+        c = m // 4
+        return sym(2 * m, 0, c) + sym(-2 * m, dbit, c) + HypUnivElement.h(carrier, c)
+    c = (m - 2) // 4
+    return (
+        sym(1)
+        + sym(-1, dbit)
+        + sym(2 * m, 0, c)
+        + sym(-2 * m, dbit, c)
+        + HypUnivElement.h(carrier, c)
+    )
+
+
+def type_a_closed_raw(
+    m: int, carrier: SquareClassCarrier, d_symbol: str | None = None
+) -> HypUnivElement:
+    """Closed form of gamma_hat * m_a1 stated directly in the carrier."""
+    if m % 2 == 0:
+        return HypUnivElement.h(carrier, m * m // 2)
+    dbit = carrier.bit(d_symbol) if d_symbol is not None else 0
+    c = (m - 1) // 2
+    two = carrier.bit("2")
+    out = HypUnivElement.symbol(carrier, 0)
+    out = out + HypUnivElement.symbol(carrier, two, c)
+    out = out + HypUnivElement.symbol(carrier, 1 ^ two ^ dbit, c)
+    return out + HypUnivElement.h(carrier, m * (m - 1) // 2)
+
+
+def elevator_square_closed_raw(m: int, carrier: SquareClassCarrier) -> HypUnivElement:
+    if m % 2:
+        return HypUnivElement.symbol(carrier, 0) + HypUnivElement.h(carrier, (m * m - 1) // 2)
+    return HypUnivElement.h(carrier, m * m // 2)

@@ -20,10 +20,8 @@ parameter x_j.  Writing m for a weight and c = (m-1)//2:
   <2**(t-1)> times the sum of x_I over subsets I of the tree's labels
   with |I| congruent to m_circ mod 2.
 
-The raw constructors (``m_a1_raw``, ``gamma_hat_raw``) build the same
-quantities symbol by symbol inside a hyperbolically reduced group ring so
-that the closed forms above can be re-derived rather than assumed; the
-identity suite multiplies them out for every m up to 60.
+The raw constructors of ``group_ring`` re-derive these closed forms
+symbol by symbol, as an oracle the identity suite checks them against.
 
 ``residual_factor`` reimplements each factor directly in the residual
 quotient (coefficients mod 2, h killed) without going through the exact
@@ -35,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .group_ring import HypUnivElement, SquareClassCarrier
 from .univ import (
     RES_EPS,
     RES_ONE,
@@ -251,77 +248,3 @@ def residual_factor(f: LocalFactor, nvars: int) -> ResidualTilde:
     if isinstance(f, UnitEnd):
         return one
     raise TypeError(f"unknown factor {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Raw symbol-by-symbol constructions
-# ---------------------------------------------------------------------------
-
-
-def carrier_for(max_m: int, formal: tuple[str, ...] = ()) -> SquareClassCarrier:
-    """Carrier large enough for every symbol appearing up to weight max_m."""
-    from .intmath import odd_primes_up_to
-
-    return SquareClassCarrier(odd_primes_up_to(max(max_m, 3)), formal)
-
-
-def m_a1_raw(m: int, carrier: SquareClassCarrier) -> HypUnivElement:
-    """The rank-m class counting an m-fold cover: <m> + ((m-1)//2) h for
-    odd m, (m//2) h for even m."""
-    if m < 1:
-        raise ValueError("weight must be positive")
-    if m % 2:
-        return HypUnivElement.of_int(carrier, m) + HypUnivElement.h(carrier, (m - 1) // 2)
-    return HypUnivElement.h(carrier, m // 2)
-
-
-def gamma_hat_raw(
-    m: int, carrier: SquareClassCarrier, d_symbol: str | None = None
-) -> HypUnivElement:
-    """Vertex correction factor of weight m with parameter square class d.
-
-    ``d_symbol`` names a formal generator of the carrier standing for d;
-    None means d = 1.  Rank is m in every case.
-    """
-    if m < 1:
-        raise ValueError("weight must be positive")
-    dbit = carrier.bit(d_symbol) if d_symbol is not None else 0
-
-    def sym(n: int, extra_bit: int = 0, coeff: int = 1) -> HypUnivElement:
-        return HypUnivElement.symbol(carrier, carrier.class_of_int(n) ^ extra_bit, coeff)
-
-    if m % 2:
-        c = (m - 1) // 2
-        return sym(m) + sym(2 * m, 0, c) + sym(-2 * m, dbit, c)
-    if m % 4 == 0:
-        c = m // 4
-        return sym(2 * m, 0, c) + sym(-2 * m, dbit, c) + HypUnivElement.h(carrier, c)
-    c = (m - 2) // 4
-    return (
-        sym(1)
-        + sym(-1, dbit)
-        + sym(2 * m, 0, c)
-        + sym(-2 * m, dbit, c)
-        + HypUnivElement.h(carrier, c)
-    )
-
-
-def type_a_closed_raw(
-    m: int, carrier: SquareClassCarrier, d_symbol: str | None = None
-) -> HypUnivElement:
-    """Closed form of gamma_hat * m_a1 stated directly in the carrier."""
-    if m % 2 == 0:
-        return HypUnivElement.h(carrier, m * m // 2)
-    dbit = carrier.bit(d_symbol) if d_symbol is not None else 0
-    c = (m - 1) // 2
-    two = carrier.bit("2")
-    out = HypUnivElement.symbol(carrier, 0)
-    out = out + HypUnivElement.symbol(carrier, two, c)
-    out = out + HypUnivElement.symbol(carrier, 1 ^ two ^ dbit, c)
-    return out + HypUnivElement.h(carrier, m * (m - 1) // 2)
-
-
-def elevator_square_closed_raw(m: int, carrier: SquareClassCarrier) -> HypUnivElement:
-    if m % 2:
-        return HypUnivElement.symbol(carrier, 0) + HypUnivElement.h(carrier, (m * m - 1) // 2)
-    return HypUnivElement.h(carrier, m * m // 2)

@@ -25,12 +25,13 @@ import itertools
 from dataclasses import dataclass
 
 from .diagrams import (
+    UnsupportedShapeError,
     enumerate_merge_configs,
     floor_count,
     floor_count_residual,
     unit_shifts,
 )
-from .fields import ClosedField, FiniteField, RealField, finite_field
+from .fields import ClosedField, RealField, finite_field
 from .univ import (
     UNIV_ONE,
     UNIV_TWO,
@@ -112,38 +113,19 @@ def extract_universal_coefficient(
 # ---------------------------------------------------------------------------
 
 
-def describe_assign(model, assign: dict) -> str:
-    """Stable string form of an assignment for report output."""
-    labels = sorted(assign)
-    if isinstance(model, RealField):
-        return "".join("+" if assign[l] == 1 else "-" for l in labels)
-    if isinstance(model, FiniteField):
-        return "/".join("sq" if assign[l] == 0 else "ns" for l in labels)
-    return ""
-
-
-def _entries(model, assignments) -> list[tuple]:
-    return [
-        (
-            model,
-            tuple(assign.items()),
-            sum(model.flip(value) << (label - 1) for label, value in assign.items()),
-            model.describe(),
-            describe_assign(model, assign),
-        )
-        for assign in assignments
-    ]
-
-
 @functools.cache
 def _sweep(s: int) -> tuple[tuple, ...]:
     """The entries of ``default_field_sweep(s)``, built once per s.  Each is
     (model, assignment as (label, value) pairs, the assignment's flip mask
     for ``model.evaluate``, model name, assignment name)."""
-    entries = _entries(_REAL, _all_assignments(s, (1, -1)))
-    for model in _SWEEP_FQ:
-        entries += _entries(model, _all_assignments(s, (0, 1)))
-    entries += _entries(_CLOSED, [{l: 0 for l in range(1, s + 1)}])
+    entries = []
+    for model in (_REAL, *_SWEEP_FQ, _CLOSED):
+        for pattern in itertools.product(model.values, repeat=s):
+            assign = dict(zip(range(1, s + 1), pattern))
+            flips = sum(model.flip(value) << i for i, value in enumerate(pattern))
+            entries.append(
+                (model, tuple(assign.items()), flips, model.describe(), model.describe_assign(assign))
+            )
     return tuple(entries)
 
 
@@ -235,11 +217,6 @@ class WallCrossReport:
             "checks": checks,
             "passed": self.passed,
         }
-
-
-def _all_assignments(s: int, values: tuple[int, ...]):
-    for pattern in itertools.product(values, repeat=s):
-        yield dict(zip(range(1, s + 1), pattern))
 
 
 def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
@@ -344,6 +321,8 @@ class ResidualReport:
     top: ResidualElement
     base_zero: bool | None
     transfers: tuple[TransferCheck, ...]
+    # transfer targets whose counts are unsupported, left out of transfers
+    unsupported: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
 
     @property
     def s(self) -> int:
@@ -388,21 +367,24 @@ def _unit_shift_pairs(n: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int,
 
 
 @functools.cache
-def _transfer_targets(d: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Each unit-shift pair with s pairs at degree d, with the <2>-parity of
-    its delta's top coefficient: the right side of the transfer congruence
-    for every source with s + 1 pairs.  An unsupported target raises, and
-    nothing is cached."""
+def _transfer_targets(d: int, s: int):
+    """Each supported unit-shift pair with s pairs at degree d, with the
+    <2>-parity of its delta's top coefficient: the right side of the
+    transfer congruence for every source with s + 1 pairs.  The pairs whose
+    counts raise ``UnsupportedShapeError`` are set aside and returned as
+    the second item."""
     targets = []
-    for target_from, target_to in _unit_shift_pairs(3 * d - 1, s):
-        # top_coefficient is linear: read the <2>-coordinate of the
-        # target's delta from the two counts, without the delta
-        target_n2 = (
-            top_coefficient(floor_count(d, target_from)).c2
-            - top_coefficient(floor_count(d, target_to)).c2
-        )
-        targets.append((target_from, target_to, target_n2 % 2))
-    return tuple(targets)
+    unsupported = []
+    for pair in _unit_shift_pairs(3 * d - 1, s):
+        try:
+            # top_coefficient is linear: read the <2>-coordinate of the
+            # target's delta from the two counts, without the delta
+            n2_from, n2_to = (top_coefficient(floor_count(d, cfg)).c2 for cfg in pair)
+        except UnsupportedShapeError:
+            unsupported.append(pair)
+            continue
+        targets.append((*pair, (n2_from - n2_to) % 2))
+    return tuple(targets), tuple(unsupported)
 
 
 def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
@@ -411,7 +393,8 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
     For a single pair (s = 1) the verdict records whether the <1>-parity
     of the top coefficient vanishes.  For s >= 2 the transfer congruence
     is evaluated against every unit-shift pair of the problem with one
-    pair dissolved.
+    pair dissolved; an unsupported target is set aside in ``unsupported``
+    and checks nothing.
     """
     cfg_from = tuple(cfg_from)
     cfg_to = tuple(cfg_to)
@@ -434,11 +417,12 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
 
     base_zero = (top.a == 0) if s == 1 else None
 
-    transfers = ()
+    transfers = unsupported = ()
     if s >= 2:
+        targets, unsupported = _transfer_targets(d, s - 1)
         transfers = tuple(
             TransferCheck(target_from, target_to, top.a, rhs)
-            for target_from, target_to, rhs in _transfer_targets(d, s - 1)
+            for target_from, target_to, rhs in targets
         )
 
     return ResidualReport(
@@ -449,4 +433,5 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
         top=top,
         base_zero=base_zero,
         transfers=transfers,
+        unsupported=unsupported,
     )

@@ -1,5 +1,6 @@
 """Field models and specialization of universal elements."""
 
+import functools
 import itertools
 
 import pytest
@@ -59,6 +60,16 @@ def symbol_images(model):
     return ClosedClass(1), ClosedClass(2), ClosedClass(1)
 
 
+def variable_image(model, value):
+    """Image of a variable assigned ``value``: the class of that sign (real),
+    the square class with that bit (F_q), or <1> (closed)."""
+    if isinstance(model, RealField):
+        return RealClass(1, value)
+    if isinstance(model, FiniteField):
+        return FqClass(1, value)
+    return ClosedClass(1)
+
+
 def scaled(n, c, zero):
     total = zero
     for _ in range(abs(n)):
@@ -70,12 +81,12 @@ def naive_specialize(e, model, assign):
     """The term-by-term class product: each coefficient's image, written
     from the symbol images, times the class of each of its variables."""
     one, h, two = symbol_images(model)
-    zero = model.zero()
+    zero = type(one)()
     total = zero
     for labels, c in e.terms():
         term = scaled(c.c1, one, zero) + scaled(c.ch, h, zero) + scaled(c.c2, two, zero)
         for label in labels:
-            term = term * model.variable_class(assign[label])
+            term = term * variable_image(model, assign[label])
         total = total + term
     return total
 
@@ -83,22 +94,21 @@ def naive_specialize(e, model, assign):
 class TestRealField:
     def test_symbol_images(self):
         model = RealField()
-        assert model.from_univ(UNIV_ONE) == RealClass(1, 1)
-        assert model.from_univ(UNIV_TWO) == RealClass(1, 1)
-        assert model.from_univ(UNIV_H) == RealClass(2, 0)
-        assert model.from_univ(UNIV_MINUS_ONE) == RealClass(1, -1)
-        assert model.from_univ(UNIV_MINUS_TWO) == RealClass(1, -1)
+        assert specialize_field(UNIV_ONE, model) == RealClass(1, 1)
+        assert specialize_field(UNIV_TWO, model) == RealClass(1, 1)
+        assert specialize_field(UNIV_H, model) == RealClass(2, 0)
+        assert specialize_field(UNIV_MINUS_ONE, model) == RealClass(1, -1)
+        assert specialize_field(UNIV_MINUS_TWO, model) == RealClass(1, -1)
 
     def test_sign_assignment_validation(self):
-        model = RealField()
-        with pytest.raises(ValueError):
-            model.variable_class(0)
+        with pytest.raises(ValueError, match="real assignment must be a sign, got 0"):
+            specialize_field(TildeElement.variable(1, 1), RealField(), {1: 0})
 
     @given(univ_elements, univ_elements)
     def test_ring_map(self, a, b):
-        model = RealField()
-        assert model.from_univ(a * b) == model.from_univ(a) * model.from_univ(b)
-        assert model.from_univ(a + b) == model.from_univ(a) + model.from_univ(b)
+        image = functools.partial(specialize_field, model=RealField())
+        assert image(a * b) == image(a) * image(b)
+        assert image(a + b) == image(a) + image(b)
 
 
 class TestFiniteField:
@@ -120,7 +130,7 @@ class TestFiniteField:
     def test_h_image(self):
         for q in (5, 7, 11, 13):
             model = FiniteField(q)
-            h = model.from_univ(UNIV_H)
+            h = specialize_field(UNIV_H, model)
             assert h.rank == 2
             # h = <1> + <-1> has discriminant class of -1.
             assert h.disc == model.bit_minus_one
@@ -128,24 +138,26 @@ class TestFiniteField:
     @given(univ_elements, univ_elements, st.sampled_from([5, 7, 11, 13, 17]))
     @settings(max_examples=60)
     def test_ring_map(self, a, b, q):
-        model = FiniteField(q)
-        assert model.from_univ(a * b) == model.from_univ(a) * model.from_univ(b)
-        assert model.from_univ(a + b) == model.from_univ(a) + model.from_univ(b)
+        image = functools.partial(specialize_field, model=FiniteField(q))
+        assert image(a * b) == image(a) * image(b)
+        assert image(a + b) == image(a) + image(b)
 
     def test_two_torsion_of_symbol_differences(self):
         for q in (5, 7, 11, 13):
             model = FiniteField(q)
             for bit in (0, 1):
                 a = FqClass(1, bit)
-                diff = a - model.from_univ(UNIV_TWO) * a
-                assert diff + diff == model.zero()
+                diff = a - specialize_field(UNIV_TWO, model) * a
+                assert diff + diff == FqClass(0, 0)
 
 
 class TestClosedField:
     def test_rank_only(self):
         model = ClosedField()
-        assert model.from_univ(UnivElement(3, 2, 1)).rank == 8
-        assert model.variable_class(123).rank == 1
+        assert specialize_field(UnivElement(3, 2, 1), model) == ClosedClass(8)
+        # every unit is a square, so the assigned value is never read
+        x = TildeElement.variable(1, 1)
+        assert specialize_field(x, model, {1: 123}) == ClosedClass(1)
 
 
 class TestSpecialize:

@@ -1,0 +1,46 @@
+"""Import structure of the package: private names and the import path."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gwfloor
+
+PACKAGE = Path(gwfloor.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    """No module reads a private name of another package module, neither
+    by ``from .x import _name`` nor as ``alias._name`` on a module alias."""
+    tree = ast.parse(path.read_text())
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gwfloor")):
+            for alias in node.names:
+                assert not alias.name.startswith("_"), f"{path.name} imports {alias.name}"
+                if node.module is None:
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            assert not (isinstance(node.value, ast.Name) and node.value.id in aliases), (
+                f"{path.name} reads {node.value.id}.{node.attr}"
+            )
+
+
+def test_import_leaves_group_ring_unloaded():
+    """The group-ring oracle is for the identity checks; ``import gwfloor``
+    and the count path do not load it."""
+    code = "import sys, gwfloor; print('gwfloor.group_ring' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    assert out == "False\n"

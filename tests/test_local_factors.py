@@ -4,6 +4,14 @@ import itertools
 
 import pytest
 
+from gwfloor.group_ring import (
+    HypUnivElement,
+    carrier_for,
+    elevator_square_closed_raw,
+    gamma_hat_raw,
+    m_a1_raw,
+    type_a_closed_raw,
+)
 from gwfloor.local_factors import (
     ElevatorSquare,
     TwinEdge,
@@ -12,15 +20,10 @@ from gwfloor.local_factors import (
     TypeA,
     TypeR,
     UnitEnd,
-    carrier_for,
     elevator_square,
-    elevator_square_closed_raw,
-    gamma_hat_raw,
-    m_a1_raw,
     residual_factor,
     twin_edge_factor,
     twin_tree_factor,
-    type_a_closed_raw,
     type_a_factor,
     type_r_factor,
 )
@@ -243,8 +246,6 @@ class TestCarrierRawForms:
     def test_formal_symbol_collapse_matches_trivial_pair(self, m):
         # Setting the formal symbol to the trivial square class must agree
         # with setting the pair variable to 1 in the diagram-level factor.
-        from gwfloor.group_ring import HypUnivElement
-
         carrier = carrier_for(m, ("d",))
         raw = type_a_closed_raw(m, carrier, "d")
         dbit = carrier.bit("d")

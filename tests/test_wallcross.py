@@ -24,7 +24,6 @@ from gwfloor.wallcross import (
     TransferCheck,
     default_field_sweep,
     delta_count,
-    describe_assign,
     extract_universal_coefficient,
     pfister_element,
     proof_cascade_order,
@@ -69,13 +68,7 @@ class TestPfister:
             doubled = e + e
             for model, assign in default_field_sweep(s):
                 if isinstance(model, (FiniteField, ClosedField)):
-                    assert specialize_field(doubled, model, assign) == (
-                        model.zero()
-                        if hasattr(model, "zero")
-                        else specialize_field(
-                            TildeElement.zero(s), model, assign
-                        )
-                    )
+                    assert specialize_field(doubled, model, assign).is_zero()
 
 
 class TestCascade:
@@ -130,9 +123,9 @@ class TestSweep:
         assert len(default_field_sweep(2)) == 4 + 16 + 1
 
     def test_describe(self):
-        assert describe_assign(RealField(), {1: 1, 2: -1}) == "+-"
-        assert describe_assign(FiniteField(5), {1: 0, 2: 1}) == "sq/ns"
-        assert describe_assign(ClosedField(), {1: 0}) == ""
+        assert RealField().describe_assign({1: 1, 2: -1}) == "+-"
+        assert FiniteField(5).describe_assign({1: 0, 2: 1}) == "sq/ns"
+        assert ClosedField().describe_assign({1: 0}) == ""
 
     def test_sweep_orders_have_distinct_square_bits(self):
         bits = {(FiniteField(q).bit_minus_one, FiniteField(q).bit_two) for q in SWEEP_FQ_ORDERS}
@@ -254,6 +247,21 @@ class TestWallcrossLevelCheck:
         assert not replace(report, witnesses_zero=False).passed
 
 
+class TestResidualCheck:
+    def test_no_supported_target_fails(self, monkeypatch):
+        def no_supported_target(d, cfg_from, cfg_to):
+            report = residual_report(d, cfg_from, cfg_to)
+            pairs = tuple((t.target_from, t.target_to) for t in report.transfers)
+            return replace(report, transfers=(), unsupported=pairs)
+
+        monkeypatch.setattr(checks, "residual_report", no_supported_target)
+        ok, detail = checks._check_residual(2, (1, 3), (1, 4))
+        assert not ok
+        assert detail == (
+            "0 dissolved targets; 3 unsupported: (1,) -> (2,), (2,) -> (3,), (3,) -> (4,)"
+        )
+
+
 class TestTransferCheck:
     def test_predicates(self):
         both = TransferCheck((1,), (2,), 0, 0)
@@ -306,16 +314,17 @@ class TestResidualReport:
             transfers = residual_report(d, cfg_from, cfg_to).transfers
             assert [(t.target_from, t.target_to) for t in transfers] == targets
 
-    def test_unsupported_target_raises_every_time(self):
+    def test_unsupported_target_is_set_aside(self):
         # The source is supported; its target (1,3,5,7) -> (1,3,5,8) is not.
+        bad = ((1, 3, 5, 7), (1, 3, 5, 8))
         shift = ((1, 3, 5, 8, 10), (1, 3, 6, 8, 10))
-        messages = []
         for _ in range(2):
-            with pytest.raises(UnsupportedShapeError) as exc:
-                residual_report(4, *shift)
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-        assert "[1, 3, 5, 7]" in messages[0]
+            report = residual_report(4, *shift)
+            assert report.unsupported == (bad,)
+            targets = [(t.target_from, t.target_to) for t in report.transfers]
+            assert targets == [pair for pair in unit_shift_pairs(11, 4) if pair != bad]
+            assert len(targets) == 59
+            assert report.top.a == 0 and report.passed
 
     def test_json_shape(self):
         doc = residual_report(2, (1,), (2,)).to_json()
