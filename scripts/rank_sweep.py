@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from gwfloor.checks import rank_specs, run_checks
-from gwfloor.diagrams import _MAX_DEGREE
+from gwfloor.diagrams import MAX_DEGREE
 
 
 def main(argv=None) -> int:
@@ -20,9 +20,9 @@ def main(argv=None) -> int:
     ap.add_argument("--max-degree", type=int, default=3)
     ap.add_argument("--max-pairs", type=int, default=2, help="pair-count cap from degree 4 on")
     args = ap.parse_args(argv)
-    if not 1 <= args.max_degree <= _MAX_DEGREE:
+    if not 1 <= args.max_degree <= MAX_DEGREE:
         print(
-            f"error: --max-degree must be in 1..{_MAX_DEGREE}, got {args.max_degree}",
+            f"error: --max-degree must be in 1..{MAX_DEGREE}, got {args.max_degree}",
             file=sys.stderr,
         )
         return 2

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from gwfloor.checks import run_checks, shift_level_specs, shift_levels
-from gwfloor.diagrams import _MAX_DEGREE
+from gwfloor.diagrams import MAX_DEGREE
 
 
 def main(argv=None) -> int:
@@ -25,9 +25,9 @@ def main(argv=None) -> int:
         degrees = [int(t) for t in args.degrees.split(",") if t]
     except ValueError:
         degrees = []
-    if not degrees or not all(2 <= d <= _MAX_DEGREE for d in degrees):
+    if not degrees or not all(2 <= d <= MAX_DEGREE for d in degrees):
         print(
-            f"error: --degrees must list degrees in 2..{_MAX_DEGREE}, got {args.degrees!r}",
+            f"error: --degrees must list degrees in 2..{MAX_DEGREE}, got {args.degrees!r}",
             file=sys.stderr,
         )
         return 2

@@ -30,13 +30,9 @@ from .fields import (
     specialize_field,
 )
 from .local_factors import (
-    ElevatorSquare,
-    TwinTree,
     TwinTreeDescriptor,
-    TypeA,
-    TypeR,
-    UnitEnd,
     elevator_square,
+    factor_value,
     residual_factor,
     twin_tree_factor,
     type_a_factor,
@@ -88,13 +84,9 @@ __all__ = [
     "FiniteField",
     "RealField",
     "specialize_field",
-    "ElevatorSquare",
-    "TwinTree",
     "TwinTreeDescriptor",
-    "TypeA",
-    "TypeR",
-    "UnitEnd",
     "elevator_square",
+    "factor_value",
     "residual_factor",
     "twin_tree_factor",
     "type_a_factor",

@@ -395,37 +395,35 @@ def _check_graph_connected(n: int, s: int):
 
 
 def _check_residual_factors(m: int):
-    factors = [
-        lf.ElevatorSquare(m),
-        lf.TypeA(m, 1),
-        lf.TypeR(1),
-        lf.TwinEdge(m, 1),
-        lf.UnitEnd(),
+    keys = [
+        ("square", m),
+        ("A", m, 1),
+        ("R", 1),
+        ("tree", 2, 0, (1, 2), ((m, 1),)),  # one bounded twin edge of weight m
     ]
     # over two variables, so the table also meets a label no factor carries
-    for factor in factors:
-        direct = lf.residual_factor(factor, 2)
-        reduced = residual_reduce(factor.evaluate(2))
+    for key in keys:
+        direct = lf.residual_factor(key, 2)
+        reduced = residual_reduce(lf.factor_value(key, 2))
         if direct != reduced:
-            return False, f"pipelines disagree on {factor}"
+            return False, f"pipelines disagree on {key}"
     return True, ""
 
 
 def _check_residual_twin_trees():
-    descriptors = [
-        lf.TwinTreeDescriptor(t=1, m_circ=2, labels=(1,), bounded_edges=()),
-        lf.TwinTreeDescriptor(t=2, m_circ=1, labels=(1, 2), bounded_edges=((1, 1),)),
-        lf.TwinTreeDescriptor(t=2, m_circ=2, labels=(1, 2), bounded_edges=((2, 2),)),
-        lf.TwinTreeDescriptor(t=3, m_circ=1, labels=(1, 2, 3), bounded_edges=((1, 1), (3, 2))),
-        lf.TwinTreeDescriptor(t=3, m_circ=2, labels=(1, 2, 3), bounded_edges=((1, 3),)),
+    keys = [
+        ("tree", 1, 2, (1,), ()),
+        ("tree", 2, 1, (1, 2), ((1, 1),)),
+        ("tree", 2, 2, (1, 2), ((2, 2),)),
+        ("tree", 3, 1, (1, 2, 3), ((1, 1), (3, 2))),
+        ("tree", 3, 2, (1, 2, 3), ((1, 3),)),
     ]
-    for desc in descriptors:
-        factor = lf.TwinTree(desc)
-        nvars = max(desc.labels)
-        direct = lf.residual_factor(factor, nvars)
-        reduced = residual_reduce(factor.evaluate(nvars))
+    for key in keys:
+        nvars = max(key[3])
+        direct = lf.residual_factor(key, nvars)
+        reduced = residual_reduce(lf.factor_value(key, nvars))
         if direct != reduced:
-            return False, f"pipelines disagree on {desc}"
+            return False, f"pipelines disagree on {key}"
     return True, ""
 
 

@@ -60,17 +60,8 @@ from functools import cache, cached_property, reduce
 from itertools import combinations, product
 from operator import mul, or_
 
-from .local_factors import (
-    ElevatorSquare,
-    LocalFactor,
-    TwinTree,
-    TwinTreeDescriptor,
-    TypeA,
-    TypeR,
-    UnitEnd,
-    residual_factor,
-)
-from .univ import RES_ONE, ResidualTilde, TildeElement, UNIV_ONE
+from .local_factors import factor_value, residual_factor
+from .univ import ResidualTilde, TildeElement
 
 # Object ids: ("floor", f) | ("elev", k) | ("end", f, i), with f, k, i
 # 1-based floor, elevator-tuple index, and per-floor end index.
@@ -175,7 +166,7 @@ def kontsevich_nd(d: int) -> int:
 # Enumeration of diagrams and markings
 # ---------------------------------------------------------------------------
 
-_MAX_DEGREE = 4
+MAX_DEGREE = 4
 
 
 def _weighted_diagrams(d: int):
@@ -241,8 +232,8 @@ def enumerate_markings(diagram: FloorDiagram) -> list[tuple[tuple, ...]]:
 @cache
 def enumerate_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
     """All (diagram, marking) pairs for the simple-point problem."""
-    if not 1 <= d <= _MAX_DEGREE:
-        raise ValueError(f"degree {d} outside supported range 1..{_MAX_DEGREE}")
+    if not 1 <= d <= MAX_DEGREE:
+        raise ValueError(f"degree {d} outside supported range 1..{MAX_DEGREE}")
     out = []
     for diagram in _weighted_diagrams(d):
         for marking in enumerate_markings(diagram):
@@ -501,32 +492,6 @@ def _orbit_minima(d: int, cfg: tuple[int, ...], indices):
             yield index, tags, _joins(marked[index][0], cfg, tags, stabiliser)
 
 
-_FACTORS: list[LocalFactor] = []  # factor id -> local factor
-
-
-@cache
-def _factor_id(make, *args: int) -> int:
-    """Small integer id of the local factor ``make(*args)``, built and
-    interned on first use.  Ids index ``_FACTORS`` and are never reused, so
-    clearing this cache cannot make a stored id tuple stale."""
-    _FACTORS.append(make(*args))
-    return len(_FACTORS) - 1
-
-
-def _twin(label: int) -> TwinTree:
-    return TwinTree(TwinTreeDescriptor(t=1, m_circ=2, labels=(label,)))
-
-
-def _joined_twin(label: int, partner: int) -> TwinTree:
-    # a doubled weight-1 elevator and the doubled floors above it: one
-    # twin tree, two double points, odd circuit
-    return TwinTree(
-        TwinTreeDescriptor(
-            t=2, m_circ=1, labels=(label, partner), bounded_edges=((1, label),)
-        )
-    )
-
-
 _R = ("R",)
 
 
@@ -544,34 +509,35 @@ def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
 
 
 @cache
-def _factor_ids(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tuple[int, ...]:
-    """Ids of a merged diagram's local factors in a canonical order, so
-    that equal multisets give equal tuples whatever order the ids were
-    interned in: one factor per fused pair in label order (a joined pair
-    once, at its elevator pair), then the square of every elevator no
-    pair consumed, by weight.  ``weights`` are the diagram's elevator
-    weights, ``classes`` the ``_pair_class`` of each fused pair.  A type-A
-    pair on an elevator consumes that elevator; a joined pair consumes
-    its two weight-1 elevators.  Down ends contribute <1> and are left
-    out."""
+def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tuple[tuple, ...]:
+    """Keys of a merged diagram's local factors (see ``local_factors``) in
+    a canonical order, so that equal multisets give equal tuples: one
+    factor per fused pair in label order (a joined pair once, at its
+    elevator pair), then the square of every elevator no pair consumed,
+    by weight.  ``weights`` are the diagram's elevator weights,
+    ``classes`` the ``_pair_class`` of each fused pair.  A type-A pair on
+    an elevator consumes that elevator; a joined pair consumes its two
+    weight-1 elevators.  Down ends contribute <1> and are left out."""
     joined = dict(joins)
     left = list(weights)
-    out: list[int] = []
+    out: list[tuple] = []
     for j, (kind, *rest) in enumerate(classes, start=1):
         if kind == "A":
             on, w = rest
             if on == "elev":
                 left.remove(w)
-            out.append(_factor_id(TypeA, w, j))
+            out.append(("A", w, j))
         elif kind == "T":
-            out.append(_factor_id(_twin, j))
+            out.append(("tree", 1, 2, (j,), ()))
         elif j - 1 in joined:  # joins link two type-R pairs
+            # a doubled weight-1 elevator and the doubled floors above it:
+            # one twin tree, two double points, odd circuit
             left.remove(1)
             left.remove(1)
-            out.append(_factor_id(_joined_twin, j, joined[j - 1] + 1))
+            out.append(("tree", 2, 1, (j, joined[j - 1] + 1), ((1, j),)))
         elif j - 1 not in joined.values():
-            out.append(_factor_id(TypeR, j))
-    return (*out, *[_factor_id(ElevatorSquare, w) for w in sorted(left)])
+            out.append(("R", j))
+    return (*out, *[("square", w) for w in sorted(left)])
 
 
 @cache
@@ -642,23 +608,16 @@ class MergedDiagram:
     def s(self) -> int:
         return len(self.cfg)
 
-    def factors(self) -> tuple[LocalFactor, ...]:
-        """The local factors in the canonical order of ``_factor_ids``."""
+    def factors(self) -> tuple[tuple, ...]:
+        """The local factor keys in the canonical order of ``_factor_keys``."""
         classes = tuple(map(_pair_class, self.tags))
-        ids = _factor_ids(_weights(self.diagram), classes, self.joins)
-        return tuple(_FACTORS[i] for i in ids)
+        return _factor_keys(_weights(self.diagram), classes, self.joins)
 
     def multiplicity(self) -> TildeElement:
-        total = TildeElement.constant(UNIV_ONE, self.s)
-        for f in self.factors():
-            total = total * f.evaluate(self.s)
-        return total
+        return _multiset_product(TildeElement, factor_value, self.s, self.factors())
 
     def residual_multiplicity(self) -> ResidualTilde:
-        total = ResidualTilde.constant(RES_ONE, self.s)
-        for f in self.factors():
-            total = total * residual_factor(f, self.s)
-        return total
+        return _multiset_product(ResidualTilde, residual_factor, self.s, self.factors())
 
     def to_json(self) -> dict:
         def oid(obj: tuple) -> str:
@@ -729,26 +688,23 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
     return tuple(out)
 
 
-def _evaluate(f: LocalFactor, nvars: int) -> TildeElement:
-    return f.evaluate(nvars)
-
-
 @cache
-def _multiset_product(factor_value, nvars: int, multiset: tuple):
-    """Product of ``factor_value(f, nvars)`` over a canonical factor-id tuple.
+def _multiset_product(ring, value, nvars: int, multiset: tuple):
+    """Product of ``value(key, nvars)`` over a canonical factor-key tuple,
+    in ``ring`` (``TildeElement`` or ``ResidualTilde``).
 
     Cached across configurations: at degree 4 with s <= 3 the 18,859
     orbits carry only 268 distinct (s, multiset) pairs, so each product
     is multiplied out once and then scaled by its orbit count.  The
-    product starts at <1>, because the degree-1 diagram has no factor.
+    product starts at the ring's <1>, because the degree-1 diagram has
+    no factor.
     """
-    one = factor_value(UnitEnd(), nvars)
-    return reduce(mul, (factor_value(_FACTORS[i], nvars) for i in multiset), one)
+    return reduce(mul, (value(key, nvars) for key in multiset), ring.constant(1, nvars))
 
 
 @cache
 def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
-    """How often each factor-id tuple occurs among the merged diagrams
+    """How often each factor-key tuple occurs among the merged diagrams
     (the orbits) of a valid configuration, counted by orbit weights (see
     the module docstring); no ``MergedDiagram`` is built.
 
@@ -775,7 +731,7 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
                     f"whole number of orbits of size {1 << r}"
                 )
             if n:
-                counts[_factor_ids(w, chosen, ())] += n >> r
+                counts[_factor_keys(w, chosen, ())] += n >> r
 
     marked = enumerate_diagrams(d)
     walk(0, (1 << len(marked)) - 1, (), 0)
@@ -785,16 +741,17 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     visit &= ~reduce(or_, (descending[p - 1] for p in cfg), 0)
     for index, tags, joins in _orbit_minima(d, cfg, _bits(visit)):
         pair_classes = tuple(map(_pair_class, tags))
-        counts[_factor_ids(_weights(marked[index][0]), pair_classes, joins)] += 1
+        counts[_factor_keys(_weights(marked[index][0]), pair_classes, joins)] += 1
     return counts
 
 
-def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):
-    """Add to ``total`` the multiplicity of every merged diagram of the
-    configuration: each distinct factor multiset is multiplied out once
-    and counted as often as it occurs."""
+def _sum_by_multiset(d: int, cfg: tuple[int, ...], ring, value):
+    """The sum in ``ring`` of the multiplicity of every merged diagram of
+    the configuration, its factors read by ``value``: each distinct factor
+    multiset is multiplied out once and counted as often as it occurs."""
+    total = ring.zero(len(cfg))
     for multiset, n in _factor_multisets(d, cfg).items():
-        total = total + _multiset_product(factor_value, len(cfg), multiset) * n
+        total = total + _multiset_product(ring, value, len(cfg), multiset) * n
     return total
 
 
@@ -802,7 +759,7 @@ def _sum_by_multiset(d: int, cfg: tuple[int, ...], factor_value, total):
 def floor_count(d: int, cfg: tuple[int, ...] = ()) -> TildeElement:
     """Symbolic enriched count: sum of merged-diagram multiplicities."""
     cfg = _merge_config(d, cfg)
-    return _sum_by_multiset(d, cfg, _evaluate, TildeElement.zero(len(cfg)))
+    return _sum_by_multiset(d, cfg, TildeElement, factor_value)
 
 
 @cache
@@ -810,7 +767,7 @@ def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
     """Residual count assembled from the mod-2 factor table directly --
     an independent path from residual-reducing floor_count."""
     cfg = _merge_config(d, cfg)
-    return _sum_by_multiset(d, cfg, residual_factor, ResidualTilde.zero(len(cfg)))
+    return _sum_by_multiset(d, cfg, ResidualTilde, residual_factor)
 
 
 # ---------------------------------------------------------------------------

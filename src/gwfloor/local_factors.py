@@ -3,34 +3,39 @@
 Every bounded elevator, down end, and merged double point contributes one
 factor to a diagram's multiplicity.  The factors live in the universal
 ring, or in its multi-affine extension when they depend on a double-point
-parameter x_j.  Writing m for a weight and c = (m-1)//2:
+parameter x_j.  A factor is named by a plain hashable key; writing m for
+a weight and c = (m-1)//2:
 
-* plain bounded elevator of weight m (the square factor):
+* ``("square", m)``, a plain bounded elevator of weight m:
       odd m:  <1> + ((m*m - 1)//2) h          even m: (m*m//2) h
-* double point on a floor-elevator vertex of weight m (type A):
+* ``("A", m, j)``, double point j on a floor-elevator vertex of weight m:
       odd m:  <1> + c(<2> + <-2> x_j) + (m(m-1)//2) h
       even m: (m*m//2) h
-* double point on a transversal crossing (type R):
+* ``("R", j)``, double point j on a transversal crossing:
       <2> + <2> x_j
-* bounded twin edge of weight m inside a twin tree:
+* ``("tree", t, m_circ, labels, bounded_edges)``, a twin tree with t
+  double points, circuit weight m_circ and (weight, label) bounded twin
+  edges (the fields of ``TwinTreeDescriptor``): the product of the
+  twin-edge factors times <2**(t-1)> times the sum of x_I over subsets I
+  of the tree's labels with |I| congruent to m_circ mod 2.  A bounded
+  twin edge of weight m and label i contributes
       odd m:  <1> + ((m*m-1)//2)(<1> + <-1> x_i) + ((m**4 - m*m)//2) h
       even m: (m*m//2)(<1> + <-1> x_i) + ((m**4 - m*m)//2) h
-* twin tree with t double points, circuit weight m_circ, and a list of
-  bounded twin edges: the product of the twin-edge factors times
-  <2**(t-1)> times the sum of x_I over subsets I of the tree's labels
-  with |I| congruent to m_circ mod 2.
 
-The raw constructors of ``group_ring`` re-derive these closed forms
-symbol by symbol, as an oracle the identity suite checks them against.
-
+A down end contributes <1> and has no key.  Two tables read the keys:
+``factor_value`` dispatches to the closed forms below, and
 ``residual_factor`` reimplements each factor directly in the residual
 quotient (coefficients mod 2, h killed) without going through the exact
 ring, giving an independent code path for the mod-2 reports.
+
+The raw constructors of ``group_ring`` re-derive the closed forms symbol
+by symbol, as an oracle the identity suite checks them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .univ import (
@@ -155,86 +160,51 @@ def twin_tree_factor(desc: TwinTreeDescriptor, nvars: int) -> TildeElement:
 
 
 # ---------------------------------------------------------------------------
-# Factor objects used by the diagram enumerator
+# The two tables over factor keys
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElevatorSquare:
-    m: int
-
-    def evaluate(self, nvars: int) -> TildeElement:
-        return TildeElement.constant(elevator_square(self.m), nvars)
-
-
-@dataclass(frozen=True)
-class TypeA:
-    m: int
-    label: int
-
-    def evaluate(self, nvars: int) -> TildeElement:
-        return type_a_factor(self.m, self.label, nvars)
-
-
-@dataclass(frozen=True)
-class TypeR:
-    label: int
-
-    def evaluate(self, nvars: int) -> TildeElement:
-        return type_r_factor(self.label, nvars)
+@cache
+def factor_value(key: tuple, nvars: int) -> TildeElement:
+    """Exact value of the local factor ``key`` (see the module docstring),
+    memoised: at degree 4 with s <= 3 the counts multiply 1,175 factors
+    with only 46 distinct (key, nvars) pairs."""
+    kind = key[0]
+    if kind == "square":
+        return TildeElement.constant(elevator_square(key[1]), nvars)
+    if kind == "A":
+        return type_a_factor(key[1], key[2], nvars)
+    if kind == "R":
+        return type_r_factor(key[1], nvars)
+    if kind == "tree":
+        return twin_tree_factor(TwinTreeDescriptor(*key[1:]), nvars)
+    raise TypeError(f"unknown factor {key!r}")
 
 
-@dataclass(frozen=True)
-class TwinEdge:
-    m: int
-    label: int
+@cache
+def residual_factor(key: tuple, nvars: int) -> ResidualTilde:
+    """Residual image of the local factor ``key``, computed directly mod 2
+    and memoised like ``factor_value``.
 
-    def evaluate(self, nvars: int) -> TildeElement:
-        return twin_edge_factor(self.m, self.label, nvars)
-
-
-@dataclass(frozen=True)
-class TwinTree:
-    desc: TwinTreeDescriptor
-
-    def evaluate(self, nvars: int) -> TildeElement:
-        return twin_tree_factor(self.desc, nvars)
-
-
-@dataclass(frozen=True)
-class UnitEnd:
-    def evaluate(self, nvars: int) -> TildeElement:
-        return TildeElement.constant(UNIV_ONE, nvars)
-
-
-LocalFactor = ElevatorSquare | TypeA | TypeR | TwinEdge | TwinTree | UnitEnd
-
-
-def residual_factor(f: LocalFactor, nvars: int) -> ResidualTilde:
-    """Residual image of a local factor, computed directly mod 2.
-
-    This is deliberately not implemented as residual_reduce(evaluate(f));
+    This is deliberately not implemented as residual_reduce(factor_value(key));
     the two paths are compared by the residual test suite.
     """
+    kind = key[0]
     one = ResidualTilde.constant(RES_ONE, nvars)
     zero = ResidualTilde.zero(nvars)
-    if isinstance(f, (ElevatorSquare, TwinEdge)):
-        return one if f.m % 2 else zero
-    if isinstance(f, TypeA):
-        if f.m % 2 == 0:
+    if kind == "square":
+        return one if key[1] % 2 else zero
+    if kind == "A":
+        m, label = key[1:]
+        if m % 2 == 0:
             return zero
-        if ((f.m - 1) // 2) % 2 == 0:
+        if ((m - 1) // 2) % 2 == 0:
             return one
-        eps_part = ResidualTilde(
-            nvars, {frozenset(): RES_EPS, frozenset({f.label}): RES_EPS}
-        )
-        return one + eps_part
-    if isinstance(f, TypeR):
-        return ResidualTilde(
-            nvars, {frozenset(): RES_EPS, frozenset({f.label}): RES_EPS}
-        )
-    if isinstance(f, TwinTree):
-        desc = f.desc
+        return one + ResidualTilde(nvars, {frozenset(): RES_EPS, frozenset({label}): RES_EPS})
+    if kind == "R":
+        return ResidualTilde(nvars, {frozenset(): RES_EPS, frozenset({key[1]}): RES_EPS})
+    if kind == "tree":
+        desc = TwinTreeDescriptor(*key[1:])
         if any(w % 2 == 0 for w, _ in desc.bounded_edges):
             return zero
         scale = RES_ONE if (desc.t - 1) % 2 == 0 else RES_EPS
@@ -242,9 +212,7 @@ def residual_factor(f: LocalFactor, nvars: int) -> ResidualTilde:
         out: dict[frozenset, ResidualElement] = {}
         for size in range(parity, desc.t + 1, 2):
             for subset in combinations(desc.labels, size):
-                key = frozenset(subset)
-                out[key] = out.get(key, ResidualElement(0, 0)) + scale
+                monomial = frozenset(subset)
+                out[monomial] = out.get(monomial, ResidualElement(0, 0)) + scale
         return ResidualTilde(nvars, out)
-    if isinstance(f, UnitEnd):
-        return one
-    raise TypeError(f"unknown factor {f!r}")
+    raise TypeError(f"unknown factor {key!r}")

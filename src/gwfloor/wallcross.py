@@ -171,12 +171,18 @@ class WallCrossReport:
     broccoli: bool
     parity: bool
     field_checks: tuple[FieldCheck, ...]
-    witnesses_zero: bool
+    # the first witness with a nonzero image, as "S_<q> <model> <assignment>"
+    # with q its 1-based index in the cascade order; None when all vanish
+    first_witness: str | None
     reconstruction: bool
 
     @property
     def s(self) -> int:
         return len(self.cfg_from)
+
+    @property
+    def witnesses_zero(self) -> bool:
+        return self.first_witness is None
 
     def verdicts(self) -> dict[str, bool]:
         """The report's named yes/no checks, in report order; the field
@@ -194,9 +200,13 @@ class WallCrossReport:
         return not self.failed_checks()
 
     def failed_checks(self) -> list[str]:
-        """Names of the failing checks, the first failing field image as
-        ``field_zero <model> <assignment>``; empty when the report passes."""
+        """Names of the failing checks, the first non-vanishing witness as
+        ``witnesses_zero S_<q> <model> <assignment>`` and the first failing
+        field image as ``field_zero <model> <assignment>``; empty when the
+        report passes."""
         failed = [name for name, ok in self.verdicts().items() if not ok]
+        if not self.witnesses_zero:
+            failed[failed.index("witnesses_zero")] += f" {self.first_witness}"
         bad = next((c for c in self.field_checks if not c.ok), None)
         if bad is not None:
             failed.append(f"field_zero {bad.model} {bad.assign}".rstrip())
@@ -236,12 +246,18 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
         for model, _, flips, model_name, assign_name in _sweep(s)
     )
 
-    # All 2^s square/nonsquare assignments are the flip masks below 2^s.
-    witnesses_zero = all(
-        model.evaluate(w.coeffs, flips).is_zero()
-        for w in witnesses
-        for model in _SWEEP_FQ
-        for flips in range(1 << s)
+    # All 2^s square/nonsquare assignments are the flip masks below 2^s,
+    # bit l - 1 the square bit of label l.
+    first_witness = next(
+        (
+            f"S_{q} {model.describe()} "
+            + model.describe_assign({l: flips >> (l - 1) & 1 for l in range(1, s + 1)})
+            for q, w in enumerate(witnesses, start=1)
+            for model in _SWEEP_FQ
+            for flips in range(1 << s)
+            if not model.evaluate(w.coeffs, flips).is_zero()
+        ),
+        None,
     )
     reconstruction = (
         cascade_reconstruct(list(witnesses), coefficient, order, s) == delta
@@ -261,7 +277,7 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
         broccoli=n1 + n2 == 0,
         parity=n1 % 2 == 0,
         field_checks=field_checks,
-        witnesses_zero=witnesses_zero,
+        first_witness=first_witness,
         reconstruction=reconstruction,
     )
 

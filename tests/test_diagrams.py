@@ -9,13 +9,11 @@ import pytest
 
 from gwfloor import checks, diagrams
 from gwfloor.diagrams import (
-    _FACTORS,
     FloorDiagram,
     UnsupportedShapeError,
     _apply_swaps,
     _class_table,
-    _factor_id,
-    _factor_ids,
+    _factor_keys,
     _factor_multisets,
     _multiset_product,
     _orbit_test,
@@ -35,7 +33,7 @@ from gwfloor.diagrams import (
     unit_shifts,
 )
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
-from gwfloor.local_factors import UnitEnd, residual_factor
+from gwfloor.local_factors import factor_value, residual_factor
 from gwfloor.univ import (
     UNIV_H,
     UNIV_ONE,
@@ -256,7 +254,8 @@ class TestMultisetMemo:
 
     def test_factors_in_canonical_order(self):
         """Equal factor multisets give equal factor tuples, so the memo
-        may key on the tuple; down ends contribute no factor."""
+        may key on the tuple; every key has one of the four kinds, so
+        down ends contribute no factor."""
         for d, cfg in _all_configs(4):
             try:
                 merged = enumerate_merged_diagrams(d, cfg)
@@ -267,12 +266,12 @@ class TestMultisetMemo:
             orders = {}
             for m in merged:
                 factors = m.factors()
-                assert not any(isinstance(f, UnitEnd) for f in factors), m
+                assert all(f[0] in ("square", "A", "R", "tree") for f in factors), m
                 orders.setdefault(frozenset(Counter(factors).items()), set()).add(factors)
             assert all(len(tuples) == 1 for tuples in orders.values()), (d, cfg)
 
     def test_factor_ids_match_factors(self):
-        """The id tuples counted by orbit weights are the factor tuples of
+        """The key tuples counted by orbit weights are the factor tuples of
         the merged diagrams (the orbit minima), with the same
         multiplicities, on every supported configuration at d <= 4."""
         supported = joined = 0
@@ -280,14 +279,31 @@ class TestMultisetMemo:
             if (d, cfg[:4]) == (4, (1, 3, 5, 7)):
                 continue
             merged = enumerate_merged_diagrams(d, cfg)
-            by_ids = Counter()
-            for ids, n in _factor_multisets(d, cfg).items():
-                by_ids[tuple(_FACTORS[i] for i in ids)] += n
-            assert by_ids == Counter(m.factors() for m in merged), (d, cfg)
-            assert len(by_ids) == len(_factor_multisets(d, cfg)), (d, cfg)
+            by_keys = _factor_multisets(d, cfg)
+            assert by_keys == Counter(m.factors() for m in merged), (d, cfg)
             supported += 1
             joined += sum(1 for m in merged if m.joins)
         assert (supported, joined) == (185, 414)
+
+    def test_factor_census_degree_four(self):
+        """The factors of the 103 configurations at d = 4 with s <= 3, as
+        perfbench's count-d4 counters read them: merged diagrams, factors,
+        distinct (s, factor multiset) pairs, and factors by kind."""
+        configs = [cfg for s in range(4) for cfg in enumerate_merge_configs(11, s)]
+        assert len(configs) == 103
+        merged = 0
+        kinds = Counter()
+        multisets = set()
+        for cfg in configs:
+            for m in enumerate_merged_diagrams(4, cfg):
+                merged += 1
+                factors = m.factors()
+                kinds.update(f[0] for f in factors)
+                multisets.add((m.s, frozenset(Counter(factors).items())))
+        assert merged == 18_859
+        assert sum(kinds.values()) == 80_042
+        assert len(multisets) == 268
+        assert kinds == {"square": 36_602, "A": 24_623, "R": 10_502, "tree": 8_315}
 
     def test_counts_match_orbit_minima_everywhere(self):
         """floor_count and floor_count_residual equal the sums over the
@@ -295,13 +311,13 @@ class TestMultisetMemo:
         at d <= 4, and the unsupported ones raise the oracle's message."""
         products = {}
 
-        def oracle(merged, nvars, value, zero):
-            total = zero(nvars)
+        def oracle(merged, nvars, value, ring):
+            total = ring.zero(nvars)
             for factors, n in Counter(m.factors() for m in merged).items():
                 key = (value, nvars, factors)
                 if key not in products:
                     products[key] = reduce(
-                        mul, (value(f, nvars) for f in factors), value(UnitEnd(), nvars)
+                        mul, (value(f, nvars) for f in factors), ring.constant(1, nvars)
                     )
                 total = total + products[key] * n
             return total
@@ -318,8 +334,8 @@ class TestMultisetMemo:
                 unsupported.append((cfg, str(exc)))
                 continue
             s = len(cfg)
-            exact = oracle(merged, s, lambda f, n: f.evaluate(n), TildeElement.zero)
-            residual = oracle(merged, s, residual_factor, ResidualTilde.zero)
+            exact = oracle(merged, s, factor_value, TildeElement)
+            residual = oracle(merged, s, residual_factor, ResidualTilde)
             assert floor_count(d, cfg) == exact, (d, cfg)
             assert floor_count_residual(d, cfg) == residual, (d, cfg)
         message = "unsupported twin interaction between fused pairs [1, 3, 5, 7] (degree 4)"
@@ -381,14 +397,15 @@ class TestMultisetMemo:
 
 def _clear_caches():
     """Empty every cache behind the counts: the tag and class tables, the
-    orbit memo, the factor-id tables, the multiset counts and products,
-    and the memoised results."""
+    orbit memo, the factor-key table, the two factor tables, the multiset
+    counts and products, and the memoised results."""
     for fn in (
         _tag_table,
         _class_table,
         _orbit_test,
-        _factor_id,
-        _factor_ids,
+        _factor_keys,
+        factor_value,
+        residual_factor,
         _factor_multisets,
         _multiset_product,
         enumerate_merged_diagrams,

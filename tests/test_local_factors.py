@@ -13,14 +13,9 @@ from gwfloor.group_ring import (
     type_a_closed_raw,
 )
 from gwfloor.local_factors import (
-    ElevatorSquare,
-    TwinEdge,
-    TwinTree,
     TwinTreeDescriptor,
-    TypeA,
-    TypeR,
-    UnitEnd,
     elevator_square,
+    factor_value,
     residual_factor,
     twin_edge_factor,
     twin_tree_factor,
@@ -185,42 +180,59 @@ class TestTwinTree:
         assert product == expected
 
 
-class TestFactorObjects:
-    def test_evaluate_matches_functions(self):
-        assert ElevatorSquare(3).evaluate(2) == TildeElement.constant(
+class TestFactorKeys:
+    def test_factor_value_matches_functions(self):
+        assert factor_value(("square", 3), 2) == TildeElement.constant(
             elevator_square(3), 2
         )
-        assert TypeA(5, 1).evaluate(2) == type_a_factor(5, 1, 2)
-        assert TypeR(2).evaluate(2) == type_r_factor(2, 2)
-        assert TwinEdge(2, 1).evaluate(2) == twin_edge_factor(2, 1, 2)
-        desc = TwinTreeDescriptor(t=1, m_circ=0, labels=(1,))
-        assert TwinTree(desc).evaluate(2) == twin_tree_factor(desc, 2)
-        assert UnitEnd().evaluate(2) == TildeElement.constant(UNIV_ONE, 2)
+        assert factor_value(("A", 5, 1), 2) == type_a_factor(5, 1, 2)
+        assert factor_value(("R", 2), 2) == type_r_factor(2, 2)
+        desc = TwinTreeDescriptor(t=2, m_circ=0, labels=(1, 2), bounded_edges=((3, 2),))
+        assert factor_value(("tree", 2, 0, (1, 2), ((3, 2),)), 2) == twin_tree_factor(desc, 2)
+        # a tree with one bounded edge carries that edge's factor
+        assert twin_tree_factor(desc, 2) == twin_edge_factor(3, 2, 2) * twin_tree_factor(
+            TwinTreeDescriptor(t=2, m_circ=0, labels=(1, 2)), 2
+        )
+
+    def test_tree_keys_are_validated(self):
+        with pytest.raises(ValueError, match="fewer bounded edges"):
+            factor_value(("tree", 1, 0, (1,), ((1, 1),)), 1)
+        with pytest.raises(ValueError, match="fewer bounded edges"):
+            residual_factor(("tree", 1, 0, (1,), ((1, 1),)), 1)
+
+    @pytest.mark.parametrize("table", [factor_value, residual_factor])
+    def test_unknown_kind_raises(self, table):
+        for key in [("edge", 2, 1), ("unit",), ("Square", 3)]:
+            with pytest.raises(TypeError, match="unknown factor"):
+                table(key, 2)
 
 
 class TestResidualPath:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 13])
     def test_factor_kinds_agree_with_reduction(self, m):
-        factors = [
-            ElevatorSquare(m),
-            TypeA(m, 1),
-            TypeR(1),
-            TwinEdge(m, 1),
-            UnitEnd(),
+        keys = [
+            ("square", m),
+            ("A", m, 1),
+            ("R", 1),
+            ("tree", 2, 0, (1, 2), ((m, 1),)),  # one bounded twin edge of weight m
         ]
-        for f in factors:
-            assert residual_factor(f, 2) == residual_reduce(f.evaluate(2))
+        for key in keys:
+            assert residual_factor(key, 2) == residual_reduce(factor_value(key, 2))
 
     def test_twin_trees_agree_with_reduction(self):
-        descs = [
-            TwinTreeDescriptor(t=1, m_circ=0, labels=(1,)),
-            TwinTreeDescriptor(t=2, m_circ=1, labels=(1, 2)),
-            TwinTreeDescriptor(t=2, m_circ=0, labels=(1, 2), bounded_edges=((2, 1),)),
-            TwinTreeDescriptor(t=3, m_circ=1, labels=(1, 2, 3)),
+        keys = [
+            ("tree", 1, 0, (1,), ()),
+            ("tree", 2, 1, (1, 2), ()),
+            ("tree", 2, 0, (1, 2), ((2, 1),)),
+            ("tree", 3, 1, (1, 2, 3), ()),
         ]
-        for desc in descs:
-            f = TwinTree(desc)
-            assert residual_factor(f, 3) == residual_reduce(f.evaluate(3))
+        for key in keys:
+            assert residual_factor(key, 3) == residual_reduce(factor_value(key, 3))
+
+    def test_mod_2_table_never_reads_the_exact_one(self):
+        names = residual_factor.__wrapped__.__code__.co_names
+        assert "factor_value" not in names
+        assert "residual_reduce" not in names
 
 
 class TestCarrierRawForms:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gwfloor.diagrams import _MAX_DEGREE as TOP
+from gwfloor.diagrams import MAX_DEGREE as TOP
 from gwfloor.springer import MAX_TOWER_VARS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -22,11 +22,23 @@ def load_script(name: str):
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
 def test_script_imports_no_private_check_name(path):
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom) and node.module == "gwfloor.checks":
-            assert not [a.name for a in node.names if a.name.startswith("_")]
+    """A script uses only public gwfloor names: it imports no ``_``-prefixed
+    name from any gwfloor module, and reads none off a name it imported."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gwfloor":
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.module
+            imported.update(a.asname or a.name for a in node.names)
+        if isinstance(node, ast.Import):
+            imported.update(
+                a.asname or a.name.split(".")[0]
+                for a in node.names
+                if a.name.split(".")[0] == "gwfloor"
+            )
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
-            assert not (isinstance(node.value, ast.Name) and node.value.id == "checks")
+            assert not (isinstance(node.value, ast.Name) and node.value.id in imported)
 
 
 class TestPfisterTower:

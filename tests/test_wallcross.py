@@ -184,6 +184,29 @@ class TestWallCrossReport:
         with pytest.raises(ValueError):
             delta_count(3, (4,), (1, 3))
 
+    @pytest.mark.parametrize(
+        "cfg_from, cfg_to, name",
+        [
+            ((1, 4), (1, 5), "witnesses_zero S_2 fq:5 sq/sq"),
+            ((1, 3, 5), (1, 3, 6), "witnesses_zero S_2 fq:5 sq/sq/sq"),
+        ],
+    )
+    def test_failing_witness_is_named(self, cfg_from, cfg_to, name):
+        """The first non-vanishing witness is named by its 1-based index in
+        the cascade order, the field model and the assignment; the JSON
+        document keeps the bare verdict."""
+        report = wallcross_report(4, cfg_from, cfg_to)
+        assert report.failed_checks() == [name]
+        assert report.to_json()["checks"]["witnesses_zero"] is False
+        # S_1 vanishes in every witness field; S_2 does not over F_5 with
+        # every variable a square
+        assert all(
+            model.evaluate(report.witnesses[0].coeffs, flips).is_zero()
+            for model in map(FiniteField, SWEEP_FQ_ORDERS)
+            for flips in range(1 << report.s)
+        )
+        assert not FiniteField(5).evaluate(report.witnesses[1].coeffs, 0).is_zero()
+
 
 class TestWallcrossLevelCheck:
     def test_failing_field_check_is_named(self, monkeypatch):
@@ -244,7 +267,7 @@ class TestWallcrossLevelCheck:
             "witnesses_zero",
             "reconstruction",
         ]
-        assert not replace(report, witnesses_zero=False).passed
+        assert not replace(report, first_witness="S_1 fq:5 sq").passed
 
 
 class TestResidualCheck:
