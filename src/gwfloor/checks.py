@@ -70,6 +70,7 @@ from .univ import (
 )
 from .wallcross import (
     SCHEMA_VERSION,
+    SWEEP_FQ_ORDERS,
     pfister_element,
     residual_report,
     unit_shift_pairs,
@@ -80,7 +81,6 @@ from .wallcross import (
 # that has a unit shift.
 SHIFT_DEGREES = (2, 3)
 GW_LAW_ORDERS = (5, 7, 11, 13, 17)
-DISSOLUTION_ORDERS = (5, 7, 11)
 MAX_IDENTITY_WEIGHT = 60
 MAX_RESIDUAL_WEIGHT = 40
 MAX_GRAPH_POINTS = 12
@@ -353,7 +353,7 @@ def _check_dissolution(d: int, cfg: tuple[int, ...], j: int):
     s = len(cfg)
     lhs = dissolve_specialize(floor_count(d, cfg), j)
     rhs = floor_count(d, dissolved_config(cfg, j))
-    for q in DISSOLUTION_ORDERS:
+    for q in SWEEP_FQ_ORDERS:
         model = finite_field(q)
         for flips in range(1 << (s - 1)):
             if model.evaluate(lhs.coeffs, flips) != model.evaluate(rhs.coeffs, flips):
@@ -402,12 +402,7 @@ def _check_residual_factors(m: int):
         ("tree", 2, 0, (1, 2), ((m, 1),)),  # one bounded twin edge of weight m
     ]
     # over two variables, so the table also meets a label no factor carries
-    for key in keys:
-        direct = lf.residual_factor(key, 2)
-        reduced = residual_reduce(lf.factor_value(key, 2))
-        if direct != reduced:
-            return False, f"pipelines disagree on {key}"
-    return True, ""
+    return _residual_keys_agree((key, 2) for key in keys)
 
 
 def _check_residual_twin_trees():
@@ -418,11 +413,14 @@ def _check_residual_twin_trees():
         ("tree", 3, 1, (1, 2, 3), ((1, 1), (3, 2))),
         ("tree", 3, 2, (1, 2, 3), ((1, 3),)),
     ]
-    for key in keys:
-        nvars = max(key[3])
-        direct = lf.residual_factor(key, nvars)
-        reduced = residual_reduce(lf.factor_value(key, nvars))
-        if direct != reduced:
+    return _residual_keys_agree((key, max(key[3])) for key in keys)
+
+
+def _residual_keys_agree(pairs):
+    """Whether the mod-2 factor table equals the residue of the exact one
+    on every (factor key, nvars) pair; names the first key that differs."""
+    for key, nvars in pairs:
+        if lf.residual_factor(key, nvars) != residual_reduce(lf.factor_value(key, nvars)):
             return False, f"pipelines disagree on {key}"
     return True, ""
 

@@ -37,15 +37,16 @@ enumeration of marked diagrams is closed under both operations: a
 within-pair swap keeps every marking constraint, and no elevator joins
 two merged floors, so relabeling them gives another sorted tree with the
 same weights.  Each class (orbit) therefore lies among the enumerated
-marked diagrams.  The counts weigh orbits instead of visiting them: an
-orbit with no fused pair of two floors has only mark swaps, which always
-change the marking, so it has exactly 2^r members (r its type-R pairs),
-all with the same pair classes, elevator weights and local factors; n
-such marked diagrams hold n / 2^r orbits.  Fusing two floors at a
-position is an orbit invariant, and those orbits are each counted at
-their minimum encoding, where joined twins and unsupported shapes are
-detected.  ``enumerate_merged_diagrams`` lists every orbit's minimum and
-is the oracle of the weighted counts.  This rule set makes the rank of
+marked diagrams.  One walk groups the marked diagrams by their pair
+classes, which the two fused objects decide.  An orbit with no fused
+pair of two floors has only mark swaps, which always change the marking,
+so it has exactly 2^r members (r its type-R pairs), all with the same
+pair classes, elevator weights and local factors; n such marked diagrams
+hold n / 2^r orbits.  Fusing two floors is an orbit invariant, and such
+marked diagrams are counted at their orbit's minimum encoding, where
+joined twins and unsupported shapes are detected.
+``enumerate_merged_diagrams`` lists every orbit's minimum and is the
+oracle of the weighted counts.  This rule set makes the rank of
 the total count equal the classical degree-d rational-curve count for
 every configuration, which is the completeness certificate the test
 suite enforces.
@@ -303,34 +304,39 @@ def graph_connected(graph: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def classify_pair(diagram: FloorDiagram, marking: tuple, p: int):
-    """Tag for the fused pair at marks (p, p+1), or None if no rule fits.
+_R = ("R",)
 
-    Tags: ("A", object, weight) | ("R", obj1, obj2) | ("T", obj1, obj2).
+
+def classify_pair(diagram: FloorDiagram, o1: tuple, o2: tuple):
+    """Class of a fused pair of the objects o1 and o2 of the diagram, or
+    None if no rule fits.
+
+    Classes, which are all the local factors read of a pair:
+    ``("A", "elev", w)`` or ``("A", "end", 1)`` for type A on an elevator
+    of weight w or on a down end, ``("T",)`` for a twin, ``("R",)``.
     """
-    o1, o2 = marking[p - 1], marking[p]
     kinds = (o1[0], o2[0])
     if kinds == ("floor", "floor"):
-        return ("R", o1, o2)
+        return _R
     if "floor" in kinds:
         fl, other = (o1, o2) if o1[0] == "floor" else (o2, o1)
         f = fl[1]
         if other[0] == "elev":
             lo, hi, w = diagram.elevators[other[1]]
             if f in (lo, hi):
-                return ("A", other, w)
+                return ("A", "elev", w)
             if lo < f < hi:
-                return ("R", o1, o2)
+                return _R
             return None
         if other[0] == "end":
             if other[1] == f:
-                return ("A", other, 1)
+                return ("A", "end", 1)
             if f < other[1]:
-                return ("R", o1, o2)
+                return _R
             return None
     if kinds == ("end", "end") and o1[1] == o2[1]:
-        return ("T", o1, o2)
-    return ("R", o1, o2)
+        return ("T",)
+    return _R
 
 
 def _floor_swap_variant(
@@ -385,18 +391,6 @@ def _apply_swaps(diagram_elevators, marking, cfg, pair_indices):
 
 
 @cache
-def _tag_table(d: int) -> tuple[tuple, ...]:
-    """``classify_pair`` at every position of every marked diagram, one
-    column per position: ``table[p - 1][k]`` tags pair p of
-    ``enumerate_diagrams(d)[k]``, for p = 1..3d-2."""
-    marked = enumerate_diagrams(d)
-    return tuple(
-        tuple(classify_pair(diagram, marking, p) for diagram, marking in marked)
-        for p in range(1, 3 * d - 1)
-    )
-
-
-@cache
 def _orbit_test(d: int, index: int, rpos: tuple[int, ...]):
     """Orbit test of marked diagram ``enumerate_diagrams(d)[index]`` when
     its fused pairs at positions ``rpos`` are of type R.
@@ -441,7 +435,7 @@ class UnsupportedShapeError(ValueError):
     fused-pair interaction the local-factor model does not cover."""
 
 
-def _joins(diagram: FloorDiagram, cfg: tuple, tags: tuple, stabiliser: tuple) -> tuple:
+def _joins(diagram: FloorDiagram, marking: tuple, cfg: tuple, stabiliser: tuple) -> tuple:
     """Joint-twin detection for an orbit minimum.
 
     Lists index pairs (i, j) of fused pairs whose two operations act
@@ -459,49 +453,32 @@ def _joins(diagram: FloorDiagram, cfg: tuple, tags: tuple, stabiliser: tuple) ->
                 f"{list(positions)} (degree {diagram.d})"
             )
         i, j = map(cfg.index, positions)
-        kinds = {tags[i][1][0], tags[i][2][0]}, {tags[j][1][0], tags[j][2][0]}
+        pairs = [marking[p - 1 : p + 1] for p in positions]
+        kinds = [{obj[0] for obj in pair} for pair in pairs]
         if kinds[0] == {"floor"}:
             i, j = j, i
-            kinds = kinds[1], kinds[0]
+            pairs, kinds = pairs[::-1], kinds[::-1]
         if kinds[0] != {"elev"} or kinds[1] != {"floor"}:
             raise UnsupportedShapeError(
                 "unsupported twin interaction kinds at fused pairs "
                 f"{list(positions)}"
             )
-        if any(diagram.elevators[obj[1]][2] != 1 for obj in tags[i][1:]):
+        if any(diagram.elevators[obj[1]][2] != 1 for obj in pairs[0]):
             raise ValueError("joined twin elevators must have weight 1")
         used.update(positions)
         joins.append((i, j))
     return tuple(sorted(joins))
 
 
-def _orbit_minima(d: int, cfg: tuple[int, ...], indices):
-    """Yield ``(index, tags, joins)`` for every marked diagram
-    ``enumerate_diagrams(d)[index]``, index in ``indices`` (ascending),
-    that is its orbit's minimum encoding under the valid configuration
-    cfg.  Diagrams with a pair that no rule classifies are skipped."""
-    marked = enumerate_diagrams(d)
-    rows = list(zip(*(_tag_table(d)[p - 1] for p in cfg))) if cfg else [()] * len(marked)
-    for index in indices:
-        tags = rows[index]
-        if None in tags:
-            continue
-        rpos = tuple(p for p, tag in zip(cfg, tags) if tag[0] == "R")
-        stabiliser = _orbit_test(d, index, rpos)
-        if stabiliser is not None:
-            yield index, tags, _joins(marked[index][0], cfg, tags, stabiliser)
-
-
-_R = ("R",)
-
-
-def _pair_class(tag: tuple) -> tuple:
-    """What a classified pair's tag contributes to the local factors:
-    ``("A", "elev", w)`` or ``("A", "end", 1)`` for type A on an elevator
-    of weight w or on a down end, ``("T",)`` for a twin, ``("R",)``."""
-    if tag[0] == "A":
-        return ("A", tag[1][0], tag[2])
-    return (tag[0],) if tag[0] == "T" else _R
+def _orbit_minimum(d: int, cfg: tuple[int, ...], index: int, rpos: tuple[int, ...]):
+    """The joins of marked diagram ``enumerate_diagrams(d)[index]``, whose
+    fused pairs under cfg are of type R at the positions ``rpos``, if it is
+    its orbit's minimum encoding; None otherwise."""
+    stabiliser = _orbit_test(d, index, rpos)
+    if stabiliser is None:
+        return None
+    diagram, marking = enumerate_diagrams(d)[index]
+    return _joins(diagram, marking, cfg, stabiliser)
 
 
 def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
@@ -515,7 +492,7 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
     factor per fused pair in label order (a joined pair once, at its
     elevator pair), then the square of every elevator no pair consumed,
     by weight.  ``weights`` are the diagram's elevator weights,
-    ``classes`` the ``_pair_class`` of each fused pair.  A type-A pair on
+    ``classes`` the ``classify_pair`` of each fused pair.  A type-A pair on
     an elevator consumes that elevator; a joined pair consumes its two
     weight-1 elevators.  Down ends contribute <1> and are left out."""
     joined = dict(joins)
@@ -541,42 +518,31 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
 
 
 @cache
-def _class_table(d: int) -> tuple[tuple, tuple, tuple, tuple]:
+def _class_table(d: int) -> tuple[tuple, tuple, tuple]:
     """Row bitmasks over ``enumerate_diagrams(d)``, bit k for marked
-    diagram k, derived from ``_tag_table(d)``.
-
-    Returns ``(classes, fused_floors, descending, weights)``.  For pair
-    p, ``classes[p - 1]`` lists ``(pair class, rows)``; ``fused_floors[p - 1]``
-    holds the rows whose pair p is type R on two floor marks, which are
-    in no class; ``descending[p - 1]`` the rows whose pair p is type R on
-    two other marks in descending order.  ``weights`` lists ``(sorted
-    elevator weights, rows)``.  An unclassifiable pair is in no mask.
-    """
-    classes, fused_floors, descending = [], [], []
-    for column in _tag_table(d):
+    diagram k, from ``classify_pair``.  Returns ``(classes, fused_floors,
+    weights)``: ``classes[p - 1]`` lists ``(pair class, rows)`` for pair p
+    (an unclassifiable pair is in no mask), ``fused_floors[p - 1]`` the
+    rows whose pair p fuses two floors (also in the ``("R",)`` mask), and
+    ``weights`` lists ``(sorted elevator weights, rows)``."""
+    marked = enumerate_diagrams(d)
+    classes, fused_floors = [], []
+    for p in range(1, 3 * d - 1):
         rows: dict[tuple, list[int]] = {}
-        floors, down = [], []
-        for k, tag in enumerate(column):
-            if tag is None:
-                continue
-            if tag[0] == "R" and tag[1][0] == tag[2][0] == "floor":
-                floors.append(k)
-                continue
-            if tag[0] == "R" and tag[2] < tag[1]:
-                down.append(k)
-            rows.setdefault(_pair_class(tag), []).append(k)
+        floors = []
+        for k, (diagram, marking) in enumerate(marked):
+            o1, o2 = marking[p - 1], marking[p]
+            cls = classify_pair(diagram, o1, o2)
+            if cls is not None:
+                rows.setdefault(cls, []).append(k)
+                if o1[0] == o2[0] == "floor":
+                    floors.append(k)
         classes.append(tuple((cls, _mask(ks)) for cls, ks in rows.items()))
         fused_floors.append(_mask(floors))
-        descending.append(_mask(down))
     weights: dict[tuple, list[int]] = {}
-    for k, (diagram, _marking) in enumerate(enumerate_diagrams(d)):
+    for k, (diagram, _marking) in enumerate(marked):
         weights.setdefault(_weights(diagram), []).append(k)
-    return (
-        tuple(classes),
-        tuple(fused_floors),
-        tuple(descending),
-        tuple((w, _mask(ks)) for w, ks in weights.items()),
-    )
+    return tuple(classes), tuple(fused_floors), tuple((w, _mask(ks)) for w, ks in weights.items())
 
 
 def _mask(indices: list[int]) -> int:
@@ -596,12 +562,31 @@ def _bits(mask: int):
         k = text.find("1", k + 1)
 
 
+def _leaves(d: int, cfg: tuple[int, ...]):
+    """Yield ``(classes, rpos, rows)`` once per tuple of pair classes under
+    the valid configuration cfg: ``rows`` are the marked diagrams with those
+    classes, ``rpos`` the positions of the type-R pairs.  A depth-first walk
+    ANDs the masks of ``_class_table``; an unclassifiable row reaches none."""
+    classes = _class_table(d)[0]
+
+    def walk(i: int, rows: int, chosen: tuple, rpos: tuple):
+        if i == len(cfg):
+            yield chosen, rpos, rows
+            return
+        p = cfg[i]
+        for cls, mask in classes[p - 1]:
+            if sub := rows & mask:
+                yield from walk(i + 1, sub, (*chosen, cls), (*rpos, p) if cls == _R else rpos)
+
+    return walk(0, (1 << len(enumerate_diagrams(d))) - 1, (), ())
+
+
 @dataclass(frozen=True)
 class MergedDiagram:
     diagram: FloorDiagram
     marking: tuple
     cfg: tuple[int, ...]
-    tags: tuple
+    classes: tuple
     joins: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -610,8 +595,7 @@ class MergedDiagram:
 
     def factors(self) -> tuple[tuple, ...]:
         """The local factor keys in the canonical order of ``_factor_keys``."""
-        classes = tuple(map(_pair_class, self.tags))
-        return _factor_keys(_weights(self.diagram), classes, self.joins)
+        return _factor_keys(_weights(self.diagram), self.classes, self.joins)
 
     def multiplicity(self) -> TildeElement:
         return _multiset_product(TildeElement, factor_value, self.s, self.factors())
@@ -633,26 +617,18 @@ class MergedDiagram:
             partner[i + 1] = j + 1
             partner[j + 1] = i + 1
         merges = []
-        for j, (p, tag) in enumerate(zip(self.cfg, self.tags), start=1):
+        for j, (p, cls) in enumerate(zip(self.cfg, self.classes), start=1):
+            o1, o2 = self.marking[p - 1], self.marking[p]
+            objects = [oid(o1), oid(o2)]
             if j in partner:
-                body = {
-                    "type": "twin",
-                    "t": 2,
-                    "m_circ": 1,
-                    "partner": partner[j],
-                    "objects": [oid(tag[1]), oid(tag[2])],
-                }
-            elif tag[0] == "A":
-                body = {"type": "A", "m": tag[2], "object": oid(tag[1])}
-            elif tag[0] == "T":
-                body = {
-                    "type": "twin",
-                    "t": 1,
-                    "m_circ": 2,
-                    "objects": [oid(tag[1]), oid(tag[2])],
-                }
+                body = {"type": "twin", "t": 2, "m_circ": 1, "partner": partner[j], "objects": objects}
+            elif cls[0] == "A":
+                edge = o2 if o1[0] == "floor" else o1
+                body = {"type": "A", "m": cls[2], "object": oid(edge)}
+            elif cls[0] == "T":
+                body = {"type": "twin", "t": 1, "m_circ": 2, "objects": objects}
             else:
-                body = {"type": "R", "objects": [oid(tag[1]), oid(tag[2])]}
+                body = {"type": "R", "objects": objects}
             merges.append({"pair": j, "position": p, "tag": body})
         return {
             "d": self.diagram.d,
@@ -680,10 +656,12 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
     that encoding."""
     cfg = _merge_config(d, cfg)
     marked = enumerate_diagrams(d)
-    out = [
-        MergedDiagram(*marked[index], cfg, tags, joins)
-        for index, tags, joins in _orbit_minima(d, cfg, range(len(marked)))
-    ]
+    out = []
+    for classes, rpos, rows in _leaves(d, cfg):
+        for index in _bits(rows):
+            joins = _orbit_minimum(d, cfg, index, rpos)
+            if joins is not None:
+                out.append(MergedDiagram(*marked[index], cfg, classes, joins))
     out.sort(key=lambda m: (m.diagram.elevators, m.marking))
     return tuple(out)
 
@@ -708,40 +686,34 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     (the orbits) of a valid configuration, counted by orbit weights (see
     the module docstring); no ``MergedDiagram`` is built.
 
-    A depth-first walk over the positions ANDs the class masks of
-    ``_class_table``, so each leaf holds the rows of one class tuple, and
-    its rows of one elevator-weight tuple share one factor tuple.  The
-    rows that fuse two floors take ``_orbit_minima`` instead.
+    One walk (``_leaves``) visits each tuple of pair classes once.  A
+    leaf's rows that fuse two floors at some pair take the orbit test and
+    are counted at their minimum; its other rows of one elevator-weight
+    tuple share one factor tuple and are counted by orbit weight.
     """
-    classes, fused_floors, descending, weights = _class_table(d)
+    _classes, fused_floors, weights = _class_table(d)
+    marked = enumerate_diagrams(d)
+    floors = reduce(or_, (fused_floors[p - 1] for p in cfg), 0)
     counts: Counter = Counter()
-
-    def walk(i: int, rows: int, chosen: tuple, r: int):
-        if i < len(cfg):
-            for cls, mask in classes[cfg[i] - 1]:
-                if sub := rows & mask:
-                    walk(i + 1, sub, (*chosen, cls), r + (cls == _R))
-            return
+    for chosen, rpos, rows in _leaves(d, cfg):
+        for index in _bits(rows & floors):
+            joins = _orbit_minimum(d, cfg, index, rpos)
+            if joins is not None:
+                counts[_factor_keys(_weights(marked[index][0]), chosen, joins)] += 1
+        rows &= ~floors
+        if not rows:
+            continue
+        size = 1 << len(rpos)
         for w, mask in weights:
             n = (rows & mask).bit_count()
-            if n % (1 << r):
+            if n % size:
                 raise RuntimeError(
                     f"configuration {cfg}: {n} marked diagrams with pair "
                     f"classes {chosen} and elevator weights {w} are not a "
-                    f"whole number of orbits of size {1 << r}"
+                    f"whole number of orbits of size {size}"
                 )
             if n:
-                counts[_factor_keys(w, chosen, ())] += n >> r
-
-    marked = enumerate_diagrams(d)
-    walk(0, (1 << len(marked)) - 1, (), 0)
-    # A descending pair of non-floor marks rules out an orbit minimum
-    # (see ``_orbit_test``), so those rows need no visit.
-    visit = reduce(or_, (fused_floors[p - 1] for p in cfg), 0)
-    visit &= ~reduce(or_, (descending[p - 1] for p in cfg), 0)
-    for index, tags, joins in _orbit_minima(d, cfg, _bits(visit)):
-        pair_classes = tuple(map(_pair_class, tags))
-        counts[_factor_keys(_weights(marked[index][0]), pair_classes, joins)] += 1
+                counts[_factor_keys(w, chosen, ())] += n // size
     return counts
 
 

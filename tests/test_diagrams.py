@@ -7,17 +7,14 @@ from operator import mul
 
 import pytest
 
-from gwfloor import checks, diagrams
+from gwfloor import checks, diagrams, local_factors
 from gwfloor.diagrams import (
     FloorDiagram,
     UnsupportedShapeError,
     _apply_swaps,
     _class_table,
-    _factor_keys,
     _factor_multisets,
-    _multiset_product,
     _orbit_test,
-    _tag_table,
     classify_pair,
     dissolve_specialize,
     dissolved_config,
@@ -32,7 +29,7 @@ from gwfloor.diagrams import (
     unit_shift_graph,
     unit_shifts,
 )
-from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
+from gwfloor.fields import ClosedField, FiniteField, RealField, finite_field, specialize_field
 from gwfloor.local_factors import factor_value, residual_factor
 from gwfloor.univ import (
     UNIV_H,
@@ -42,6 +39,7 @@ from gwfloor.univ import (
     TildeElement,
     residual_reduce,
 )
+from gwfloor.wallcross import SWEEP_FQ_ORDERS
 
 
 class TestFloorDiagram:
@@ -305,7 +303,7 @@ class TestMultisetMemo:
         assert len(multisets) == 268
         assert kinds == {"square": 36_602, "A": 24_623, "R": 10_502, "tree": 8_315}
 
-    def test_counts_match_orbit_minima_everywhere(self):
+    def test_counts_match_merged_diagrams_everywhere(self):
         """floor_count and floor_count_residual equal the sums over the
         orbit minima of enumerate_merged_diagrams on every configuration
         at d <= 4, and the unsupported ones raise the oracle's message."""
@@ -347,15 +345,21 @@ class TestMultisetMemo:
 
     def test_orbit_weights_must_divide(self, monkeypatch):
         """A leaf whose row count is not a whole number of orbits raises
-        and names the configuration: drop one row from an R-class mask."""
-        classes, *rest = _class_table(3)
+        and names the configuration: drop one row from the R-class mask.
+        The row fuses no two floors, so it is one the weights count."""
+        classes, fused_floors, weights = _class_table(3)
         column = 6 - 1
+
+        def drop(mask):
+            weighted = mask & ~fused_floors[column]
+            assert weighted
+            return mask ^ (weighted & -weighted)
+
         classes = list(classes)
         classes[column] = tuple(
-            (cls, mask & (mask - 1) if cls == ("R",) else mask)
-            for cls, mask in classes[column]
+            (cls, drop(mask) if cls == ("R",) else mask) for cls, mask in classes[column]
         )
-        corrupt = (tuple(classes), *rest)
+        corrupt = (tuple(classes), fused_floors, weights)
         monkeypatch.setattr(diagrams, "_class_table", lambda d: corrupt)
         _clear_caches()
         try:
@@ -396,35 +400,29 @@ class TestMultisetMemo:
 
 
 def _clear_caches():
-    """Empty every cache behind the counts: the tag and class tables, the
-    orbit memo, the factor-key table, the two factor tables, the multiset
-    counts and products, and the memoised results."""
-    for fn in (
-        _tag_table,
-        _class_table,
-        _orbit_test,
-        _factor_keys,
-        factor_value,
-        residual_factor,
-        _factor_multisets,
-        _multiset_product,
-        enumerate_merged_diagrams,
-        floor_count,
-        floor_count_residual,
-    ):
-        fn.cache_clear()
+    """Empty every cache behind the counts: every memoised function of
+    ``diagrams`` and ``local_factors``, found by its ``cache_clear``."""
+    for module in (diagrams, local_factors):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
 
 
-class TestTagTable:
-    def test_matches_classify_pair(self):
+class TestClassTable:
+    def test_cells_match_classify_pair(self):
+        """Each row is in the mask of the class classify_pair gives its
+        pair, or in none, and in fused_floors when it fuses two floors."""
         for d in range(1, 5):
-            table = _tag_table(d)
-            marked = enumerate_diagrams(d)
-            assert len(table) == 3 * d - 2
-            assert all(len(column) == len(marked) for column in table)
-            for k, (diagram, marking) in enumerate(marked):
+            classes, fused_floors, _weights = _class_table(d)
+            assert len(classes) == len(fused_floors) == 3 * d - 2
+            for k, (diagram, marking) in enumerate(enumerate_diagrams(d)):
                 for p in range(1, 3 * d - 1):
-                    assert table[p - 1][k] == classify_pair(diagram, marking, p), (d, k, p)
+                    o1, o2 = marking[p - 1], marking[p]
+                    cls = classify_pair(diagram, o1, o2)
+                    holding = [c for c, mask in classes[p - 1] if mask >> k & 1]
+                    assert holding == ([] if cls is None else [cls]), (d, k, p)
+                    fused = bool(fused_floors[p - 1] >> k & 1)
+                    assert fused == (o1[0] == o2[0] == "floor"), (d, k, p)
 
 
 @cache
@@ -434,10 +432,10 @@ def _orbits(d: int, cfg: tuple[int, ...]) -> list[list[tuple]]:
     of its type-R pairs with their alternate-encoding operations applied."""
     out = []
     for diagram, marking in enumerate_diagrams(d):
-        tags = [classify_pair(diagram, marking, p) for p in cfg]
-        if None in tags:
+        classes = [classify_pair(diagram, marking[p - 1], marking[p]) for p in cfg]
+        if None in classes:
             continue
-        swappable = [i for i, tag in enumerate(tags) if tag[0] == "R"]
+        swappable = [i for i, cls in enumerate(classes) if cls == ("R",)]
         out.append(
             [
                 _apply_swaps(diagram.elevators, marking, cfg, chosen)
@@ -485,10 +483,10 @@ class TestOrbitMinima:
         alternate encoding."""
         for d, cfg in _all_configs(4):
             for index, (diagram, marking) in enumerate(enumerate_diagrams(d)):
-                tags = [classify_pair(diagram, marking, p) for p in cfg]
-                if None in tags:
+                classes = [classify_pair(diagram, marking[p - 1], marking[p]) for p in cfg]
+                if None in classes:
                     continue
-                rpos = tuple(p for p, tag in zip(cfg, tags) if tag[0] == "R")
+                rpos = tuple(p for p, cls in zip(cfg, classes) if cls == ("R",))
                 own = (diagram.elevators, marking)
                 keys = {
                     chosen: _apply_swaps(diagram.elevators, marking, rpos, chosen)
@@ -511,6 +509,7 @@ class TestMergedJson:
     def test_shape(self):
         merged = enumerate_merged_diagrams(3, (5, 7))
         twin_tags = []
+        a_tags = 0
         for md in merged:
             doc = md.to_json()
             assert set(doc) == {"d", "elevators", "ends", "marking", "merges"}
@@ -523,7 +522,13 @@ class TestMergedJson:
                 assert isinstance(tag, dict) and "type" in tag
                 if tag["type"] == "twin":
                     twin_tags.append(tag)
-        assert twin_tags
+                if tag["type"] == "A":
+                    # the edge of the pair, never its floor
+                    p = entry["position"]
+                    pair = doc["marking"][p - 1 : p + 1]
+                    assert tag["object"] in pair and not tag["object"].startswith("floor")
+                    a_tags += 1
+        assert twin_tags and a_tags
         for t in twin_tags:
             assert t["t"] == 2 and t["m_circ"] == 1
             assert t["partner"] in (1, 2)
@@ -568,7 +573,7 @@ class TestDissolution:
                 for j in range(1, s + 1):
                     left = dissolve_specialize(full, j)
                     right = floor_count(d, dissolved_config(cfg, j))
-                    for model in (RealField(), FiniteField(5), FiniteField(7)):
+                    for model in (RealField(), *map(FiniteField, SWEEP_FQ_ORDERS)):
                         for assign in self._assignments(model, s - 1):
                             assert specialize_field(
                                 left, model, assign
@@ -579,6 +584,19 @@ class TestDissolution:
                         }).rank
                         == right.rank
                     )
+
+    def test_dissolution_check_sweeps_every_square_class(self, monkeypatch):
+        """The dissolution check evaluates over the sweep's fields, one per
+        square-bit class of -1 and 2."""
+        asked = []
+
+        def recording(q):
+            asked.append(q)
+            return finite_field(q)
+
+        monkeypatch.setattr(checks, "finite_field", recording)
+        assert checks._check_dissolution(3, (5, 7), 1) == (True, "")
+        assert tuple(asked) == SWEEP_FQ_ORDERS
 
     def test_dissolved_config_validation(self):
         assert dissolved_config((2, 5), 1) == (5,)
