@@ -453,6 +453,23 @@ def cascade_reconstruct(
     return total + shift * full
 
 
+def gw_normal_form(e: TildeElement) -> TildeElement:
+    """Normal form of ``e`` in Q, the free ring modulo h*x_l = h and
+    2<1> = 2<2>: relations of GW(F) for every field F (<1,1> = <2,2>), so
+    every field image is kept.  The h-coefficients are summed into the
+    constant key, and c1<1> + c2<2> becomes (c1 + c2 - c2 mod 2)<1> +
+    (c2 mod 2)<2>.  Elements are equal in Q exactly when these are equal."""
+    out = {k: UnivElement(v.c1 + v.c2 - (v.c2 & 1), 0, v.c2 & 1) for k, v in e.coeffs.items()}
+    out[0] = out.get(0, UNIV_ZERO) + UnivElement(0, sum(v.ch for v in e.coeffs.values()), 0)
+    return TildeElement._of_masks(e.nvars, out)
+
+
+def first_term_name(e: MultiAffine) -> str:
+    """The first monomial of ``e`` in ``terms`` order, as ``x1x3`` (``1``
+    for the constant); ``e`` must be nonzero."""
+    return "".join(f"x{l}" for l in e.terms()[0][0]) or "1"
+
+
 def residual_reduce(e):
     """Image in the residual quotient: coefficients mod 2 with h killed.
 

@@ -1,18 +1,22 @@
 """Wall-crossing differences, cascade extraction, and verification reports.
 
 A wall crossing compares the enriched counts at two merge configurations
-of the same size.  Peeling the formal variables off the difference one at
-a time (pairing label s first, then the remaining labels in ascending
-order) writes
+of the same size.  Vanishing is decided exactly in Q, the free ring
+modulo h*x_l = h and 2<1> = 2<2> (``univ.gw_normal_form``).  Peeling the
+formal variables off the normal form of the difference one at a time
+(pairing label s first, then the remaining labels in ascending order)
+writes
 
     delta = sum_q S_q * prod_{p<q} (x_{j_p} - <1>)
             + C * prod_l (x_{j_l} - <1>)
 
-where the witnesses S_q vanish in every field model whenever the counts
-are merge-position independent, and the full-monomial coefficient
-C = n1<1> + n2<2> + m*h carries the obstruction data: n1 + n2 vanishes
-by the real-signature argument and n1 is even by the Laurent-series
-anisotropy certificate.
+where the witnesses S_q vanish in Q whenever the counts are
+merge-position independent, and the full-monomial coefficient
+C = n1<1> + n2<2> carries the obstruction data: n1 + n2 vanishes by the
+real-signature argument and n1 is even by the Laurent-series anisotropy
+certificate.  The report's m is the one h-number Q keeps, the h-content
+sum_S ch(S) of the delta: it adds up along a chain of shifts and is 0 on
+every supported shift.
 
 Reports evaluate every check as data (verdicts, not exceptions) so
 sweeps over many configuration pairs never abort on a failing check.
@@ -41,6 +45,8 @@ from .univ import (
     UnivElement,
     cascade_decompose,
     cascade_reconstruct,
+    first_term_name,
+    gw_normal_form,
     residual_reduce,
     top_coefficient,
     univ_coords,
@@ -48,15 +54,9 @@ from .univ import (
 
 SCHEMA_VERSION = "gwfloor/1"
 
-# One order per pair of square bits of -1 and 2: the image of a class over
-# F_q depends on nothing else (q = 5, 7, 3, 1 mod 8 in turn).  Both the
-# field sweep and the witness check evaluate over these fields.
+# The field sweep's finite fields, one per pair of square bits of -1 and 2,
+# which is all an image over F_q depends on (q = 5, 7, 3, 1 mod 8 in turn).
 SWEEP_FQ_ORDERS = (5, 7, 11, 17)
-
-# The models of every sweep, built once.
-_REAL = RealField()
-_SWEEP_FQ = tuple(map(finite_field, SWEEP_FQ_ORDERS))
-_CLOSED = ClosedField()
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def _sweep(s: int) -> tuple[tuple, ...]:
     (model, assignment as (label, value) pairs, the assignment's flip mask
     for ``model.evaluate``, model name, assignment name)."""
     entries = []
-    for model in (_REAL, *_SWEEP_FQ, _CLOSED):
+    for model in (RealField(), *map(finite_field, SWEEP_FQ_ORDERS), ClosedField()):
         for pattern in itertools.product(model.values, repeat=s):
             assign = dict(zip(range(1, s + 1), pattern))
             flips = sum(model.flip(value) << i for i, value in enumerate(pattern))
@@ -171,8 +171,8 @@ class WallCrossReport:
     broccoli: bool
     parity: bool
     field_checks: tuple[FieldCheck, ...]
-    # the first witness with a nonzero image, as "S_<q> <model> <assignment>"
-    # with q its 1-based index in the cascade order; None when all vanish
+    # the first witness nonzero in Q, as "S_<q> <first monomial of its normal
+    # form>" with q its 1-based index in the cascade order; None if none
     first_witness: str | None
     reconstruction: bool
 
@@ -201,7 +201,7 @@ class WallCrossReport:
 
     def failed_checks(self) -> list[str]:
         """Names of the failing checks, the first non-vanishing witness as
-        ``witnesses_zero S_<q> <model> <assignment>`` and the first failing
+        ``witnesses_zero S_<q> <monomial>`` and the first failing
         field image as ``field_zero <model> <assignment>``; empty when the
         report passes."""
         failed = [name for name, ok in self.verdicts().items() if not ok]
@@ -236,8 +236,9 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     delta = delta_count(d, cfg_from, cfg_to)
     s = len(cfg_from)
     order = proof_cascade_order(s)
-    coefficient, witnesses = extract_universal_coefficient(delta, order)
-    n1, n2, m = univ_coords(coefficient)
+    normal = gw_normal_form(delta)
+    coefficient, witnesses = extract_universal_coefficient(normal, order)
+    n1, n2, _ = univ_coords(coefficient)
 
     # Every sweep assigns all s variables, so the models evaluate the
     # coefficients directly.
@@ -246,22 +247,11 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
         for model, _, flips, model_name, assign_name in _sweep(s)
     )
 
-    # All 2^s square/nonsquare assignments are the flip masks below 2^s,
-    # bit l - 1 the square bit of label l.
     first_witness = next(
-        (
-            f"S_{q} {model.describe()} "
-            + model.describe_assign({l: flips >> (l - 1) & 1 for l in range(1, s + 1)})
-            for q, w in enumerate(witnesses, start=1)
-            for model in _SWEEP_FQ
-            for flips in range(1 << s)
-            if not model.evaluate(w.coeffs, flips).is_zero()
-        ),
+        (f"S_{q} {first_term_name(w)}" for q, w in enumerate(map(gw_normal_form, witnesses), 1) if w.coeffs),
         None,
     )
-    reconstruction = (
-        cascade_reconstruct(list(witnesses), coefficient, order, s) == delta
-    )
+    reconstruction = cascade_reconstruct(list(witnesses), coefficient, order, s) == normal
 
     return WallCrossReport(
         d=d,
@@ -272,7 +262,7 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
         witnesses=witnesses,
         n1=n1,
         n2=n2,
-        m=m,
+        m=sum(v.ch for v in delta.coeffs.values()),
         rank_zero=delta.rank == 0,
         broccoli=n1 + n2 == 0,
         parity=n1 % 2 == 0,
@@ -383,12 +373,13 @@ def _unit_shift_pairs(n: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int,
 
 
 @functools.cache
-def _transfer_targets(d: int, s: int):
-    """Each supported unit-shift pair with s pairs at degree d, with the
-    <2>-parity of its delta's top coefficient: the right side of the
-    transfer congruence for every source with s + 1 pairs.  The pairs whose
-    counts raise ``UnsupportedShapeError`` are set aside and returned as
-    the second item."""
+def transfer_targets(d: int, s: int):
+    """Each supported unit-shift pair with s pairs at degree d, in
+    ``unit_shift_pairs`` order, with the <2>-parity of its delta's top
+    coefficient: the right side of the transfer congruence for every
+    source with s + 1 pairs.  The pairs whose counts raise
+    ``UnsupportedShapeError`` are set aside and returned as the second
+    item."""
     targets = []
     unsupported = []
     for pair in _unit_shift_pairs(3 * d - 1, s):
@@ -435,7 +426,7 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
 
     transfers = unsupported = ()
     if s >= 2:
-        targets, unsupported = _transfer_targets(d, s - 1)
+        targets, unsupported = transfer_targets(d, s - 1)
         transfers = tuple(
             TransferCheck(target_from, target_to, top.a, rhs)
             for target_from, target_to, rhs in targets

@@ -14,6 +14,7 @@ from gwfloor.diagrams import (
     _apply_swaps,
     _class_table,
     _factor_multisets,
+    _joins,
     _orbit_test,
     classify_pair,
     dissolve_specialize,
@@ -29,7 +30,7 @@ from gwfloor.diagrams import (
     unit_shift_graph,
     unit_shifts,
 )
-from gwfloor.fields import ClosedField, FiniteField, RealField, finite_field, specialize_field
+from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
 from gwfloor.local_factors import factor_value, residual_factor
 from gwfloor.univ import (
     UNIV_H,
@@ -505,6 +506,22 @@ class TestOrbitMinima:
                 assert (got if got is None else set(got)) == expected, (d, cfg, index)
 
 
+class TestJoins:
+    """``_joins`` on a hand-built diagram whose stabiliser lists the floor
+    pair before the elevator pair."""
+
+    MARKING = (("end", 1, 1), ("elev", 0), ("elev", 1), ("floor", 3), ("floor", 4))
+
+    def test_elevator_pair_comes_first(self):
+        diagram = FloorDiagram(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1)))
+        assert _joins(diagram, self.MARKING, (2, 4), ((4, 2),)) == ((0, 1),)
+
+    def test_joined_elevators_must_have_weight_one(self):
+        diagram = FloorDiagram(4, ((1, 2, 2), (2, 3, 1), (3, 4, 1)))
+        with pytest.raises(ValueError, match="joined twin elevators must have weight 1"):
+            _joins(diagram, self.MARKING, (2, 4), ((4, 2),))
+
+
 class TestMergedJson:
     def test_shape(self):
         merged = enumerate_merged_diagrams(3, (5, 7))
@@ -585,18 +602,20 @@ class TestDissolution:
                         == right.rank
                     )
 
-    def test_dissolution_check_sweeps_every_square_class(self, monkeypatch):
-        """The dissolution check evaluates over the sweep's fields, one per
-        square-bit class of -1 and 2."""
-        asked = []
+    def test_perturbed_count_fails_and_names_its_key(self, monkeypatch):
+        """The check compares in Q: a change that is zero there passes, any
+        other fails and names the first monomial that differs."""
+        count = floor_count(3, (7,))
 
-        def recording(q):
-            asked.append(q)
-            return finite_field(q)
+        def perturbed(by):
+            monkeypatch.setattr(
+                checks, "floor_count", lambda d, cfg: count + by if cfg == (7,) else floor_count(d, cfg)
+            )
+            return checks._check_dissolution(3, (5, 7), 1)
 
-        monkeypatch.setattr(checks, "finite_field", recording)
-        assert checks._check_dissolution(3, (5, 7), 1) == (True, "")
-        assert tuple(asked) == SWEEP_FQ_ORDERS
+        h, x1 = TildeElement.constant(UNIV_H, 1), TildeElement.variable(1, 1)
+        assert perturbed(h * x1 - h + TildeElement.constant(2 * UNIV_ONE - 2 * UNIV_TWO, 1)) == (True, "")
+        assert perturbed((UNIV_ONE - UNIV_TWO) * x1) == (False, "normal forms differ at x1")
 
     def test_dissolved_config_validation(self):
         assert dissolved_config((2, 5), 1) == (5,)

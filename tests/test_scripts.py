@@ -105,17 +105,19 @@ class TestWallcrossSweep:
         assert capsys.readouterr().out.splitlines()[-1] == "48 checks, 0 failed"
 
     def test_degree_four_is_pinned(self, capsys):
-        """The degree-4 sweep fails two levels on witnesses_zero (ROADMAP
-        item 1) and the three residual rows whose source is unsupported;
-        the rows of supported sources name their unsupported target."""
-        assert load_script("wallcross_sweep").main(["--degrees", "4"]) == 1
+        """Every degree-4 check passes.  The three unsupported shifts have
+        no residual row: their level rows name them, and the rows of
+        supported sources name their unsupported target."""
+        assert load_script("wallcross_sweep").main(["--degrees", "4"]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[-1] == "240 checks, 5 failed"
+        assert out.splitlines()[-1] == "237 checks, 0 failed"
+        assert "FAIL" not in out
         mended = [line for line in out.splitlines() if line.endswith(
             "59 dissolved targets; 1 unsupported: (1, 3, 5, 7) -> (1, 3, 5, 8)"
         )]
         assert len(mended) == 3
         assert all(line.startswith("  ok   residual-transfer:d=4:") for line in mended)
+        assert "residual-transfer:d=4:1,3,5,7>" not in out
         assert out.encode() == (GOLDEN / "wallcross_sweep_d4.txt").read_bytes()
 
     @pytest.mark.parametrize("degrees", [str(TOP + 1), "x", "1", f"2,{TOP + 1}", ""])

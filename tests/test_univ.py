@@ -20,10 +20,13 @@ from gwfloor.univ import (
     UnivElement,
     cascade_decompose,
     cascade_reconstruct,
+    first_term_name,
+    gw_normal_form,
     residual_reduce,
     top_coefficient,
     univ_coords,
 )
+from gwfloor.wallcross import _sweep
 
 univ_elements = st.builds(
     UnivElement,
@@ -245,6 +248,49 @@ class TestCascade:
         _, full_a = cascade_decompose(e, order_a)
         _, full_b = cascade_decompose(e, order_b)
         assert full_a == full_b == top_coefficient(e)
+
+
+class TestNormalForm:
+    """The normal form in Q, the free ring modulo h*x_l = h and 2<1> = 2<2>."""
+
+    @staticmethod
+    def images(e):
+        return [model.evaluate(e.coeffs, flips) for model, _, flips, *_ in _sweep(e.nvars)]
+
+    @given(st.integers(0, 3).flatmap(tilde_elements))
+    @settings(max_examples=80)
+    def test_idempotent_and_keeps_every_field_image(self, e):
+        normal = gw_normal_form(e)
+        assert gw_normal_form(normal) == normal
+        assert self.images(normal) == self.images(e)
+        assert normal.rank == e.rank and residual_reduce(normal) == residual_reduce(e)
+
+    @given(st.integers(0, 3).flatmap(lambda n: st.tuples(tilde_elements(n), tilde_elements(n))))
+    @settings(max_examples=60)
+    def test_respects_sum_and_product(self, ab):
+        """The kernel is an ideal: Q is a ring and the normal form its map."""
+        a, b = ab
+        assert gw_normal_form(gw_normal_form(a) + b) == gw_normal_form(a + b)
+        assert gw_normal_form(gw_normal_form(a) * b) == gw_normal_form(a * b)
+
+    def test_relations_vanish(self):
+        h, x1 = TildeElement.constant(UNIV_H, 2), TildeElement.variable(1, 2)
+        assert gw_normal_form(h * x1 - h).is_zero()
+        assert gw_normal_form(TildeElement.constant(2 * UNIV_ONE - 2 * UNIV_TWO, 2)).is_zero()
+        assert gw_normal_form(h * x1) == h
+
+    def test_i_cubed_element_vanishes_in_every_field_but_not_in_q(self):
+        one = TildeElement.constant(UNIV_ONE, 2)
+        e = TildeElement.constant(UNIV_ONE - UNIV_TWO, 2)
+        for label in (1, 2):
+            e = e * (TildeElement.variable(label, 2) - one)
+        assert all(image.is_zero() for image in self.images(e))
+        every_key = {frozenset(k): UNIV_TWO - UNIV_ONE for k in ((), (1,), (2,), (1, 2))}
+        assert gw_normal_form(e) == TildeElement(2, every_key)
+
+    def test_first_term_name(self):
+        assert first_term_name(TildeElement(3, {frozenset({1, 3}): UNIV_H})) == "x1x3"
+        assert first_term_name(TildeElement(3, {frozenset({2}): 1, frozenset(): 1})) == "1"
 
 
 class TestResidual:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwfloor import checks
+from gwfloor import checks, wallcross
 from gwfloor.diagrams import UnsupportedShapeError
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
 from gwfloor.univ import (
@@ -16,6 +16,7 @@ from gwfloor.univ import (
     TildeElement,
     UnivElement,
     cascade_reconstruct,
+    gw_normal_form,
     top_coefficient,
     univ_coords,
 )
@@ -184,28 +185,58 @@ class TestWallCrossReport:
         with pytest.raises(ValueError):
             delta_count(3, (4,), (1, 3))
 
-    @pytest.mark.parametrize(
-        "cfg_from, cfg_to, name",
-        [
-            ((1, 4), (1, 5), "witnesses_zero S_2 fq:5 sq/sq"),
-            ((1, 3, 5), (1, 3, 6), "witnesses_zero S_2 fq:5 sq/sq/sq"),
-        ],
-    )
-    def test_failing_witness_is_named(self, cfg_from, cfg_to, name):
-        """The first non-vanishing witness is named by its 1-based index in
-        the cascade order, the field model and the assignment; the JSON
-        document keeps the bare verdict."""
+    @pytest.mark.parametrize("cfg_from, cfg_to", [((1, 4), (1, 5)), ((1, 3, 5), (1, 3, 6))])
+    def test_witness_vanishing_only_in_q_passes(self, cfg_from, cfg_to):
+        """The cascade of the free delta has a witness S_2 that is nonzero
+        over F_5; the delta is zero in Q, so every witness of its normal
+        form vanishes.  Their h-content m is 0."""
         report = wallcross_report(4, cfg_from, cfg_to)
-        assert report.failed_checks() == [name]
-        assert report.to_json()["checks"]["witnesses_zero"] is False
-        # S_1 vanishes in every witness field; S_2 does not over F_5 with
-        # every variable a square
+        assert report.passed and report.failed_checks() == []
+        assert (report.n1, report.n2, report.m) == (0, 0, 0)
+        assert gw_normal_form(report.delta).is_zero()
+        _, free_witnesses = extract_universal_coefficient(report.delta)
+        assert not FiniteField(5).evaluate(free_witnesses[1].coeffs, 0).is_zero()
+
+    def test_m_is_the_h_content(self, monkeypatch):
+        """m sums the delta's h-coefficients over every monomial: here the
+        free top coefficient has h-coordinate 2 and m is 0."""
+        report = wallcross_report(4, (1, 5), (1, 6))
+        assert univ_coords(top_coefficient(report.delta))[2] == 2
+        assert report.m == 0
+        h, x1 = TildeElement.constant(UNIV_H, 1), TildeElement.variable(1, 1)
+        monkeypatch.setattr(wallcross, "delta_count", lambda d, cfg_from, cfg_to: 3 * h * x1 - h)
+        assert wallcross_report(2, (1,), (2,)).m == 2
+
+    def test_witness_zero_only_in_q_counts_as_zero(self, monkeypatch):
+        """The normal form of (<2> - <1>)(x1 - 1) is (<2> - <1>)(x1 + 1),
+        whose witness 2<2> - 2<1> is nonzero in the free ring but zero in
+        Q; the odd n1 fails parity alone."""
+        x1 = TildeElement.variable(1, 1)
+        delta = (UNIV_TWO - UNIV_ONE) * (x1 - TildeElement.constant(UNIV_ONE, 1))
+        monkeypatch.setattr(wallcross, "delta_count", lambda d, cfg_from, cfg_to: delta)
+        report = wallcross_report(2, (1,), (2,))
+        assert report.witnesses == (TildeElement.constant(2 * UNIV_TWO - 2 * UNIV_ONE, 1),)
+        assert report.failed_checks() == ["parity"]
+        assert (report.n1, report.n2) == (-1, 1)
+
+    def test_witness_in_i_cubed_fails_and_is_named(self, monkeypatch):
+        """(<1> - <2>)(x1 - 1)(x2 - 1) lies in I^3: it vanishes in every
+        field image, but not in Q.  As a three-pair delta it is its own
+        first witness, named by its first monomial."""
+        one = TildeElement.constant(UNIV_ONE, 3)
+        delta = TildeElement.constant(UNIV_ONE - UNIV_TWO, 3)
+        for label in (1, 2):
+            delta = delta * (TildeElement.variable(label, 3) - one)
+        monkeypatch.setattr(wallcross, "delta_count", lambda d, cfg_from, cfg_to: delta)
+        report = wallcross_report(4, (1, 3, 5), (1, 3, 6))
+        assert report.failed_checks() == ["witnesses_zero S_1 1"]
+        assert report.witnesses[0] == gw_normal_form(delta)
+        assert all(c.ok for c in report.field_checks)
         assert all(
-            model.evaluate(report.witnesses[0].coeffs, flips).is_zero()
-            for model in map(FiniteField, SWEEP_FQ_ORDERS)
-            for flips in range(1 << report.s)
+            FiniteField(q).evaluate(delta.coeffs, flips).is_zero()
+            for q in SWEEP_FQ_ORDERS
+            for flips in range(1 << 3)
         )
-        assert not FiniteField(5).evaluate(report.witnesses[1].coeffs, 0).is_zero()
 
 
 class TestWallcrossLevelCheck:
@@ -247,6 +278,11 @@ class TestWallcrossLevelCheck:
             "3 unsupported: (1,) -> (2,), (2,) -> (3,), (3,) -> (4,)"
         )
 
+    def test_unsupported_shift_has_no_residual_check(self):
+        ids = [check_id for check_id, _, _ in checks.shift_level_specs(4, 4)]
+        assert ids[0] == "wallcross:d=4:s=4" and len(ids) == 1 + 59
+        assert "residual-transfer:d=4:1,3,5,7>1,3,5,8" not in ids
+
     def test_level_with_no_unit_shift_fails(self):
         # d = 3 has one configuration with s = 4 pairs and no free point
         result = checks._run_check(("level", checks._check_wallcross_level, (3, 4)))
@@ -267,7 +303,7 @@ class TestWallcrossLevelCheck:
             "witnesses_zero",
             "reconstruction",
         ]
-        assert not replace(report, first_witness="S_1 fq:5 sq").passed
+        assert not replace(report, first_witness="S_1 x1").passed
 
 
 class TestResidualCheck:
