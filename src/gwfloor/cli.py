@@ -42,10 +42,12 @@ def _parse_positions(text: str) -> tuple[int, ...]:
 
 def _validate_config(cfg: tuple[int, ...], n: int) -> None:
     if not is_merge_config(cfg, n):
-        raise UsageError(
-            f"{cfg} is not a valid merge configuration for {n} points "
-            "(positions must be ascending and at least 2 apart)"
+        rule = (
+            f"positions must lie in 1..{n - 1}"
+            if any(not 1 <= p < n for p in cfg)
+            else "positions must be ascending and at least 2 apart"
         )
+        raise UsageError(f"{cfg} is not a valid merge configuration for {n} points ({rule})")
 
 
 def _parse_signs(text, s: int) -> dict[int, int]:

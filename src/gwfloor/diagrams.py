@@ -673,9 +673,9 @@ def _multiset_product(ring, value, nvars: int, multiset: tuple):
 
     Cached across configurations: at degree 4 with s <= 3 the 18,859
     orbits carry only 268 distinct (s, multiset) pairs, so each product
-    is multiplied out once and then scaled by its orbit count.  The
-    product starts at the ring's <1>, because the degree-1 diagram has
-    no factor.
+    is multiplied out once; ``_sum_by_multiset`` reads it, weighted by
+    its orbit count, and never mutates it.  The product starts at the
+    ring's <1>, because the degree-1 diagram has no factor.
     """
     return reduce(mul, (value(key, nvars) for key in multiset), ring.constant(1, nvars))
 
@@ -720,11 +720,12 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
 def _sum_by_multiset(d: int, cfg: tuple[int, ...], ring, value):
     """The sum in ``ring`` of the multiplicity of every merged diagram of
     the configuration, its factors read by ``value``: each distinct factor
-    multiset is multiplied out once and counted as often as it occurs."""
-    total = ring.zero(len(cfg))
-    for multiset, n in _factor_multisets(d, cfg).items():
-        total = total + _multiset_product(ring, value, len(cfg), multiset) * n
-    return total
+    multiset is multiplied out once, and ``ring.linear_combination`` adds
+    the products, each times its orbit count, in integer coordinates."""
+    s = len(cfg)
+    return ring.linear_combination(
+        s, ((_multiset_product(ring, value, s, m), n) for m, n in _factor_multisets(d, cfg).items())
+    )
 
 
 @cache

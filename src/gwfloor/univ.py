@@ -37,6 +37,7 @@ no arithmetic in this module can overflow or round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 
@@ -200,8 +201,9 @@ class MultiAffine:
     ``coeffs`` maps monomial bitmasks to nonzero coefficients; key 0 is
     the constant part.  Every variable is involutive, so keys multiply by
     XOR and no key repeats a variable.  A subclass fixes the coefficient
-    ring through ``_zero``, ``_one`` and ``_coerce``, which maps an int
-    or a ring element into the ring and raises TypeError otherwise.
+    ring through ``_zero``, ``_one``, ``_coerce``, which maps an int or a
+    ring element into the ring and raises TypeError otherwise, and
+    ``_coords``, which gives a ring element's integer coordinates.
     """
 
     __slots__ = ("nvars", "coeffs")
@@ -263,7 +265,28 @@ class MultiAffine:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + -other
+        return self.linear_combination(self.nvars, ((self, 1), (other, -1)))
+
+    @classmethod
+    def linear_combination(cls, nvars: int, terms: Iterable[tuple["MultiAffine", int]]):
+        """The sum of n*e over the (e, n) pairs, each e in ``nvars``
+        variables: every key's integer coordinates (``_coords``) are summed
+        in one dict and one ring element is built per key.  The inputs are
+        only read."""
+        coords = cls._coords
+        acc: dict[int, list[int]] = {}
+        for e, n in terms:
+            if e.nvars != nvars:
+                raise ValueError(f"variable count mismatch: {nvars} vs {e.nvars}")
+            for key, val in e.coeffs.items():
+                row = acc.get(key)
+                if row is None:
+                    acc[key] = list(coords(val)) if n == 1 else [x * n for x in coords(val)]
+                else:
+                    for i, x in enumerate(coords(val)):
+                        row[i] += x * n
+        ring = type(cls._zero)
+        return cls._of_masks(nvars, {k: ring(*row) for k, row in acc.items()})
 
     def __neg__(self):
         return self._of_masks(self.nvars, {k: -v for k, v in self.coeffs.items()})
@@ -347,6 +370,7 @@ class TildeElement(MultiAffine):
 
     _zero = UNIV_ZERO
     _one = UNIV_ONE
+    _coords = staticmethod(attrgetter("c1", "ch", "c2"))
 
     @staticmethod
     def _coerce(value) -> UnivElement:
@@ -380,6 +404,7 @@ class ResidualTilde(MultiAffine):
 
     _zero = RES_ZERO
     _one = RES_ONE
+    _coords = staticmethod(attrgetter("a", "b"))
 
     @staticmethod
     def _coerce(value) -> ResidualElement:
@@ -443,14 +468,13 @@ def cascade_reconstruct(
     witnesses: list[TildeElement], full: UnivElement, order: Iterable[int], nvars: int
 ) -> TildeElement:
     """Rebuild the decomposed element from its cascade data."""
-    order = list(order)
-    total = TildeElement.zero(nvars)
-    shift = TildeElement.constant(UNIV_ONE, nvars)
-    one = TildeElement.constant(UNIV_ONE, nvars)
+    one = shift = TildeElement.constant(UNIV_ONE, nvars)
+    products = []
     for label, witness in zip(order, witnesses):
-        total = total + witness * shift
+        products.append((witness * shift, 1))
         shift = shift * (TildeElement.variable(label, nvars) - one)
-    return total + shift * full
+    products.append((shift * full, 1))
+    return TildeElement.linear_combination(nvars, products)
 
 
 def gw_normal_form(e: TildeElement) -> TildeElement:

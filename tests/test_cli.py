@@ -62,6 +62,18 @@ class TestCount:
         assert code == 2
         assert "unrecognized arguments: --pairs" in err
 
+    @pytest.mark.parametrize("merge", ["8", "0", "3,8"])
+    def test_position_out_of_range_names_the_range(self, capsys, merge):
+        code, out, err = run_cli(capsys, "count", "--degree", "3", "--merge", merge)
+        assert code == 2
+        assert "positions must lie in 1..7" in err
+        assert "ascending" not in err
+
+    def test_adjacent_positions_name_the_gap(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--degree", "3", "--merge", "3,4")
+        assert code == 2
+        assert "positions must be ascending and at least 2 apart" in err
+
     def test_real_field(self, capsys):
         doc = run_json(
             capsys,

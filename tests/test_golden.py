@@ -6,11 +6,19 @@ appends its text rendering.  A change that alters any of these outputs, however 
 changes the documented results and must regenerate the file on purpose.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from gwfloor.cli import main
+from gwfloor.diagrams import (
+    UnsupportedShapeError,
+    enumerate_merge_configs,
+    floor_count,
+    floor_count_residual,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,3 +49,36 @@ def test_stdout_matches_golden(name, capsys):
     assert code == 0
     suffix = ".txt" if "--table" in argv else ".json"
     assert out.encode() == (GOLDEN / f"{name}{suffix}").read_bytes()
+
+
+def _all_counts() -> tuple[list, list]:
+    """Both counts of every supported merge configuration at d <= 4, as
+    canonical rows, and the configurations that raise."""
+    rows, unsupported = [], []
+    for d in range(1, 5):
+        n = 3 * d - 1
+        for s in range(n // 2 + 1):
+            for cfg in enumerate_merge_configs(n, s):
+                try:
+                    count = floor_count(d, cfg).to_json()
+                    residual = [
+                        {"vars": list(labels), "coeff": [v.a, v.b]}
+                        for labels, v in floor_count_residual(d, cfg).terms()
+                    ]
+                except UnsupportedShapeError:
+                    unsupported.append([d, list(cfg)])
+                    continue
+                rows.append({"d": d, "cfg": list(cfg), "count": count, "residual": residual})
+    return rows, unsupported
+
+
+def test_every_count_at_degree_four_matches_golden():
+    """Every supported count at d <= 4 in both rings, pinned by the sha256
+    of their canonical JSON; ``counts_d4.json`` also lists the count and
+    the unsupported configurations."""
+    rows, unsupported = _all_counts()
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    golden = json.loads((GOLDEN / "counts_d4.json").read_text())
+    assert len(rows) == golden["configurations"]
+    assert unsupported == golden["unsupported"]
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]

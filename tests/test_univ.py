@@ -356,3 +356,51 @@ class TestBitmaskContainer:
         assert as_label_dict(reduced_a * reduced_b) == ref_mul(ra, rb, RES_ZERO)
         assert as_label_dict(reduced_a + reduced_b) == ref_add(ra, rb, RES_ZERO)
         assert reduced_a == ResidualTilde(3, ra)
+
+
+def residual_elements(nvars: int):
+    return tilde_elements(nvars).map(residual_reduce)
+
+
+class TestLinearCombination:
+    """``linear_combination`` against the naive fold sum(e * n)."""
+
+    @pytest.mark.parametrize(
+        "ring, elements",
+        [(TildeElement, tilde_elements(3)), (ResidualTilde, residual_elements(3))],
+        ids=["universal", "residual"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_matches_the_fold_and_leaves_inputs_alone(self, ring, elements, data):
+        terms = data.draw(st.lists(st.tuples(elements, st.integers(-6, 6)), max_size=5))
+        before = [dict(e.coeffs) for e, _n in terms]
+        total = ring.linear_combination(3, terms)
+        assert total == sum((e * n for e, n in terms), ring.zero(3))
+        assert all(not v.is_zero() for v in total.coeffs.values())
+        assert [e.coeffs for e, _n in terms] == before
+
+    def test_residual_coefficients_reduce_mod_two(self):
+        x1 = ResidualTilde.variable(1, 2)
+        one = ResidualTilde.constant(RES_ONE + RES_EPS, 2)
+        assert ResidualTilde.linear_combination(2, [(x1, 3), (one, -1)]) == x1 + one
+        assert ResidualTilde.linear_combination(2, [(x1, 2), (one, 0)]).is_zero()
+        assert ResidualTilde.linear_combination(2, [(x1, -1), (x1, 4), (one, 2)]) == x1
+
+    def test_cancellation_drops_the_key(self):
+        x1 = TildeElement.variable(1, 2)
+        h = TildeElement.constant(UNIV_H, 2)
+        total = TildeElement.linear_combination(2, [(x1, 3), (h, 1), (x1, -3)])
+        assert total.coeffs == {0: UNIV_H}
+        assert TildeElement.linear_combination(2, [(x1, 0)]).coeffs == {}
+
+    @pytest.mark.parametrize("ring", [TildeElement, ResidualTilde])
+    def test_empty_input_is_zero(self, ring):
+        assert ring.linear_combination(2, []) == ring.zero(2)
+
+    @pytest.mark.parametrize("ring", [TildeElement, ResidualTilde])
+    def test_variable_count_mismatch_raises(self, ring):
+        with pytest.raises(ValueError, match="variable count mismatch: 2 vs 3"):
+            ring.linear_combination(2, [(ring.zero(2), 1), (ring.zero(3), 1)])
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            ring.variable(1, 2) - ring.variable(1, 3)
