@@ -16,6 +16,7 @@ from gwfloor.cli import main
 from gwfloor.diagrams import (
     UnsupportedShapeError,
     enumerate_merge_configs,
+    enumerate_merged_diagrams,
     floor_count,
     floor_count_residual,
 )
@@ -82,3 +83,31 @@ def test_every_count_at_degree_four_matches_golden():
     assert len(rows) == golden["configurations"]
     assert unsupported == golden["unsupported"]
     assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]
+
+
+def test_every_merged_diagram_at_degree_four_matches_golden(capsys):
+    """``enumerate --degree 4`` and, for every merge configuration at
+    d <= 4, each merged diagram's ``to_json()`` and ``factors()``, pinned
+    by sha256; ``merged_d4.json`` also lists how many merged diagrams
+    there are and the message of every configuration that raises."""
+    assert main(["enumerate", "--degree", "4"]) == 0
+    enumerate_sha = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    digest, merged, unsupported = hashlib.sha256(), 0, []
+    for d in range(1, 5):
+        n = 3 * d - 1
+        for s in range(n // 2 + 1):
+            for cfg in enumerate_merge_configs(n, s):
+                try:
+                    diagrams = enumerate_merged_diagrams(d, cfg)
+                except UnsupportedShapeError as exc:
+                    unsupported.append([d, list(cfg), str(exc)])
+                    continue
+                for m in diagrams:
+                    row = json.dumps([m.to_json(), m.factors()], sort_keys=True, separators=(",", ":"))
+                    digest.update(row.encode() + b"\n")
+                    merged += 1
+    golden = json.loads((GOLDEN / "merged_d4.json").read_text())
+    assert enumerate_sha == golden["enumerate_d4_sha256"]
+    assert merged == golden["merged"]
+    assert unsupported == golden["unsupported"]
+    assert digest.hexdigest() == golden["sha256"]
