@@ -52,6 +52,7 @@ from .univ import (
     UnivElement,
     cascade_decompose,
     cascade_reconstruct,
+    pfister_element,
     residual_reduce,
     top_coefficient,
     univ_coords,
@@ -61,7 +62,6 @@ from .wallcross import (
     WallCrossReport,
     delta_count,
     extract_universal_coefficient,
-    pfister_element,
     residual_report,
     wallcross_report,
 )

@@ -3,7 +3,8 @@
 Each suite bundles related checks into individually named verdicts:
 
 - ``identities``: closed-form product identities in the group-ring
-  carrier for weights 1..60, plus the finite-field ring laws and the
+  carrier for weights 1..60 (the type-A product also against the factor
+  the counts multiply), plus the finite-field ring laws and the
   2-torsion of the Pfister element.
 - ``counts``: the rank oracle against the classical recursion, the
   degree-3 anchor value, signature invariance across merge positions
@@ -68,11 +69,11 @@ from .univ import (
     UnivElement,
     first_term_name,
     gw_normal_form,
+    pfister_element,
     residual_reduce,
 )
 from .wallcross import (
     SCHEMA_VERSION,
-    pfister_element,
     residual_report,
     transfer_targets,
     unit_shift_pairs,
@@ -172,10 +173,23 @@ def _shift_name(pair) -> str:
 
 
 def _check_type_a_product(m: int):
+    """The raw product gamma_hat * m_a1 at the parameter class d equals its
+    closed form in the carrier and ``type_a_factor(m, 1, 1)``, the factor
+    the counts multiply, read with <d> as x_1 and every h-coefficient
+    folded into one (h*x_1 = h)."""
     carrier = carrier_for(m, ("d",))
-    lhs = gamma_hat_raw(m, carrier, "d") * m_a1_raw(m, carrier)
-    rhs = type_a_closed_raw(m, carrier, "d")
-    return lhs == rhs, ""
+    raw = gamma_hat_raw(m, carrier, "d") * m_a1_raw(m, carrier)
+    if raw != type_a_closed_raw(m, carrier, "d"):
+        return False, f"raw product {raw!r} differs from its closed form"
+    two, d = carrier.bit("2"), carrier.bit("d")
+    factor = lf.type_a_factor(m, 1, 1)
+    coords = {}
+    for key, v in factor.coeffs.items():
+        coords |= {d * key: v.c1, d * key | two: v.c2}
+    hcoeff = sum(v.ch for v in factor.coeffs.values())
+    if (hcoeff, {k: c for k, c in coords.items() if c}) != (raw.hcoeff, raw.coeffs):
+        return False, f"type_a_factor {factor!r} differs from the raw product {raw!r}"
+    return True, ""
 
 
 def _check_square_field(m: int):
@@ -227,7 +241,7 @@ def _check_pfister_torsion(q: int, s: int):
         if not model.evaluate(doubled.coeffs, flips).is_zero():
             # x_l is a nonsquare exactly when bit l - 1 is set
             assign = {l: flips >> (l - 1) & 1 for l in range(1, s + 1)}
-            return False, f"nonzero at {assign}"
+            return False, f"nonzero at {model.describe()} {model.describe_assign(assign)}".rstrip()
     return True, ""
 
 

@@ -19,7 +19,8 @@ from .checks import SUITE_NAMES, run_suite
 from .diagrams import enumerate_merged_diagrams, floor_count, is_merge_config
 from .fields import ClosedField, RealField, finite_field, specialize_field
 from .springer import MAX_TOWER_VARS, form_report, pfister_concrete
-from .wallcross import SCHEMA_VERSION, pfister_element, wallcross_report
+from .univ import pfister_element
+from .wallcross import SCHEMA_VERSION, wallcross_report
 
 _DEFAULT_BUDGET = 4
 

@@ -64,8 +64,10 @@ from operator import mul, or_
 from .local_factors import factor_value, residual_factor
 from .univ import ResidualTilde, TildeElement
 
-# Object ids: ("floor", f) | ("elev", k) | ("end", f, i), with f, k, i
-# 1-based floor, elevator-tuple index, and per-floor end index.
+# Object ids: ("floor", f) | ("elev", lo, hi, w) | ("end", f, i), with f
+# a 1-based floor, (lo, hi, w) the elevator itself and i the per-floor end
+# index.  Each id names its object without the diagram, and the elevator
+# ids of one diagram sort as its sorted elevator tuple does.
 
 
 def _is_tree(d: int, edges) -> bool:
@@ -132,7 +134,7 @@ class FloorDiagram:
 
     def objects(self) -> list[tuple]:
         out = [("floor", f) for f in range(1, self.d + 1)]
-        out += [("elev", k) for k in range(len(self.elevators))]
+        out += [("elev", *e) for e in self.elevators]
         for f, cnt in enumerate(self.end_counts, start=1):
             out += [("end", f, i) for i in range(cnt)]
         return out
@@ -195,9 +197,9 @@ def enumerate_markings(diagram: FloorDiagram) -> list[tuple[tuple, ...]]:
 
     for f in range(1, diagram.d):
         edge(("floor", f), ("floor", f + 1))
-    for k, (lo, hi, _w) in enumerate(diagram.elevators):
-        edge(("floor", lo), ("elev", k))
-        edge(("elev", k), ("floor", hi))
+    for lo, hi, w in diagram.elevators:
+        edge(("floor", lo), ("elev", lo, hi, w))
+        edge(("elev", lo, hi, w), ("floor", hi))
     for f, cnt in enumerate(diagram.end_counts, start=1):
         for i in range(cnt):
             edge(("end", f, i), ("floor", f))
@@ -307,9 +309,9 @@ def graph_connected(graph: dict) -> bool:
 _R = ("R",)
 
 
-def classify_pair(diagram: FloorDiagram, o1: tuple, o2: tuple):
-    """Class of a fused pair of the objects o1 and o2 of the diagram, or
-    None if no rule fits.
+def classify_pair(o1: tuple, o2: tuple):
+    """Class of a fused pair of the objects o1 and o2, or None if no rule
+    fits.
 
     Classes, which are all the local factors read of a pair:
     ``("A", "elev", w)`` or ``("A", "end", 1)`` for type A on an elevator
@@ -322,7 +324,7 @@ def classify_pair(diagram: FloorDiagram, o1: tuple, o2: tuple):
         fl, other = (o1, o2) if o1[0] == "floor" else (o2, o1)
         f = fl[1]
         if other[0] == "elev":
-            lo, hi, w = diagram.elevators[other[1]]
+            _elev, lo, hi, w = other
             if f in (lo, hi):
                 return ("A", "elev", w)
             if lo < f < hi:
@@ -339,55 +341,33 @@ def classify_pair(diagram: FloorDiagram, o1: tuple, o2: tuple):
     return _R
 
 
-def _floor_swap_variant(
-    elevators: tuple, marking: tuple, f: int, pair_pos: int
-) -> tuple[tuple, tuple]:
-    """Relabel floors f and f+1 everywhere, keeping the fused floor marks
-    in ascending floor order (the two operations combined leave the
-    marking skeleton fixed while rewiring the tree)."""
-    swap = {f: f + 1, f + 1: f}
-
-    def sf(x: int) -> int:
-        return swap.get(x, x)
-
-    raw = [
-        (min(sf(lo), sf(hi)), max(sf(lo), sf(hi)), w) for lo, hi, w in elevators
+def _relabel_floors(marking: tuple, f: int) -> list:
+    """The marking with floors f and f+1 renamed into each other in every
+    object.  Applied when their marks are adjacent, so no elevator joins
+    the two and every elevator keeps lo < hi."""
+    sf = {f: f + 1, f + 1: f}
+    return [
+        ("elev", sf.get(o[1], o[1]), sf.get(o[2], o[2]), o[3])
+        if o[0] == "elev"
+        else (o[0], sf.get(o[1], o[1]), *o[2:])
+        for o in marking
     ]
-    order = sorted(range(len(raw)), key=lambda k: raw[k])
-    new_elevators = tuple(raw[k] for k in order)
-    remap = {old: new for new, old in enumerate(order)}
-
-    def relabel(obj: tuple) -> tuple:
-        if obj[0] == "floor":
-            return ("floor", sf(obj[1]))
-        if obj[0] == "elev":
-            return ("elev", remap[obj[1]])
-        return ("end", sf(obj[1]), obj[2])
-
-    new_marking = [relabel(o) for o in marking]
-    # restore ascending floor order at the fused pair itself
-    new_marking[pair_pos - 1], new_marking[pair_pos] = (
-        new_marking[pair_pos],
-        new_marking[pair_pos - 1],
-    )
-    return new_elevators, tuple(new_marking)
 
 
-def _apply_swaps(diagram_elevators, marking, cfg, pair_indices):
-    """Apply the alternate-encoding operation at each listed pair: the
-    floor relabeling for a fused pair of floor marks, the within-pair
-    mark swap otherwise."""
-    elevators, mk = diagram_elevators, marking
+def _apply_swaps(marking: tuple, cfg, pair_indices) -> tuple[tuple, tuple]:
+    """The encoding ``(elevators, marking)`` after the alternate-encoding
+    operation at each listed pair: the within-pair mark swap, preceded for
+    a fused pair of floor marks by relabeling those two floors throughout
+    (the swap then restores ascending floor marks, so the two operations
+    together rewire the tree and keep the marking skeleton)."""
+    mk = list(marking)
     for i in pair_indices:
         p = cfg[i]
         o1, o2 = mk[p - 1], mk[p]
-        if o1[0] == "floor" and o2[0] == "floor":
-            elevators, mk = _floor_swap_variant(elevators, mk, o1[1], p)
-        else:
-            swapped = list(mk)
-            swapped[p - 1], swapped[p] = swapped[p], swapped[p - 1]
-            mk = tuple(swapped)
-    return elevators, mk
+        if o1[0] == o2[0] == "floor":
+            mk = _relabel_floors(mk, o1[1])
+        mk[p - 1], mk[p] = mk[p], mk[p - 1]
+    return tuple(sorted(o[1:] for o in mk if o[0] == "elev")), tuple(mk)
 
 
 @cache
@@ -422,7 +402,7 @@ def _orbit_test(d: int, index: int, rpos: tuple[int, ...]):
         if not mask & relabelings:
             continue
         chosen = [b for b in range(len(rpos)) if mask >> b & 1]
-        key = _apply_swaps(diagram.elevators, marking, rpos, chosen)
+        key = _apply_swaps(marking, rpos, chosen)
         if key < identity_key:
             return None
         if key == identity_key:
@@ -435,7 +415,7 @@ class UnsupportedShapeError(ValueError):
     fused-pair interaction the local-factor model does not cover."""
 
 
-def _joins(diagram: FloorDiagram, marking: tuple, cfg: tuple, stabiliser: tuple) -> tuple:
+def _joins(d: int, marking: tuple, cfg: tuple, stabiliser: tuple) -> tuple:
     """Joint-twin detection for an orbit minimum.
 
     Lists index pairs (i, j) of fused pairs whose two operations act
@@ -450,7 +430,7 @@ def _joins(diagram: FloorDiagram, marking: tuple, cfg: tuple, stabiliser: tuple)
         if len(positions) != 2 or used.intersection(positions):
             raise UnsupportedShapeError(
                 "unsupported twin interaction between fused pairs "
-                f"{list(positions)} (degree {diagram.d})"
+                f"{list(positions)} (degree {d})"
             )
         i, j = map(cfg.index, positions)
         pairs = [marking[p - 1 : p + 1] for p in positions]
@@ -463,7 +443,7 @@ def _joins(diagram: FloorDiagram, marking: tuple, cfg: tuple, stabiliser: tuple)
                 "unsupported twin interaction kinds at fused pairs "
                 f"{list(positions)}"
             )
-        if any(diagram.elevators[obj[1]][2] != 1 for obj in pairs[0]):
+        if any(obj[3] != 1 for obj in pairs[0]):
             raise ValueError("joined twin elevators must have weight 1")
         used.update(positions)
         joins.append((i, j))
@@ -477,8 +457,7 @@ def _orbit_minimum(d: int, cfg: tuple[int, ...], index: int, rpos: tuple[int, ..
     stabiliser = _orbit_test(d, index, rpos)
     if stabiliser is None:
         return None
-    diagram, marking = enumerate_diagrams(d)[index]
-    return _joins(diagram, marking, cfg, stabiliser)
+    return _joins(d, enumerate_diagrams(d)[index][1], cfg, stabiliser)
 
 
 def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
@@ -530,9 +509,9 @@ def _class_table(d: int) -> tuple[tuple, tuple, tuple]:
     for p in range(1, 3 * d - 1):
         rows: dict[tuple, list[int]] = {}
         floors = []
-        for k, (diagram, marking) in enumerate(marked):
+        for k, (_diagram, marking) in enumerate(marked):
             o1, o2 = marking[p - 1], marking[p]
-            cls = classify_pair(diagram, o1, o2)
+            cls = classify_pair(o1, o2)
             if cls is not None:
                 rows.setdefault(cls, []).append(k)
                 if o1[0] == o2[0] == "floor":
@@ -581,6 +560,13 @@ def _leaves(d: int, cfg: tuple[int, ...]):
     return walk(0, (1 << len(enumerate_diagrams(d))) - 1, (), ())
 
 
+def _oid(obj: tuple) -> str:
+    """An object id as text: ``floor:f``, ``elev:lo-hi:w`` or ``end:f:i``."""
+    if obj[0] == "elev":
+        return "elev:{}-{}:{}".format(*obj[1:])
+    return ":".join(map(str, obj))
+
+
 @dataclass(frozen=True)
 class MergedDiagram:
     diagram: FloorDiagram
@@ -604,14 +590,6 @@ class MergedDiagram:
         return _multiset_product(ResidualTilde, residual_factor, self.s, self.factors())
 
     def to_json(self) -> dict:
-        def oid(obj: tuple) -> str:
-            if obj[0] == "floor":
-                return f"floor:{obj[1]}"
-            if obj[0] == "elev":
-                lo, hi, w = self.diagram.elevators[obj[1]]
-                return f"elev:{lo}-{hi}:{w}"
-            return f"end:{obj[1]}:{obj[2]}"
-
         partner = {}
         for i, j in self.joins:
             partner[i + 1] = j + 1
@@ -619,12 +597,12 @@ class MergedDiagram:
         merges = []
         for j, (p, cls) in enumerate(zip(self.cfg, self.classes), start=1):
             o1, o2 = self.marking[p - 1], self.marking[p]
-            objects = [oid(o1), oid(o2)]
+            objects = [_oid(o1), _oid(o2)]
             if j in partner:
                 body = {"type": "twin", "t": 2, "m_circ": 1, "partner": partner[j], "objects": objects}
             elif cls[0] == "A":
                 edge = o2 if o1[0] == "floor" else o1
-                body = {"type": "A", "m": cls[2], "object": oid(edge)}
+                body = {"type": "A", "m": cls[2], "object": _oid(edge)}
             elif cls[0] == "T":
                 body = {"type": "twin", "t": 1, "m_circ": 2, "objects": objects}
             else:
@@ -634,7 +612,7 @@ class MergedDiagram:
             "d": self.diagram.d,
             "elevators": [list(e) for e in self.diagram.elevators],
             "ends": list(self.diagram.end_counts),
-            "marking": [oid(o) for o in self.marking],
+            "marking": [_oid(o) for o in self.marking],
             "merges": merges,
         }
 

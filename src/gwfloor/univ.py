@@ -488,6 +488,17 @@ def gw_normal_form(e: TildeElement) -> TildeElement:
     return TildeElement._of_masks(e.nvars, out)
 
 
+def pfister_element(s: int) -> TildeElement:
+    """The 2-torsion product (<1> - <2>) * prod_l (<1> - x_l) on s
+    variables, written out over its 2^s monomials: the coefficient of x^b
+    is (-1)^|b| (<1> - <2>)."""
+    if s < 0:
+        raise ValueError(f"variable count must be nonnegative, got {s}")
+    even = UNIV_ONE - UNIV_TWO
+    odd = -even
+    return TildeElement._of_masks(s, {b: odd if b.bit_count() & 1 else even for b in range(1 << s)})
+
+
 def first_term_name(e: MultiAffine) -> str:
     """The first monomial of ``e`` in ``terms`` order, as ``x1x3`` (``1``
     for the constant); ``e`` must be nonzero."""

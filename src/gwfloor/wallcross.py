@@ -37,8 +37,6 @@ from .diagrams import (
 )
 from .fields import ClosedField, RealField, finite_field
 from .univ import (
-    UNIV_ONE,
-    UNIV_TWO,
     ResidualElement,
     ResidualTilde,
     TildeElement,
@@ -74,17 +72,6 @@ def delta_count(d: int, cfg_from, cfg_to) -> TildeElement:
             f"{cfg_from} vs {cfg_to}"
         )
     return floor_count(d, cfg_from) - floor_count(d, cfg_to)
-
-
-def pfister_element(s: int) -> TildeElement:
-    """The 2-torsion product (<1> - <2>) * prod_l (<1> - x_l) on s variables."""
-    if s < 0:
-        raise ValueError(f"variable count must be nonnegative, got {s}")
-    out = TildeElement.constant(UNIV_ONE - UNIV_TWO, s)
-    one = TildeElement.constant(UNIV_ONE, s)
-    for label in range(1, s + 1):
-        out = out * (one - TildeElement.variable(label, s))
-    return out
 
 
 def proof_cascade_order(s: int) -> list[int]:

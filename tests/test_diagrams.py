@@ -68,7 +68,7 @@ class TestFloorDiagram:
         dg = FloorDiagram(2, ((1, 2, 1),))
         assert dg.n_marks == 5
         objs = dg.objects()
-        assert ("floor", 1) in objs and ("elev", 0) in objs
+        assert ("floor", 1) in objs and ("elev", 1, 2, 1) in objs
         assert sum(1 for o in objs if o[0] == "end") == 2
 
 
@@ -416,10 +416,10 @@ class TestClassTable:
         for d in range(1, 5):
             classes, fused_floors, _weights = _class_table(d)
             assert len(classes) == len(fused_floors) == 3 * d - 2
-            for k, (diagram, marking) in enumerate(enumerate_diagrams(d)):
+            for k, (_diagram, marking) in enumerate(enumerate_diagrams(d)):
                 for p in range(1, 3 * d - 1):
                     o1, o2 = marking[p - 1], marking[p]
-                    cls = classify_pair(diagram, o1, o2)
+                    cls = classify_pair(o1, o2)
                     holding = [c for c, mask in classes[p - 1] if mask >> k & 1]
                     assert holding == ([] if cls is None else [cls]), (d, k, p)
                     fused = bool(fused_floors[p - 1] >> k & 1)
@@ -432,14 +432,14 @@ def _orbits(d: int, cfg: tuple[int, ...]) -> list[list[tuple]]:
     configuration: the diagram's own first, then one per non-empty set
     of its type-R pairs with their alternate-encoding operations applied."""
     out = []
-    for diagram, marking in enumerate_diagrams(d):
-        classes = [classify_pair(diagram, marking[p - 1], marking[p]) for p in cfg]
+    for _diagram, marking in enumerate_diagrams(d):
+        classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
         if None in classes:
             continue
         swappable = [i for i, cls in enumerate(classes) if cls == ("R",)]
         out.append(
             [
-                _apply_swaps(diagram.elevators, marking, cfg, chosen)
+                _apply_swaps(marking, cfg, chosen)
                 for size in range(len(swappable) + 1)
                 for chosen in combinations(swappable, size)
             ]
@@ -484,13 +484,13 @@ class TestOrbitMinima:
         alternate encoding."""
         for d, cfg in _all_configs(4):
             for index, (diagram, marking) in enumerate(enumerate_diagrams(d)):
-                classes = [classify_pair(diagram, marking[p - 1], marking[p]) for p in cfg]
+                classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
                 if None in classes:
                     continue
                 rpos = tuple(p for p, cls in zip(cfg, classes) if cls == ("R",))
                 own = (diagram.elevators, marking)
                 keys = {
-                    chosen: _apply_swaps(diagram.elevators, marking, rpos, chosen)
+                    chosen: _apply_swaps(marking, rpos, chosen)
                     for size in range(1, len(rpos) + 1)
                     for chosen in combinations(range(len(rpos)), size)
                 }
@@ -507,19 +507,19 @@ class TestOrbitMinima:
 
 
 class TestJoins:
-    """``_joins`` on a hand-built diagram whose stabiliser lists the floor
-    pair before the elevator pair."""
+    """``_joins`` on a hand-built marking whose stabiliser lists the floor
+    pair before the elevator pair; the elevators name their weights."""
 
-    MARKING = (("end", 1, 1), ("elev", 0), ("elev", 1), ("floor", 3), ("floor", 4))
+    @staticmethod
+    def marking(w: int) -> tuple:
+        return (("end", 1, 1), ("elev", 1, 2, w), ("elev", 2, 3, 1), ("floor", 3), ("floor", 4))
 
     def test_elevator_pair_comes_first(self):
-        diagram = FloorDiagram(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1)))
-        assert _joins(diagram, self.MARKING, (2, 4), ((4, 2),)) == ((0, 1),)
+        assert _joins(4, self.marking(1), (2, 4), ((4, 2),)) == ((0, 1),)
 
     def test_joined_elevators_must_have_weight_one(self):
-        diagram = FloorDiagram(4, ((1, 2, 2), (2, 3, 1), (3, 4, 1)))
         with pytest.raises(ValueError, match="joined twin elevators must have weight 1"):
-            _joins(diagram, self.MARKING, (2, 4), ((4, 2),))
+            _joins(4, self.marking(2), (2, 4), ((4, 2),))
 
 
 class TestMergedJson:

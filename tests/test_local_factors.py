@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gwfloor import checks, local_factors
 from gwfloor.group_ring import (
     HypUnivElement,
     carrier_for,
@@ -78,6 +79,24 @@ class TestTypeA:
                 frozenset({1}): UNIV_MINUS_TWO,
             },
         )
+
+    def test_identity_check_reads_the_factor_the_counts_multiply(self, monkeypatch):
+        """Adding 2<1> - h to the constant for m >= 9 keeps the rank and
+        every count at d <= 4 (weights <= 4), but the identity check of
+        the raw group-ring product catches it."""
+        assert all(checks._check_type_a_product(m) == (True, "") for m in range(1, 13))
+
+        def mutated(m, label, nvars):
+            f = type_a_factor(m, label, nvars)
+            if m >= 9:
+                f = f + TildeElement.constant(2 * UNIV_ONE - UNIV_H, nvars)
+            return f
+
+        monkeypatch.setattr(local_factors, "type_a_factor", mutated)
+        assert checks._check_type_a_product(8) == (True, "")
+        ok, detail = checks._check_type_a_product(9)
+        assert not ok
+        assert detail.startswith("type_a_factor (3<1> + 35h + 4<2>) + (4h - 4<2>)x1 differs")
 
 
 class TestTypeR:

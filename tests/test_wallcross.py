@@ -17,6 +17,7 @@ from gwfloor.univ import (
     UnivElement,
     cascade_reconstruct,
     gw_normal_form,
+    pfister_element,
     top_coefficient,
     univ_coords,
 )
@@ -26,7 +27,6 @@ from gwfloor.wallcross import (
     default_field_sweep,
     delta_count,
     extract_universal_coefficient,
-    pfister_element,
     proof_cascade_order,
     residual_report,
     unit_shift_pairs,
@@ -61,6 +61,25 @@ class TestPfister:
                 frozenset({1}): UNIV_TWO - UNIV_ONE,
             },
         )
+
+    def test_equals_the_product_of_its_factors(self):
+        """The written-out element equals (<1> - <2>) times the s binomials
+        (<1> - x_l), multiplied out one at a time."""
+        for s in range(11):
+            one = TildeElement.constant(UNIV_ONE, s)
+            product = TildeElement.constant(UNIV_ONE - UNIV_TWO, s)
+            for label in range(1, s + 1):
+                product = product * (one - TildeElement.variable(label, s))
+            assert pfister_element(s) == product, s
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pfister_element(-1)
+
+    def test_torsion_failure_names_model_and_assignment(self, monkeypatch):
+        monkeypatch.setattr(checks, "pfister_element", lambda s: TildeElement.constant(UNIV_ONE, s))
+        assert checks._check_pfister_torsion(5, 2) == (False, "nonzero at fq:5 sq/sq")
+        assert checks._check_pfister_torsion(7, 0) == (False, "nonzero at fq:7")
 
     def test_rank_zero_and_doubling(self):
         for s in range(0, 4):
