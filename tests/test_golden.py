@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gwfloor.checks import shift_levels
 from gwfloor.cli import main
 from gwfloor.diagrams import (
     UnsupportedShapeError,
@@ -20,6 +21,7 @@ from gwfloor.diagrams import (
     floor_count,
     floor_count_residual,
 )
+from gwfloor.wallcross import residual_report, unit_shift_pairs, wallcross_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,3 +113,35 @@ def test_every_merged_diagram_at_degree_four_matches_golden(capsys):
     assert merged == golden["merged"]
     assert unsupported == golden["unsupported"]
     assert digest.hexdigest() == golden["sha256"]
+
+
+def _all_reports() -> tuple[str, int, list]:
+    """``wallcross_report`` and ``residual_report`` JSON of every unit
+    shift at d = 2..4 over ``shift_levels(d)``, one canonical line per
+    shift; also how many shifts are supported and the message of every
+    shift whose counts raise."""
+    lines, unsupported = [], []
+    for d in range(2, 5):
+        for s in shift_levels(d):
+            for cfg_from, cfg_to in unit_shift_pairs(3 * d - 1, s):
+                try:
+                    row = [
+                        wallcross_report(d, cfg_from, cfg_to).to_json(),
+                        residual_report(d, cfg_from, cfg_to).to_json(),
+                    ]
+                except UnsupportedShapeError as exc:
+                    unsupported.append([d, list(cfg_from), list(cfg_to), str(exc)])
+                    continue
+                lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines), len(lines), unsupported
+
+
+def test_every_unit_shift_report_at_degree_four_matches_golden():
+    """Both reports of every unit shift at d <= 4, pinned by the sha256 of
+    their canonical JSON lines; ``reports_d4.json`` also lists how many
+    shifts are supported and the message of every unsupported one."""
+    text, shifts, unsupported = _all_reports()
+    golden = json.loads((GOLDEN / "reports_d4.json").read_text())
+    assert shifts == golden["shifts"]
+    assert unsupported == golden["unsupported"]
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]
