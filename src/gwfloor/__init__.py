@@ -55,7 +55,6 @@ from .univ import (
     pfister_element,
     residual_reduce,
     top_coefficient,
-    univ_coords,
 )
 from .wallcross import (
     ResidualReport,
@@ -104,7 +103,6 @@ __all__ = [
     "cascade_reconstruct",
     "residual_reduce",
     "top_coefficient",
-    "univ_coords",
     "ResidualReport",
     "WallCrossReport",
     "delta_count",

@@ -27,8 +27,9 @@ holding those marks:
   floor)                          -> type A with the edge's weight;
   the edge's own factor is suppressed;
 * two down ends of the same floor -> twin (t=1, circuit weight 2);
-* everything else (two floors; floor + spanning vertical; two
-  verticals)                      -> type R.
+* two floors                      -> type R, class ("R", "floors");
+* everything else (floor + spanning vertical; two verticals)
+                                  -> type R, class ("R",).
 
 Two merged markings are identified when they differ by the order of a
 fused pair's two marks, or -- for a fused pair of two consecutive floor
@@ -38,13 +39,13 @@ within-pair swap keeps every marking constraint, and no elevator joins
 two merged floors, so relabeling them gives another sorted tree with the
 same weights.  Each class (orbit) therefore lies among the enumerated
 marked diagrams.  One walk groups the marked diagrams by their pair
-classes, which the two fused objects decide.  An orbit with no fused
-pair of two floors has only mark swaps, which always change the marking,
-so it has exactly 2^r members (r its type-R pairs), all with the same
-pair classes, elevator weights and local factors; n such marked diagrams
-hold n / 2^r orbits.  Fusing two floors is an orbit invariant, and such
-marked diagrams are counted at their orbit's minimum encoding, where
-joined twins and unsupported shapes are detected.
+classes, which the two fused objects decide.  An orbit with no
+``("R", "floors")`` pair has only mark swaps, which always change the
+marking, so it has exactly 2^r members (r its type-R pairs), all with
+the same pair classes, elevator weights and local factors; n such marked
+diagrams hold n / 2^r orbits.  Fusing two floors is an orbit invariant,
+and a group with a floor pair is counted at each orbit's minimum
+encoding, where joined twins and unsupported shapes are detected.
 ``enumerate_merged_diagrams`` lists every orbit's minimum and is the
 oracle of the weighted counts.  This rule set makes the rank of
 the total count equal the classical degree-d rational-curve count for
@@ -59,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import combinations, product
-from operator import mul, or_
+from operator import mul
 
 from .local_factors import factor_value, residual_factor
 from .univ import ResidualTilde, TildeElement
@@ -307,6 +308,7 @@ def graph_connected(graph: dict) -> bool:
 
 
 _R = ("R",)
+_R_FLOORS = ("R", "floors")
 
 
 def classify_pair(o1: tuple, o2: tuple):
@@ -315,11 +317,13 @@ def classify_pair(o1: tuple, o2: tuple):
 
     Classes, which are all the local factors read of a pair:
     ``("A", "elev", w)`` or ``("A", "end", 1)`` for type A on an elevator
-    of weight w or on a down end, ``("T",)`` for a twin, ``("R",)``.
+    of weight w or on a down end, ``("T",)`` for a twin, and for type R
+    ``("R", "floors")`` when both objects are floors, which alone admit
+    the floor relabeling, or ``("R",)``.
     """
     kinds = (o1[0], o2[0])
     if kinds == ("floor", "floor"):
-        return _R
+        return _R_FLOORS
     if "floor" in kinds:
         fl, other = (o1, o2) if o1[0] == "floor" else (o2, o1)
         f = fl[1]
@@ -497,31 +501,25 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
 
 
 @cache
-def _class_table(d: int) -> tuple[tuple, tuple, tuple]:
+def _class_table(d: int) -> tuple[tuple, tuple]:
     """Row bitmasks over ``enumerate_diagrams(d)``, bit k for marked
-    diagram k, from ``classify_pair``.  Returns ``(classes, fused_floors,
-    weights)``: ``classes[p - 1]`` lists ``(pair class, rows)`` for pair p
-    (an unclassifiable pair is in no mask), ``fused_floors[p - 1]`` the
-    rows whose pair p fuses two floors (also in the ``("R",)`` mask), and
-    ``weights`` lists ``(sorted elevator weights, rows)``."""
+    diagram k, from ``classify_pair``.  Returns ``(classes, weights)``:
+    ``classes[p - 1]`` lists ``(pair class, rows)`` for pair p (an
+    unclassifiable pair is in no mask), and ``weights`` lists ``(sorted
+    elevator weights, rows)``."""
     marked = enumerate_diagrams(d)
-    classes, fused_floors = [], []
+    classes = []
     for p in range(1, 3 * d - 1):
         rows: dict[tuple, list[int]] = {}
-        floors = []
         for k, (_diagram, marking) in enumerate(marked):
-            o1, o2 = marking[p - 1], marking[p]
-            cls = classify_pair(o1, o2)
+            cls = classify_pair(marking[p - 1], marking[p])
             if cls is not None:
                 rows.setdefault(cls, []).append(k)
-                if o1[0] == o2[0] == "floor":
-                    floors.append(k)
         classes.append(tuple((cls, _mask(ks)) for cls, ks in rows.items()))
-        fused_floors.append(_mask(floors))
     weights: dict[tuple, list[int]] = {}
     for k, (diagram, _marking) in enumerate(marked):
         weights.setdefault(_weights(diagram), []).append(k)
-    return tuple(classes), tuple(fused_floors), tuple((w, _mask(ks)) for w, ks in weights.items())
+    return tuple(classes), tuple((w, _mask(ks)) for w, ks in weights.items())
 
 
 def _mask(indices: list[int]) -> int:
@@ -555,7 +553,7 @@ def _leaves(d: int, cfg: tuple[int, ...]):
         p = cfg[i]
         for cls, mask in classes[p - 1]:
             if sub := rows & mask:
-                yield from walk(i + 1, sub, (*chosen, cls), (*rpos, p) if cls == _R else rpos)
+                yield from walk(i + 1, sub, (*chosen, cls), (*rpos, p) if cls[0] == "R" else rpos)
 
     return walk(0, (1 << len(enumerate_diagrams(d))) - 1, (), ())
 
@@ -664,22 +662,21 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     (the orbits) of a valid configuration, counted by orbit weights (see
     the module docstring); no ``MergedDiagram`` is built.
 
-    One walk (``_leaves``) visits each tuple of pair classes once.  A
-    leaf's rows that fuse two floors at some pair take the orbit test and
-    are counted at their minimum; its other rows of one elevator-weight
-    tuple share one factor tuple and are counted by orbit weight.
+    One walk (``_leaves``) visits each tuple of pair classes once.  The
+    rows of a leaf with a ``("R", "floors")`` pair take the orbit test and
+    are counted at their minimum; in any other leaf, the rows of one
+    elevator-weight tuple share one factor tuple and are counted by orbit
+    weight.
     """
-    _classes, fused_floors, weights = _class_table(d)
+    weights = _class_table(d)[1]
     marked = enumerate_diagrams(d)
-    floors = reduce(or_, (fused_floors[p - 1] for p in cfg), 0)
     counts: Counter = Counter()
     for chosen, rpos, rows in _leaves(d, cfg):
-        for index in _bits(rows & floors):
-            joins = _orbit_minimum(d, cfg, index, rpos)
-            if joins is not None:
-                counts[_factor_keys(_weights(marked[index][0]), chosen, joins)] += 1
-        rows &= ~floors
-        if not rows:
+        if _R_FLOORS in chosen:
+            for index in _bits(rows):
+                joins = _orbit_minimum(d, cfg, index, rpos)
+                if joins is not None:
+                    counts[_factor_keys(_weights(marked[index][0]), chosen, joins)] += 1
             continue
         size = 1 << len(rpos)
         for w, mask in weights:
@@ -728,7 +725,7 @@ def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
 
 def dissolve_specialize(count: TildeElement, j: int) -> TildeElement:
     """Set the j-th double-point parameter to 1 and drop its variable slot."""
-    return count.substitute_one(j).drop_variable(j)
+    return count.specialize_one(j)
 
 
 def dissolved_config(cfg: tuple[int, ...], j: int) -> tuple[int, ...]:

@@ -27,8 +27,9 @@ subclasses ``TildeElement`` (universal coefficients) and
 
 Variable labels are validated only where they enter from outside: the
 constructor taking ``{frozenset(labels): coeff}``, ``variable``,
-``coefficient``, ``substitute_one``/``drop_variable`` and ``from_json``.
-Products, sums, the cascade and the residual reduction work on masks.
+``coefficient``, ``specialize_one`` and ``from_json``.  Products, sums
+(all through ``linear_combination``), the cascade and the residual
+reduction work on masks.
 
 All coefficients are Python integers and therefore arbitrary precision;
 no arithmetic in this module can overflow or round.
@@ -118,11 +119,6 @@ UNIV_H = UnivElement(0, 1, 0)
 UNIV_TWO = UnivElement(0, 0, 1)
 UNIV_MINUS_ONE = UNIV_H - UNIV_ONE
 UNIV_MINUS_TWO = UNIV_H - UNIV_TWO
-
-
-def univ_coords(e: UnivElement) -> tuple[int, int, int]:
-    """Return (n1, n2, m) with e = n1*<1> + n2*<2> + m*h."""
-    return (e.c1, e.c2, e.ch)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +251,7 @@ class MultiAffine:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check_compatible(other)
-        zero = self._zero
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, zero) + val
-        return self._of_masks(self.nvars, out)
+        return self.linear_combination(self.nvars, ((self, 1), (other, 1)))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -289,7 +280,7 @@ class MultiAffine:
         return cls._of_masks(nvars, {k: ring(*row) for k, row in acc.items()})
 
     def __neg__(self):
-        return self._of_masks(self.nvars, {k: -v for k, v in self.coeffs.items()})
+        return self.linear_combination(self.nvars, ((self, -1),))
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -332,25 +323,16 @@ class MultiAffine:
             key=lambda kv: (len(kv[0]), kv[0]),
         )
 
-    def substitute_one(self, label: int):
-        """Set x_label = 1.  The result still lives in the same variable set."""
-        bit = _label_mask((label,), self.nvars)
+    def specialize_one(self, label: int):
+        """Set x_label = 1 and drop its slot, in ``nvars - 1`` variables:
+        higher labels shift down by one, and keys that differ only in
+        x_label are summed."""
+        low = _label_mask((label,), self.nvars) - 1
         zero = self._zero
         out = {}
         for key, val in self.coeffs.items():
-            key &= ~bit
+            key = key & low | key >> 1 & ~low
             out[key] = out.get(key, zero) + val
-        return self._of_masks(self.nvars, out)
-
-    def drop_variable(self, label: int):
-        """Remove an unused variable slot, shifting higher labels down by one."""
-        bit = _label_mask((label,), self.nvars)
-        low = bit - 1
-        out = {}
-        for key, val in self.coeffs.items():
-            if key & bit:
-                raise ValueError(f"variable {label} still occurs; substitute first")
-            out[key & low | key >> 1 & ~low] = val
         return self._of_masks(self.nvars - 1, out)
 
     def __repr__(self) -> str:
@@ -415,9 +397,9 @@ class ResidualTilde(MultiAffine):
         raise TypeError(f"cannot coerce {value!r} to a residual-ring element")
 
 
-def top_coefficient(e: TildeElement) -> UnivElement:
-    """Coefficient of the full monomial x_1 x_2 ... x_s."""
-    return e.coeffs.get((1 << e.nvars) - 1, UNIV_ZERO)
+def top_coefficient(e: MultiAffine):
+    """Coefficient of the full monomial x_1 x_2 ... x_s, in either ring."""
+    return e.coeffs.get((1 << e.nvars) - 1, e._zero)
 
 
 # ---------------------------------------------------------------------------

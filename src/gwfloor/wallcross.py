@@ -47,7 +47,6 @@ from .univ import (
     gw_normal_form,
     residual_reduce,
     top_coefficient,
-    univ_coords,
 )
 
 SCHEMA_VERSION = "gwfloor/1"
@@ -225,7 +224,6 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     order = proof_cascade_order(s)
     normal = gw_normal_form(delta)
     coefficient, witnesses = extract_universal_coefficient(normal, order)
-    n1, n2, _ = univ_coords(coefficient)
 
     # Every sweep assigns all s variables, so the models evaluate the
     # coefficients directly.
@@ -247,12 +245,12 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
         delta=delta,
         coefficient=coefficient,
         witnesses=witnesses,
-        n1=n1,
-        n2=n2,
+        n1=coefficient.c1,
+        n2=coefficient.c2,
         m=sum(v.ch for v in delta.coeffs.values()),
         rank_zero=delta.rank == 0,
-        broccoli=n1 + n2 == 0,
-        parity=n1 % 2 == 0,
+        broccoli=coefficient.c1 + coefficient.c2 == 0,
+        parity=coefficient.c1 % 2 == 0,
         field_checks=field_checks,
         first_witness=first_witness,
         reconstruction=reconstruction,
@@ -403,7 +401,7 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
             "independent mod-2 pipeline disagrees with the reduced difference"
         )
 
-    top = residual_delta.coefficient(range(1, s + 1))
+    top = top_coefficient(residual_delta)
     if top != residual_reduce(top_coefficient(delta)):
         raise AssertionError(
             "residual top coefficient disagrees with the reduced coefficient"

@@ -215,6 +215,30 @@ class TestWelschinger:
             f"common signature {value}{unsupported}",
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_s_zero_counts_marked_diagrams_with_odd_elevators(self, d):
+        """W_{d,0} without any enriched factor, merge or field: the number
+        of marked floor diagrams whose elevator weights are all odd (1, 1,
+        8, 240 at d = 1..4).
+
+        With every point real, Mikhalkin's real multiplicity of a tropical
+        curve is the product over its vertices of (-1)^((m-1)/2) for an
+        odd vertex multiplicity m, and 0 for an even one (Mikhalkin,
+        *Enumerative tropical algebraic geometry in R^2*, JAMS 2005).  In
+        a floor decomposition, an elevator of weight w meets its two
+        floors at two vertices of multiplicity w (Brugallé-Mikhalkin,
+        *Enumeration of curves via floor diagrams*, 2007; *Floor
+        decompositions of tropical curves: the planar case*, 2008), whose
+        two equal signs cancel.  So a marked diagram contributes 1 when
+        every elevator weight is odd and 0 otherwise.  A single sign
+        (-1)^((w-1)/2) per elevator would give 234 at d = 4, not 240.
+        """
+        odd = sum(
+            all(w % 2 for _lo, _hi, w in diagram.elevators)
+            for diagram, _marking in enumerate_diagrams(d)
+        )
+        assert odd == checks.WELSCHINGER[d][0], d
+
     def test_table_covers_every_pair_count(self):
         for d, values in checks.WELSCHINGER.items():
             assert len(values) == (3 * d - 1) // 2 + 1, d
@@ -346,21 +370,20 @@ class TestMultisetMemo:
 
     def test_orbit_weights_must_divide(self, monkeypatch):
         """A leaf whose row count is not a whole number of orbits raises
-        and names the configuration: drop one row from the R-class mask.
-        The row fuses no two floors, so it is one the weights count."""
-        classes, fused_floors, weights = _class_table(3)
+        and names the configuration: drop one row from the ("R",) mask.
+        That mask holds no floor pair, so its rows are counted by weight."""
+        classes, weights = _class_table(3)
         column = 6 - 1
 
         def drop(mask):
-            weighted = mask & ~fused_floors[column]
-            assert weighted
-            return mask ^ (weighted & -weighted)
+            assert mask
+            return mask ^ (mask & -mask)
 
         classes = list(classes)
         classes[column] = tuple(
             (cls, drop(mask) if cls == ("R",) else mask) for cls, mask in classes[column]
         )
-        corrupt = (tuple(classes), fused_floors, weights)
+        corrupt = (tuple(classes), weights)
         monkeypatch.setattr(diagrams, "_class_table", lambda d: corrupt)
         _clear_caches()
         try:
@@ -412,18 +435,19 @@ def _clear_caches():
 class TestClassTable:
     def test_cells_match_classify_pair(self):
         """Each row is in the mask of the class classify_pair gives its
-        pair, or in none, and in fused_floors when it fuses two floors."""
+        pair, or in none; the class is ("R", "floors") exactly when the
+        pair fuses two floors."""
         for d in range(1, 5):
-            classes, fused_floors, _weights = _class_table(d)
-            assert len(classes) == len(fused_floors) == 3 * d - 2
+            classes, _weights = _class_table(d)
+            assert len(classes) == 3 * d - 2
             for k, (_diagram, marking) in enumerate(enumerate_diagrams(d)):
                 for p in range(1, 3 * d - 1):
                     o1, o2 = marking[p - 1], marking[p]
                     cls = classify_pair(o1, o2)
                     holding = [c for c, mask in classes[p - 1] if mask >> k & 1]
                     assert holding == ([] if cls is None else [cls]), (d, k, p)
-                    fused = bool(fused_floors[p - 1] >> k & 1)
-                    assert fused == (o1[0] == o2[0] == "floor"), (d, k, p)
+                    floors = o1[0] == o2[0] == "floor"
+                    assert (cls == ("R", "floors")) == floors, (d, k, p)
 
 
 @cache
@@ -436,7 +460,7 @@ def _orbits(d: int, cfg: tuple[int, ...]) -> list[list[tuple]]:
         classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
         if None in classes:
             continue
-        swappable = [i for i, cls in enumerate(classes) if cls == ("R",)]
+        swappable = [i for i, cls in enumerate(classes) if cls[0] == "R"]
         out.append(
             [
                 _apply_swaps(marking, cfg, chosen)
@@ -487,7 +511,7 @@ class TestOrbitMinima:
                 classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
                 if None in classes:
                     continue
-                rpos = tuple(p for p, cls in zip(cfg, classes) if cls == ("R",))
+                rpos = tuple(p for p, cls in zip(cfg, classes) if cls[0] == "R")
                 own = (diagram.elevators, marking)
                 keys = {
                     chosen: _apply_swaps(marking, rpos, chosen)
@@ -616,6 +640,24 @@ class TestDissolution:
         h, x1 = TildeElement.constant(UNIV_H, 1), TildeElement.variable(1, 1)
         assert perturbed(h * x1 - h + TildeElement.constant(2 * UNIV_ONE - 2 * UNIV_TWO, 1)) == (True, "")
         assert perturbed((UNIV_ONE - UNIV_TWO) * x1) == (False, "normal forms differ at x1")
+
+    def test_degree_four(self):
+        """Every dissolution at d = 4, which the verify suite leaves out:
+        the 406 supported instances are equal in Q, and the only others
+        are the 14 on the three unsupported configurations, which raise."""
+        passed, raised = 0, []
+        for s in range(1, 6):
+            for cfg in enumerate_merge_configs(11, s):
+                for j in range(1, s + 1):
+                    try:
+                        assert checks._check_dissolution(4, cfg, j) == (True, ""), (cfg, j)
+                    except UnsupportedShapeError:
+                        raised.append((cfg, j))
+                        continue
+                    passed += 1
+        unsupported = [(1, 3, 5, 7), (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)]
+        assert passed == 406
+        assert raised == [(cfg, j) for cfg in unsupported for j in range(1, len(cfg) + 1)]
 
     def test_dissolved_config_validation(self):
         assert dissolved_config((2, 5), 1) == (5,)

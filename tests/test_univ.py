@@ -24,7 +24,6 @@ from gwfloor.univ import (
     gw_normal_form,
     residual_reduce,
     top_coefficient,
-    univ_coords,
 )
 from gwfloor.wallcross import _sweep
 
@@ -116,7 +115,7 @@ class TestUnivElement:
 
     def test_coords_roundtrip(self):
         e = UnivElement(4, -1, 7)
-        n1, n2, m = univ_coords(e)
+        n1, n2, m = e.c1, e.c2, e.ch
         assert (n1, n2, m) == (4, 7, -1)
         assert n1 * UNIV_ONE + n2 * UNIV_TWO + m * UNIV_H == e
 
@@ -170,24 +169,31 @@ class TestTildeElement:
         assert e.coefficient([2]) == UNIV_ZERO
         assert e.coefficient([1, 2]) == UNIV_ZERO
 
-    def test_substitute_one(self):
+    def test_specialize_one_sums_and_renumbers(self):
+        # x1 x2 + x1 at x1 = 1 is x2 + 1, and x2 becomes x1
         x1 = TildeElement.variable(1, 2)
         x2 = TildeElement.variable(2, 2)
-        e = x1 * x2 + x1
-        collapsed = e.substitute_one(1)
-        assert collapsed == x2 + TildeElement.constant(UNIV_ONE, 2)
+        collapsed = (x1 * x2 + x1).specialize_one(1)
+        assert collapsed.nvars == 1
+        assert collapsed == TildeElement.variable(1, 1) + TildeElement.constant(UNIV_ONE, 1)
 
-    def test_drop_variable_requires_absence(self):
-        x1 = TildeElement.variable(1, 2)
-        with pytest.raises(ValueError):
-            x1.drop_variable(1)
-        dropped = x1.substitute_one(1).drop_variable(1)
-        assert dropped.nvars == 1
+    def test_specialize_one_validates_its_label(self):
+        e = TildeElement.variable(1, 2)
+        for label in (0, 3):
+            with pytest.raises(ValueError):
+                e.specialize_one(label)
 
-    def test_drop_variable_renumbers(self):
-        e = TildeElement.variable(1, 2) * TildeElement.variable(2, 2)
-        collapsed = e.substitute_one(1).drop_variable(1)
-        assert collapsed == TildeElement.variable(1, 1)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(tilde_elements(n), st.integers(1, n))))
+    @settings(max_examples=60)
+    def test_specialize_one_is_the_term_by_term_image(self, case):
+        """Every term (labels, c) lands at its labels without the
+        specialised one, the labels above it lowered by one."""
+        e, label = case
+        expected = TildeElement.zero(e.nvars - 1)
+        for labels, val in e.terms():
+            key = frozenset(l - (l > label) for l in labels if l != label)
+            expected = expected + TildeElement(e.nvars - 1, {key: val})
+        assert e.specialize_one(label) == expected
 
     def test_json_roundtrip(self):
         e = TildeElement(
@@ -217,6 +223,8 @@ class TestCascade:
             },
         )
         assert top_coefficient(e) == UnivElement(3, 1, 0)
+        assert top_coefficient(residual_reduce(e)) == ResidualElement(1, 0)
+        assert top_coefficient(ResidualTilde.zero(2)) == RES_ZERO
 
     def test_pure_product_has_zero_witnesses(self):
         one = TildeElement.constant(UNIV_ONE, 2)
