@@ -545,6 +545,29 @@ class TestJoins:
         with pytest.raises(ValueError, match="joined twin elevators must have weight 1"):
             _joins(4, self.marking(2), (2, 4), ((4, 2),))
 
+    @pytest.mark.parametrize(
+        "marking",
+        [
+            (("end", 1, 0), ("end", 2, 0), ("floor", 1), ("floor", 2)),
+            (("floor", 1), ("floor", 2), ("floor", 3), ("floor", 4)),
+        ],
+        ids=["end-pair", "second-floor-pair"],
+    )
+    def test_floor_pair_joins_only_an_elevator_pair(self, marking):
+        """A floor pair stabilised together with an end pair, or with a
+        second floor pair, is not a joined twin."""
+        message = r"unsupported twin interaction kinds at fused pairs \[1, 3\]$"
+        with pytest.raises(UnsupportedShapeError, match=message):
+            _joins(4, marking, (1, 3), ((1, 3),))
+
+    def test_stabiliser_elements_must_not_overlap(self):
+        """Two stabiliser elements sharing a fused pair are one larger
+        interaction, not two joined twins."""
+        marking = (*self.marking(1), ("floor", 1), ("floor", 2))
+        message = r"unsupported twin interaction between fused pairs \[4, 6\] \(degree 4\)$"
+        with pytest.raises(UnsupportedShapeError, match=message):
+            _joins(4, marking, (2, 4, 6), ((2, 4), (4, 6)))
+
 
 class TestMergedJson:
     def test_shape(self):
