@@ -11,7 +11,6 @@ and the mod-2 obstruction is certified nonzero over Laurent towers.
 from .diagrams import (
     FloorDiagram,
     MergedDiagram,
-    dissolve_specialize,
     dissolved_config,
     enumerate_diagrams,
     enumerate_merge_configs,
@@ -68,7 +67,6 @@ from .wallcross import (
 __all__ = [
     "FloorDiagram",
     "MergedDiagram",
-    "dissolve_specialize",
     "dissolved_config",
     "enumerate_diagrams",
     "enumerate_merge_configs",

@@ -36,7 +36,6 @@ from time import perf_counter
 from . import local_factors as lf
 from .diagrams import (
     UnsupportedShapeError,
-    dissolve_specialize,
     dissolved_config,
     enumerate_merge_configs,
     floor_count,
@@ -361,7 +360,7 @@ def _check_anchor_crossing_product():
 
 
 def _check_dissolution(d: int, cfg: tuple[int, ...], j: int):
-    lhs = dissolve_specialize(floor_count(d, cfg), j)
+    lhs = floor_count(d, cfg).specialize_one(j)
     diff = gw_normal_form(lhs - floor_count(d, dissolved_config(cfg, j)))
     return diff.is_zero(), "" if diff.is_zero() else f"normal forms differ at {first_term_name(diff)}"
 

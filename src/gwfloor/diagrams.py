@@ -358,59 +358,57 @@ def _relabel_floors(marking: tuple, f: int) -> list:
     ]
 
 
-def _apply_swaps(marking: tuple, cfg, pair_indices) -> tuple[tuple, tuple]:
+def _apply_swaps(marking: tuple, pairs) -> tuple[tuple, tuple]:
     """The encoding ``(elevators, marking)`` after the alternate-encoding
-    operation at each listed pair: the within-pair mark swap, preceded for
-    a fused pair of floor marks by relabeling those two floors throughout
-    (the swap then restores ascending floor marks, so the two operations
-    together rewire the tree and keep the marking skeleton)."""
+    operation at each listed ``(position, class)`` pair: the within-pair
+    mark swap, preceded for a class ``("R", "floors")`` pair by relabeling
+    its two floors throughout (the swap then restores ascending floor
+    marks, so the two operations together rewire the tree and keep the
+    marking skeleton)."""
     mk = list(marking)
-    for i in pair_indices:
-        p = cfg[i]
-        o1, o2 = mk[p - 1], mk[p]
-        if o1[0] == o2[0] == "floor":
-            mk = _relabel_floors(mk, o1[1])
+    for p, cls in pairs:
+        if cls == _R_FLOORS:
+            mk = _relabel_floors(mk, mk[p - 1][1])
         mk[p - 1], mk[p] = mk[p], mk[p - 1]
     return tuple(sorted(o[1:] for o in mk if o[0] == "elev")), tuple(mk)
 
 
 @cache
-def _orbit_test(d: int, index: int, rpos: tuple[int, ...]):
-    """Orbit test of marked diagram ``enumerate_diagrams(d)[index]`` when
-    its fused pairs at positions ``rpos`` are of type R.
+def _orbit_test(d: int, index: int, rpairs: tuple[tuple[int, tuple], ...]):
+    """Orbit test of marked diagram ``enumerate_diagrams(d)[index]`` whose
+    type-R pairs are ``rpairs``, as ``(position, class)``.
 
     Only type-R pairs admit a second encoding (the other within-pair
-    order, realised for two consecutive floor marks by relabeling the
+    order, realised for a ``("R", "floors")`` pair by relabeling the
     floors); type-A and twin pairs have a single valid order.  Returns
     None when some alternate encoding is smaller than the diagram's own,
     and otherwise its stabiliser: the position tuples whose operations
-    leave the encoding unchanged.  Keyed on integers only, so a lookup
+    leave the encoding unchanged.  Keyed on the row index, so a lookup
     hashes no diagram or marking.
 
-    A mark swap changes only its own two marks, so a descending pair of
-    non-floor marks proves a smaller encoding at once; once every such
-    pair ascends, swaps without a floor relabeling only give larger
+    A mark swap changes only its own two marks, so a descending pair
+    outside the floor pairs proves a smaller encoding at once; once every
+    such pair ascends, swaps without a floor relabeling only give larger
     encodings, and only the sets with a relabeling are searched.
     """
     diagram, marking = enumerate_diagrams(d)[index]
-    relabelings = 0  # bit b set when the pair at rpos[b] fuses two floors
-    for b, p in enumerate(rpos):
-        o1, o2 = marking[p - 1], marking[p]
-        if o1[0] == o2[0] == "floor":
+    relabelings = 0  # bit b set when rpairs[b] is a floor pair
+    for b, (p, cls) in enumerate(rpairs):
+        if cls == _R_FLOORS:
             relabelings |= 1 << b
-        elif o2 < o1:
+        elif marking[p] < marking[p - 1]:
             return None
     identity_key = (diagram.elevators, marking)
     stabiliser = []
-    for mask in range(1, 1 << len(rpos)):
+    for mask in range(1, 1 << len(rpairs)):
         if not mask & relabelings:
             continue
-        chosen = [b for b in range(len(rpos)) if mask >> b & 1]
-        key = _apply_swaps(marking, rpos, chosen)
+        chosen = [pair for b, pair in enumerate(rpairs) if mask >> b & 1]
+        key = _apply_swaps(marking, chosen)
         if key < identity_key:
             return None
         if key == identity_key:
-            stabiliser.append(tuple(rpos[b] for b in chosen))
+            stabiliser.append(tuple(p for p, _cls in chosen))
     return tuple(stabiliser)
 
 
@@ -419,13 +417,14 @@ class UnsupportedShapeError(ValueError):
     fused-pair interaction the local-factor model does not cover."""
 
 
-def _joins(d: int, marking: tuple, cfg: tuple, stabiliser: tuple) -> tuple:
-    """Joint-twin detection for an orbit minimum.
+def _joins(d: int, marking: tuple, cfg: tuple, classes: tuple, stabiliser: tuple) -> tuple:
+    """Joint-twin detection for an orbit minimum whose fused pairs have
+    the ``classes``.
 
-    Lists index pairs (i, j) of fused pairs whose two operations act
-    identically on the marking: a doubled weight-1 elevator pair together
-    with the doubled floor pair above it.  Such a pair of pairs forms one
-    twin tree with two double points rather than two independent
+    Lists label pairs (i, j), 1-based, of fused pairs whose two operations
+    act identically on the marking: a doubled weight-1 elevator pair i
+    together with the floor pair j above it.  Such a pair of pairs forms
+    one twin tree with two double points rather than two independent
     crossings.  Any other stabiliser raises ``UnsupportedShapeError``.
     """
     joins: list[tuple[int, int]] = []
@@ -436,32 +435,31 @@ def _joins(d: int, marking: tuple, cfg: tuple, stabiliser: tuple) -> tuple:
                 "unsupported twin interaction between fused pairs "
                 f"{list(positions)} (degree {d})"
             )
-        i, j = map(cfg.index, positions)
-        pairs = [marking[p - 1 : p + 1] for p in positions]
-        kinds = [{obj[0] for obj in pair} for pair in pairs]
-        if kinds[0] == {"floor"}:
+        i, j = (cfg.index(p) + 1 for p in positions)
+        if classes[i - 1] == _R_FLOORS:
             i, j = j, i
-            pairs, kinds = pairs[::-1], kinds[::-1]
-        if kinds[0] != {"elev"} or kinds[1] != {"floor"}:
+        elevators = marking[cfg[i - 1] - 1 : cfg[i - 1] + 1]
+        if classes[j - 1] != _R_FLOORS or any(obj[0] != "elev" for obj in elevators):
             raise UnsupportedShapeError(
                 "unsupported twin interaction kinds at fused pairs "
                 f"{list(positions)}"
             )
-        if any(obj[3] != 1 for obj in pairs[0]):
+        if any(obj[3] != 1 for obj in elevators):
             raise ValueError("joined twin elevators must have weight 1")
         used.update(positions)
         joins.append((i, j))
     return tuple(sorted(joins))
 
 
-def _orbit_minimum(d: int, cfg: tuple[int, ...], index: int, rpos: tuple[int, ...]):
-    """The joins of marked diagram ``enumerate_diagrams(d)[index]``, whose
-    fused pairs under cfg are of type R at the positions ``rpos``, if it is
-    its orbit's minimum encoding; None otherwise."""
-    stabiliser = _orbit_test(d, index, rpos)
-    if stabiliser is None:
-        return None
-    return _joins(d, enumerate_diagrams(d)[index][1], cfg, stabiliser)
+def _minima(d: int, cfg: tuple[int, ...], classes: tuple, rpairs: tuple, rows: int):
+    """Yield ``(index, joins)`` for each marked diagram of the leaf
+    ``(classes, rpairs, rows)`` of ``_leaves`` that is its orbit's minimum
+    encoding."""
+    marked = enumerate_diagrams(d)
+    for index in _bits(rows):
+        stabiliser = _orbit_test(d, index, rpairs)
+        if stabiliser is not None:
+            yield index, _joins(d, marked[index][1], cfg, classes, stabiliser)
 
 
 def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
@@ -475,7 +473,8 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
     factor per fused pair in label order (a joined pair once, at its
     elevator pair), then the square of every elevator no pair consumed,
     by weight.  ``weights`` are the diagram's elevator weights,
-    ``classes`` the ``classify_pair`` of each fused pair.  A type-A pair on
+    ``classes`` the ``classify_pair`` of each fused pair, ``joins`` the
+    label pairs of ``_joins``.  A type-A pair on
     an elevator consumes that elevator; a joined pair consumes its two
     weight-1 elevators.  Down ends contribute <1> and are left out."""
     joined = dict(joins)
@@ -489,13 +488,13 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
             out.append(("A", w, j))
         elif kind == "T":
             out.append(("tree", 1, 2, (j,), ()))
-        elif j - 1 in joined:  # joins link two type-R pairs
+        elif j in joined:  # joins link two type-R pairs
             # a doubled weight-1 elevator and the doubled floors above it:
             # one twin tree, two double points, odd circuit
             left.remove(1)
             left.remove(1)
-            out.append(("tree", 2, 1, (j, joined[j - 1] + 1), ((1, j),)))
-        elif j - 1 not in joined.values():
+            out.append(("tree", 2, 1, (j, joined[j]), ((1, j),)))
+        elif j not in joined.values():
             out.append(("R", j))
     return (*out, *[("square", w) for w in sorted(left)])
 
@@ -540,20 +539,21 @@ def _bits(mask: int):
 
 
 def _leaves(d: int, cfg: tuple[int, ...]):
-    """Yield ``(classes, rpos, rows)`` once per tuple of pair classes under
+    """Yield ``(classes, rpairs, rows)`` once per tuple of pair classes under
     the valid configuration cfg: ``rows`` are the marked diagrams with those
-    classes, ``rpos`` the positions of the type-R pairs.  A depth-first walk
-    ANDs the masks of ``_class_table``; an unclassifiable row reaches none."""
+    classes, ``rpairs`` the ``(position, class)`` of the type-R pairs.  A
+    depth-first walk ANDs the masks of ``_class_table``; an unclassifiable
+    row reaches none."""
     classes = _class_table(d)[0]
 
-    def walk(i: int, rows: int, chosen: tuple, rpos: tuple):
+    def walk(i: int, rows: int, chosen: tuple, rpairs: tuple):
         if i == len(cfg):
-            yield chosen, rpos, rows
+            yield chosen, rpairs, rows
             return
         p = cfg[i]
         for cls, mask in classes[p - 1]:
             if sub := rows & mask:
-                yield from walk(i + 1, sub, (*chosen, cls), (*rpos, p) if cls[0] == "R" else rpos)
+                yield from walk(i + 1, sub, (*chosen, cls), (*rpairs, (p, cls)) if cls[0] == "R" else rpairs)
 
     return walk(0, (1 << len(enumerate_diagrams(d))) - 1, (), ())
 
@@ -590,8 +590,8 @@ class MergedDiagram:
     def to_json(self) -> dict:
         partner = {}
         for i, j in self.joins:
-            partner[i + 1] = j + 1
-            partner[j + 1] = i + 1
+            partner[i] = j
+            partner[j] = i
         merges = []
         for j, (p, cls) in enumerate(zip(self.cfg, self.classes), start=1):
             o1, o2 = self.marking[p - 1], self.marking[p]
@@ -633,11 +633,9 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
     cfg = _merge_config(d, cfg)
     marked = enumerate_diagrams(d)
     out = []
-    for classes, rpos, rows in _leaves(d, cfg):
-        for index in _bits(rows):
-            joins = _orbit_minimum(d, cfg, index, rpos)
-            if joins is not None:
-                out.append(MergedDiagram(*marked[index], cfg, classes, joins))
+    for classes, rpairs, rows in _leaves(d, cfg):
+        for index, joins in _minima(d, cfg, classes, rpairs, rows):
+            out.append(MergedDiagram(*marked[index], cfg, classes, joins))
     out.sort(key=lambda m: (m.diagram.elevators, m.marking))
     return tuple(out)
 
@@ -671,14 +669,12 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     weights = _class_table(d)[1]
     marked = enumerate_diagrams(d)
     counts: Counter = Counter()
-    for chosen, rpos, rows in _leaves(d, cfg):
+    for chosen, rpairs, rows in _leaves(d, cfg):
         if _R_FLOORS in chosen:
-            for index in _bits(rows):
-                joins = _orbit_minimum(d, cfg, index, rpos)
-                if joins is not None:
-                    counts[_factor_keys(_weights(marked[index][0]), chosen, joins)] += 1
+            for index, joins in _minima(d, cfg, chosen, rpairs, rows):
+                counts[_factor_keys(_weights(marked[index][0]), chosen, joins)] += 1
             continue
-        size = 1 << len(rpos)
+        size = 1 << len(rpairs)
         for w, mask in weights:
             n = (rows & mask).bit_count()
             if n % size:
@@ -721,11 +717,6 @@ def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
 # ---------------------------------------------------------------------------
 # Dissolution
 # ---------------------------------------------------------------------------
-
-
-def dissolve_specialize(count: TildeElement, j: int) -> TildeElement:
-    """Set the j-th double-point parameter to 1 and drop its variable slot."""
-    return count.specialize_one(j)
 
 
 def dissolved_config(cfg: tuple[int, ...], j: int) -> tuple[int, ...]:

@@ -152,10 +152,8 @@ def twin_tree_factor(desc: TwinTreeDescriptor, nvars: int) -> TildeElement:
     # <2**(t-1)> is <1> for odd t and <2> for even t.
     scale = UNIV_ONE if (desc.t - 1) % 2 == 0 else UNIV_TWO
     parity = desc.m_circ % 2
-    subset_sum = TildeElement.zero(nvars)
-    for size in range(parity, desc.t + 1, 2):
-        for subset in combinations(desc.labels, size):
-            subset_sum = subset_sum + TildeElement(nvars, {frozenset(subset): UNIV_ONE})
+    subsets = (c for size in range(parity, desc.t + 1, 2) for c in combinations(desc.labels, size))
+    subset_sum = TildeElement(nvars, {frozenset(c): UNIV_ONE for c in subsets})
     return total * scale * subset_sum
 
 

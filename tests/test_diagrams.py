@@ -17,7 +17,6 @@ from gwfloor.diagrams import (
     _joins,
     _orbit_test,
     classify_pair,
-    dissolve_specialize,
     dissolved_config,
     enumerate_diagrams,
     enumerate_markings,
@@ -460,10 +459,10 @@ def _orbits(d: int, cfg: tuple[int, ...]) -> list[list[tuple]]:
         classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
         if None in classes:
             continue
-        swappable = [i for i, cls in enumerate(classes) if cls[0] == "R"]
+        swappable = [(p, cls) for p, cls in zip(cfg, classes) if cls[0] == "R"]
         out.append(
             [
-                _apply_swaps(marking, cfg, chosen)
+                _apply_swaps(marking, chosen)
                 for size in range(len(swappable) + 1)
                 for chosen in combinations(swappable, size)
             ]
@@ -511,39 +510,46 @@ class TestOrbitMinima:
                 classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
                 if None in classes:
                     continue
-                rpos = tuple(p for p, cls in zip(cfg, classes) if cls[0] == "R")
+                rpairs = tuple((p, cls) for p, cls in zip(cfg, classes) if cls[0] == "R")
                 own = (diagram.elevators, marking)
                 keys = {
-                    chosen: _apply_swaps(marking, rpos, chosen)
-                    for size in range(1, len(rpos) + 1)
-                    for chosen in combinations(range(len(rpos)), size)
+                    chosen: _apply_swaps(marking, chosen)
+                    for size in range(1, len(rpairs) + 1)
+                    for chosen in combinations(rpairs, size)
                 }
                 if any(key < own for key in keys.values()):
                     expected = None
                 else:
                     expected = {
-                        tuple(rpos[b] for b in chosen)
+                        tuple(p for p, _cls in chosen)
                         for chosen, key in keys.items()
                         if key == own
                     }
-                got = _orbit_test(d, index, rpos)
+                got = _orbit_test(d, index, rpairs)
                 assert (got if got is None else set(got)) == expected, (d, cfg, index)
 
 
 class TestJoins:
-    """``_joins`` on a hand-built marking whose stabiliser lists the floor
-    pair before the elevator pair; the elevators name their weights."""
+    """``_joins`` on hand-built markings, with the pair classes that
+    ``classify_pair`` gives them; the elevators name their weights."""
 
     @staticmethod
     def marking(w: int) -> tuple:
         return (("end", 1, 1), ("elev", 1, 2, w), ("elev", 2, 3, 1), ("floor", 3), ("floor", 4))
 
+    @staticmethod
+    def joins(marking: tuple, cfg: tuple, stabiliser: tuple) -> tuple:
+        classes = tuple(classify_pair(marking[p - 1], marking[p]) for p in cfg)
+        return _joins(4, marking, cfg, classes, stabiliser)
+
     def test_elevator_pair_comes_first(self):
-        assert _joins(4, self.marking(1), (2, 4), ((4, 2),)) == ((0, 1),)
+        """A stabiliser listing the floor pair first still joins the
+        elevator pair (label 1) to the floor pair (label 2)."""
+        assert self.joins(self.marking(1), (2, 4), ((4, 2),)) == ((1, 2),)
 
     def test_joined_elevators_must_have_weight_one(self):
         with pytest.raises(ValueError, match="joined twin elevators must have weight 1"):
-            _joins(4, self.marking(2), (2, 4), ((4, 2),))
+            self.joins(self.marking(2), (2, 4), ((4, 2),))
 
     @pytest.mark.parametrize(
         "marking",
@@ -558,7 +564,7 @@ class TestJoins:
         second floor pair, is not a joined twin."""
         message = r"unsupported twin interaction kinds at fused pairs \[1, 3\]$"
         with pytest.raises(UnsupportedShapeError, match=message):
-            _joins(4, marking, (1, 3), ((1, 3),))
+            self.joins(marking, (1, 3), ((1, 3),))
 
     def test_stabiliser_elements_must_not_overlap(self):
         """Two stabiliser elements sharing a fused pair are one larger
@@ -566,7 +572,7 @@ class TestJoins:
         marking = (*self.marking(1), ("floor", 1), ("floor", 2))
         message = r"unsupported twin interaction between fused pairs \[4, 6\] \(degree 4\)$"
         with pytest.raises(UnsupportedShapeError, match=message):
-            _joins(4, marking, (2, 4, 6), ((2, 4), (4, 6)))
+            self.joins(marking, (2, 4, 6), ((2, 4), (4, 6)))
 
 
 class TestMergedJson:
@@ -635,7 +641,7 @@ class TestDissolution:
             for cfg in enumerate_merge_configs(n, s):
                 full = floor_count(d, cfg)
                 for j in range(1, s + 1):
-                    left = dissolve_specialize(full, j)
+                    left = full.specialize_one(j)
                     right = floor_count(d, dissolved_config(cfg, j))
                     for model in (RealField(), *map(FiniteField, SWEEP_FQ_ORDERS)):
                         for assign in self._assignments(model, s - 1):
