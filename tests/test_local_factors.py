@@ -98,6 +98,20 @@ class TestTypeA:
         assert not ok
         assert detail.startswith("type_a_factor (3<1> + 35h + 4<2>) + (4h - 4<2>)x1 differs")
 
+    def test_square_checks_read_the_elevator_square(self, monkeypatch):
+        """Adding 2<1> - 2<2> for m >= 9 moves no rank, signature or
+        discriminant, so no field image sees it; both identity checks that
+        read ``elevator_square`` against the raw group ring catch it."""
+
+        def mutated(m):
+            e = elevator_square(m)
+            return e + 2 * UNIV_ONE - 2 * UNIV_TWO if m >= 9 else e
+
+        monkeypatch.setattr(local_factors, "elevator_square", mutated)
+        for check in (checks._check_elevator_square, checks._check_universal_square_product):
+            assert check(8)[0]
+            assert not check(9)[0]
+
 
 class TestTypeR:
     def test_shape_and_rank(self):
