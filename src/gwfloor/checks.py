@@ -2,9 +2,10 @@
 
 Each suite bundles related checks into individually named verdicts:
 
-- ``identities``: closed-form product identities in the group-ring
-  carrier for weights 1..60 (the type-A product also against the factor
-  the counts multiply), plus the finite-field ring laws and the
+- ``identities``: closed-form product identities for weights 1..60,
+  multiplied in the plain group ring of square classes and compared
+  after one hyperbolic reduction (the type-A product also against the
+  factor the counts multiply), plus the finite-field ring laws and the
   2-torsion of the Pfister element.
 - ``counts``: the rank oracle against the classical recursion, the
   degree-3 anchor value, signature invariance across merge positions
@@ -45,10 +46,13 @@ from .diagrams import (
 )
 from .fields import FqClass, RealField, finite_field, specialize_field
 from .group_ring import (
+    GroupRingElement,
     carrier_for,
     elevator_square_closed_raw,
     gamma_hat_raw,
+    hyperbolic_reduce,
     m_a1_raw,
+    to_univ,
     type_a_closed_raw,
 )
 from .springer import (
@@ -171,45 +175,53 @@ def _shift_name(pair) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _same(lhs_name: str, lhs, rhs_name: str, rhs):
+    """The verdict lhs == rhs, with a detail naming both values if not."""
+    if lhs == rhs:
+        return True, ""
+    return False, f"{lhs_name} {lhs!r} differs from {rhs_name} {rhs!r}"
+
+
 def _check_type_a_product(m: int):
-    """The raw product gamma_hat * m_a1 at the parameter class d equals its
-    closed form in the carrier and ``type_a_factor(m, 1, 1)``, the factor
-    the counts multiply, read with <d> as x_1 and every h-coefficient
-    folded into one (h*x_1 = h)."""
+    """In the hyperbolic quotient, the raw product gamma_hat * m_a1 at the
+    parameter class d equals its closed form in the carrier and
+    ``type_a_factor(m, 1, 1)``, the factor the counts multiply, embedded
+    with x_1 as <d> and h as <1> + <-1>."""
     carrier = carrier_for(m, ("d",))
-    raw = gamma_hat_raw(m, carrier, "d") * m_a1_raw(m, carrier)
-    if raw != type_a_closed_raw(m, carrier, "d"):
-        return False, f"raw product {raw!r} differs from its closed form"
+    raw = hyperbolic_reduce(gamma_hat_raw(m, carrier, "d") * m_a1_raw(m, carrier))
+    closed = hyperbolic_reduce(type_a_closed_raw(m, carrier, "d"))
+    if raw != closed:
+        return _same("raw product", raw, "its closed form", closed)
     two, d = carrier.bit("2"), carrier.bit("d")
     factor = lf.type_a_factor(m, 1, 1)
-    coords = {}
+    image = GroupRingElement(carrier)
     for key, v in factor.coeffs.items():
-        coords |= {d * key: v.c1, d * key | two: v.c2}
-    hcoeff = sum(v.ch for v in factor.coeffs.values())
-    if (hcoeff, {k: c for k, c in coords.items() if c}) != (raw.hcoeff, raw.coeffs):
+        at = d * key
+        image += GroupRingElement(carrier, {at: v.c1 + v.ch, at ^ 1: v.ch, at ^ two: v.c2})
+    if hyperbolic_reduce(image) != raw:
         return False, f"type_a_factor {factor!r} differs from the raw product {raw!r}"
     return True, ""
 
 
 def _check_square_field(m: int):
     carrier = carrier_for(m)
-    return gamma_hat_raw(m, carrier, None) == m_a1_raw(m, carrier), ""
+    gamma = hyperbolic_reduce(gamma_hat_raw(m, carrier, None))
+    return _same("gamma_hat", gamma, "m_a1", hyperbolic_reduce(m_a1_raw(m, carrier)))
 
 
 def _check_elevator_square(m: int):
     carrier = carrier_for(m)
-    square = m_a1_raw(m, carrier) * m_a1_raw(m, carrier)
-    ok = (
-        square == elevator_square_closed_raw(m, carrier)
-        and square.to_univ() == lf.elevator_square(m)
-    )
-    return ok, ""
+    square = hyperbolic_reduce(m_a1_raw(m, carrier) * m_a1_raw(m, carrier))
+    closed = hyperbolic_reduce(elevator_square_closed_raw(m, carrier))
+    if square != closed:
+        return _same("raw square", square, "its closed form", closed)
+    return _same("raw square", to_univ(square), "elevator_square", lf.elevator_square(m))
 
 
 def _check_universal_square_product(m: int):
     carrier = carrier_for(m)
-    product = gamma_hat_raw(m, carrier, None) * m_a1_raw(m, carrier)
-    return product.to_univ() == lf.elevator_square(m), ""
+    product = hyperbolic_reduce(gamma_hat_raw(m, carrier, None) * m_a1_raw(m, carrier))
+    return _same("raw product", to_univ(product), "elevator_square", lf.elevator_square(m))
 
 
 def _check_gw_laws(q: int):
@@ -333,7 +345,7 @@ def _check_anchor_twin_t3():
             for subset in itertools.combinations(range(1, 8), size)
         },
     )
-    return got == edge * parity_sum, ""
+    return _same("value", got, "edge * parity_sum", edge * parity_sum)
 
 
 def _check_anchor_crossing_product():

@@ -7,16 +7,20 @@ primes needed and then any formal parameter symbols.  A monomial <g> is a
 bit-packed exponent vector over these generators, so multiplication of
 monomials is XOR.
 
-The hyperbolic reduction imposes <g> + <-g> = h for every class g, where
-h = <1> + <-1>.  Every monomial containing the -1 bit rewrites as
-h - <positive part>, leaving a free module on {h} together with the
-monomials not involving -1.  Products follow from h*<g> = h and h*h = 2h.
+Products are plain XOR convolutions: h is written out as <1> + <-1>, and
+no product assumes h*<g> = h or h*h = 2h.  The hyperbolic relation
+<g> + <-g> = <1> + <-1> is applied once, at comparison:
+``hyperbolic_reduce`` maps an element to its canonical representative,
+and ``to_univ`` reads a reduced element in the universal ring's basis
+{<1>, h, <2>}.  The rules h*<g> = h and h*h = 2h, which the closed forms
+rely on, therefore follow from the relation here instead of being built
+in.
 
 The raw constructors at the end (``m_a1_raw``, ``gamma_hat_raw``,
 ``type_a_closed_raw``, ``elevator_square_closed_raw``) rebuild the local
-factors symbol by symbol in the reduced ring: an oracle for their closed
-forms, which the identity suite checks for every m up to 60.  The count
-path never imports this module.
+factors symbol by symbol: an oracle for their closed forms, which the
+identity suite checks for every m up to 60.  The count path never
+imports this module.
 """
 
 from __future__ import annotations
@@ -92,6 +96,15 @@ class GroupRingElement:
     def symbol(cls, carrier: SquareClassCarrier, mask: int, coeff: int = 1) -> "GroupRingElement":
         return cls(carrier, {mask: coeff})
 
+    @classmethod
+    def of_int(cls, carrier: SquareClassCarrier, n: int, coeff: int = 1) -> "GroupRingElement":
+        return cls(carrier, {carrier.class_of_int(n): coeff})
+
+    @classmethod
+    def h(cls, carrier: SquareClassCarrier, coeff: int = 1) -> "GroupRingElement":
+        """coeff copies of the hyperbolic plane h = <1> + <-1>."""
+        return cls(carrier, {0: coeff, 1: coeff})
+
     def _check(self, other: "GroupRingElement") -> None:
         if self.carrier != other.carrier:
             raise ValueError("carrier mismatch")
@@ -146,147 +159,33 @@ class GroupRingElement:
         return " + ".join(parts)
 
 
-class HypUnivElement:
-    """Hyperbolically reduced group-ring element.
+def hyperbolic_reduce(e: GroupRingElement) -> GroupRingElement:
+    """Canonical representative of e modulo <g> + <-g> = <1> + <-1>.
 
-    Stored as an integer multiple of h plus an integer combination of
-    monomials whose -1 bit is clear.  The supporting relations are
-    h*<g> = h and h*h = 2h; products of reduced monomials XOR their masks
-    (the -1 bit stays clear automatically).
+    Each <-g> with g != 1 is rewritten as <1> + <-1> - <g>, so the result
+    is supported on <-1> and the classes without the -1 bit.  These
+    relations span an ideal, so equal classes reduce to equal elements.
     """
-
-    __slots__ = ("carrier", "hcoeff", "coeffs")
-
-    def __init__(
-        self,
-        carrier: SquareClassCarrier,
-        hcoeff: int = 0,
-        coeffs: Mapping[int, int] | None = None,
-    ):
-        self.carrier = carrier
-        self.hcoeff = hcoeff
-        clean: dict[int, int] = {}
-        for m, c in (coeffs or {}).items():
-            if m & 1:
-                raise ValueError("reduced monomial may not contain the -1 bit")
-            if c != 0:
-                clean[m] = c
-        self.coeffs = clean
-
-    @classmethod
-    def h(cls, carrier: SquareClassCarrier, coeff: int = 1) -> "HypUnivElement":
-        return cls(carrier, hcoeff=coeff)
-
-    @classmethod
-    def symbol(cls, carrier: SquareClassCarrier, mask: int, coeff: int = 1) -> "HypUnivElement":
-        """The reduced image of the single monomial <mask>."""
-        if mask & 1:
-            return cls(carrier, hcoeff=coeff, coeffs={mask ^ 1: -coeff})
-        return cls(carrier, coeffs={mask: coeff})
-
-    @classmethod
-    def of_int(cls, carrier: SquareClassCarrier, n: int, coeff: int = 1) -> "HypUnivElement":
-        return cls.symbol(carrier, carrier.class_of_int(n), coeff)
-
-    def _check(self, other: "HypUnivElement") -> None:
-        if self.carrier != other.carrier:
-            raise ValueError("carrier mismatch")
-
-    def __add__(self, other: "HypUnivElement") -> "HypUnivElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return HypUnivElement(self.carrier, self.hcoeff + other.hcoeff, out)
-
-    def __sub__(self, other: "HypUnivElement") -> "HypUnivElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) - c
-        return HypUnivElement(self.carrier, self.hcoeff - other.hcoeff, out)
-
-    def __neg__(self) -> "HypUnivElement":
-        return HypUnivElement(
-            self.carrier, -self.hcoeff, {m: -c for m, c in self.coeffs.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HypUnivElement(
-                self.carrier,
-                other * self.hcoeff,
-                {m: other * c for m, c in self.coeffs.items()},
-            )
-        if not isinstance(other, HypUnivElement):
-            return NotImplemented
-        self._check(other)
-        asum = sum(self.coeffs.values())
-        bsum = sum(other.coeffs.values())
-        hpart = 2 * self.hcoeff * other.hcoeff + self.hcoeff * bsum + other.hcoeff * asum
-        out: dict[int, int] = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                key = ma ^ mb
-                out[key] = out.get(key, 0) + ca * cb
-        return HypUnivElement(self.carrier, hpart, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, HypUnivElement):
-            return NotImplemented
-        return (
-            self.carrier == other.carrier
-            and self.hcoeff == other.hcoeff
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.carrier, self.hcoeff, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return self.hcoeff == 0 and not self.coeffs
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.hcoeff + sum(self.coeffs.values())
-
-    def to_univ(self) -> UnivElement:
-        """Project onto the rank-3 universal ring.
-
-        Only valid when the support lies in {<1>, <2>}; raises otherwise.
-        """
-        two_bit = self.carrier.bit("2")
-        c1 = self.coeffs.get(0, 0)
-        c2 = self.coeffs.get(two_bit, 0)
-        extra = set(self.coeffs) - {0, two_bit}
-        if extra:
-            names = ", ".join(self.carrier.monomial_name(m) for m in sorted(extra))
-            raise ValueError(f"support outside the universal span: {names}")
-        return UnivElement(c1, self.hcoeff, c2)
-
-    def __repr__(self) -> str:
-        parts = []
-        if self.hcoeff:
-            parts.append(f"{self.hcoeff}*h")
-        for m, c in sorted(self.coeffs.items()):
-            parts.append(f"{c}*{self.carrier.monomial_name(m)}")
-        return " + ".join(parts) if parts else "0"
-
-
-def hyp_univ_reduce(e: GroupRingElement) -> HypUnivElement:
-    """Reduce a plain group-ring element by <g> + <-g> = h for all g."""
-    hcoeff = 0
-    coeffs: dict[int, int] = {}
+    out: dict[int, int] = {}
     for mask, c in e.coeffs.items():
-        if mask & 1:
-            hcoeff += c
-            pos = mask ^ 1
-            coeffs[pos] = coeffs.get(pos, 0) - c
-        else:
-            coeffs[mask] = coeffs.get(mask, 0) + c
-    return HypUnivElement(e.carrier, hcoeff, coeffs)
+        terms = ((0, c), (1, c), (mask ^ 1, -c)) if mask & 1 and mask != 1 else ((mask, c),)
+        for key, v in terms:
+            out[key] = out.get(key, 0) + v
+    return GroupRingElement(e.carrier, out)
+
+
+def to_univ(e: GroupRingElement) -> UnivElement:
+    """Read a reduced element as c1<1> + ch h + c2<2>, with h = <1> + <-1>.
+
+    Raises if any other class is left.
+    """
+    two_bit = e.carrier.bit("2")
+    extra = set(e.coeffs) - {0, 1, two_bit}
+    if extra:
+        names = ", ".join(e.carrier.monomial_name(m) for m in sorted(extra))
+        raise ValueError(f"support outside the universal span: {names}")
+    ch = e.coeffs.get(1, 0)
+    return UnivElement(e.coeffs.get(0, 0) - ch, ch, e.coeffs.get(two_bit, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +198,19 @@ def carrier_for(max_m: int, formal: tuple[str, ...] = ()) -> SquareClassCarrier:
     return SquareClassCarrier(odd_primes_up_to(max(max_m, 3)), formal)
 
 
-def m_a1_raw(m: int, carrier: SquareClassCarrier) -> HypUnivElement:
+def m_a1_raw(m: int, carrier: SquareClassCarrier) -> GroupRingElement:
     """The rank-m class counting an m-fold cover: <m> + ((m-1)//2) h for
     odd m, (m//2) h for even m."""
     if m < 1:
         raise ValueError("weight must be positive")
     if m % 2:
-        return HypUnivElement.of_int(carrier, m) + HypUnivElement.h(carrier, (m - 1) // 2)
-    return HypUnivElement.h(carrier, m // 2)
+        return GroupRingElement.of_int(carrier, m) + GroupRingElement.h(carrier, (m - 1) // 2)
+    return GroupRingElement.h(carrier, m // 2)
 
 
 def gamma_hat_raw(
     m: int, carrier: SquareClassCarrier, d_symbol: str | None = None
-) -> HypUnivElement:
+) -> GroupRingElement:
     """Vertex correction factor of weight m with parameter square class d.
 
     ``d_symbol`` names a formal generator of the carrier standing for d;
@@ -321,41 +220,41 @@ def gamma_hat_raw(
         raise ValueError("weight must be positive")
     dbit = carrier.bit(d_symbol) if d_symbol is not None else 0
 
-    def sym(n: int, extra_bit: int = 0, coeff: int = 1) -> HypUnivElement:
-        return HypUnivElement.symbol(carrier, carrier.class_of_int(n) ^ extra_bit, coeff)
+    def sym(n: int, extra_bit: int = 0, coeff: int = 1) -> GroupRingElement:
+        return GroupRingElement.symbol(carrier, carrier.class_of_int(n) ^ extra_bit, coeff)
 
     if m % 2:
         c = (m - 1) // 2
         return sym(m) + sym(2 * m, 0, c) + sym(-2 * m, dbit, c)
     if m % 4 == 0:
         c = m // 4
-        return sym(2 * m, 0, c) + sym(-2 * m, dbit, c) + HypUnivElement.h(carrier, c)
+        return sym(2 * m, 0, c) + sym(-2 * m, dbit, c) + GroupRingElement.h(carrier, c)
     c = (m - 2) // 4
     return (
         sym(1)
         + sym(-1, dbit)
         + sym(2 * m, 0, c)
         + sym(-2 * m, dbit, c)
-        + HypUnivElement.h(carrier, c)
+        + GroupRingElement.h(carrier, c)
     )
 
 
 def type_a_closed_raw(
     m: int, carrier: SquareClassCarrier, d_symbol: str | None = None
-) -> HypUnivElement:
+) -> GroupRingElement:
     """Closed form of gamma_hat * m_a1 stated directly in the carrier."""
     if m % 2 == 0:
-        return HypUnivElement.h(carrier, m * m // 2)
+        return GroupRingElement.h(carrier, m * m // 2)
     dbit = carrier.bit(d_symbol) if d_symbol is not None else 0
     c = (m - 1) // 2
     two = carrier.bit("2")
-    out = HypUnivElement.symbol(carrier, 0)
-    out = out + HypUnivElement.symbol(carrier, two, c)
-    out = out + HypUnivElement.symbol(carrier, 1 ^ two ^ dbit, c)
-    return out + HypUnivElement.h(carrier, m * (m - 1) // 2)
+    out = GroupRingElement.symbol(carrier, 0)
+    out = out + GroupRingElement.symbol(carrier, two, c)
+    out = out + GroupRingElement.symbol(carrier, 1 ^ two ^ dbit, c)
+    return out + GroupRingElement.h(carrier, m * (m - 1) // 2)
 
 
-def elevator_square_closed_raw(m: int, carrier: SquareClassCarrier) -> HypUnivElement:
+def elevator_square_closed_raw(m: int, carrier: SquareClassCarrier) -> GroupRingElement:
     if m % 2:
-        return HypUnivElement.symbol(carrier, 0) + HypUnivElement.h(carrier, (m * m - 1) // 2)
-    return HypUnivElement.h(carrier, m * m // 2)
+        return GroupRingElement.symbol(carrier, 0) + GroupRingElement.h(carrier, (m * m - 1) // 2)
+    return GroupRingElement.h(carrier, m * m // 2)

@@ -29,7 +29,8 @@ quotient (coefficients mod 2, h killed) without going through the exact
 ring, giving an independent code path for the mod-2 reports.
 
 The raw constructors of ``group_ring`` re-derive the closed forms symbol
-by symbol, as an oracle the identity suite checks them against.
+by symbol in the plain group ring of square classes, as an oracle the
+identity suite checks them against after one hyperbolic reduction.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from gwfloor.group_ring import (
     GroupRingElement,
-    HypUnivElement,
     SquareClassCarrier,
-    hyp_univ_reduce,
+    hyperbolic_reduce,
+    to_univ,
 )
 from gwfloor.univ import UnivElement
 
@@ -61,46 +61,48 @@ class TestGroupRing:
 
 
 class TestHypUniv:
+    """Hyperbolic reduction and the projection onto the universal ring."""
+
     def test_symbol_reduction(self, carrier):
-        minus_one = HypUnivElement.of_int(carrier, -1)
-        assert minus_one.hcoeff == 1
-        assert minus_one.coeffs == {0: -1}
+        minus_one = GroupRingElement.of_int(carrier, -1)
+        assert hyperbolic_reduce(minus_one) == minus_one
+        minus_three = GroupRingElement.of_int(carrier, -3, 2)
+        expected = GroupRingElement.h(carrier, 2) - GroupRingElement.of_int(carrier, 3, 2)
+        assert hyperbolic_reduce(minus_three) == expected
 
     def test_g_plus_minus_g_is_h(self, carrier):
         for n in (1, 2, 3, 5, 6, 10, 15):
-            total = HypUnivElement.of_int(carrier, n) + HypUnivElement.of_int(carrier, -n)
-            assert total == HypUnivElement.h(carrier)
+            total = GroupRingElement.of_int(carrier, n) + GroupRingElement.of_int(carrier, -n)
+            assert hyperbolic_reduce(total) == GroupRingElement.h(carrier)
 
     def test_h_absorbs(self, carrier):
-        h = HypUnivElement.h(carrier)
+        # Derived from the relation: the product itself is a plain convolution.
+        h = GroupRingElement.h(carrier)
         for n in (1, -1, 2, 3, -15):
-            assert h * HypUnivElement.of_int(carrier, n) == h
-        assert h * h == HypUnivElement.h(carrier, 2)
-
-    def test_rank(self, carrier):
-        assert HypUnivElement.of_int(carrier, 3).rank == 1
-        assert HypUnivElement.of_int(carrier, -3).rank == 1
-        assert HypUnivElement.h(carrier, 4).rank == 8
+            product = h * GroupRingElement.of_int(carrier, n)
+            assert hyperbolic_reduce(product) == h
+        assert h * h == 2 * h
+        assert hyperbolic_reduce(h * GroupRingElement.symbol(carrier, carrier.bit("d"))) == h
 
     def test_to_univ(self, carrier):
         e = (
-            HypUnivElement.of_int(carrier, 1, 3)
-            + HypUnivElement.of_int(carrier, 2, 5)
-            + HypUnivElement.h(carrier, 2)
+            GroupRingElement.of_int(carrier, 1, 3)
+            + GroupRingElement.of_int(carrier, 2, 5)
+            + GroupRingElement.h(carrier, 2)
         )
-        assert e.to_univ() == UnivElement(3, 2, 5)
+        assert to_univ(hyperbolic_reduce(e)) == UnivElement(3, 2, 5)
+        assert to_univ(hyperbolic_reduce(GroupRingElement.of_int(carrier, -2))) == UnivElement(0, 1, -1)
 
     def test_to_univ_rejects_other_support(self, carrier):
         with pytest.raises(ValueError, match="support outside the universal span"):
-            HypUnivElement.of_int(carrier, 3).to_univ()
-
-    def test_reduce_matches_direct(self, carrier):
-        raw = GroupRingElement.symbol(carrier, carrier.class_of_int(-6), 4)
-        assert hyp_univ_reduce(raw) == HypUnivElement.of_int(carrier, -6, 4)
+            to_univ(GroupRingElement.of_int(carrier, 3))
 
     @given(st.data())
     @settings(max_examples=60)
     def test_reduction_is_ring_map(self, data):
+        """Reduction is well defined on the quotient: reducing the factors
+        first changes neither a product nor a sum, it is idempotent, and it
+        kills every multiple of a relation <g> + <-g> - h."""
         carrier = SquareClassCarrier((3,), ())
         masks = st.integers(0, (1 << carrier.size) - 1)
         coeffs = st.integers(-4, 4)
@@ -109,5 +111,14 @@ class TestHypUniv:
         )
         a = data.draw(elems)
         b = data.draw(elems)
-        assert hyp_univ_reduce(a * b) == hyp_univ_reduce(a) * hyp_univ_reduce(b)
-        assert hyp_univ_reduce(a + b) == hyp_univ_reduce(a) + hyp_univ_reduce(b)
+        ra, rb = hyperbolic_reduce(a), hyperbolic_reduce(b)
+        assert hyperbolic_reduce(a * b) == hyperbolic_reduce(ra * rb)
+        assert hyperbolic_reduce(a + b) == hyperbolic_reduce(ra + rb)
+        assert hyperbolic_reduce(ra) == ra
+        g = data.draw(masks)
+        relation = (
+            GroupRingElement.symbol(carrier, g)
+            + GroupRingElement.symbol(carrier, g ^ 1)
+            - GroupRingElement.h(carrier)
+        )
+        assert hyperbolic_reduce(a + relation * b) == ra

@@ -57,3 +57,27 @@ def test_import_leaves_group_ring_unloaded():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
     assert out == "False\n"
+
+
+def test_group_ring_has_one_ring_element():
+    """The oracle keeps one ring-element class, multiplies in the plain
+    group ring and reads only the universal ring's basis from ``univ``, so
+    it cannot borrow the closed forms' product rules or the forms
+    themselves."""
+    tree = ast.parse((PACKAGE / "group_ring.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"SquareClassCarrier", "GroupRingElement"}
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                for alias in node.names:
+                    imported.setdefault(alias.name, set()).add("*module*")
+            else:
+                imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gwfloor"):
+                    imported.setdefault(alias.name.removeprefix("gwfloor."), set()).add("*module*")
+    assert imported.get("univ") == {"UnivElement"}
+    assert "local_factors" not in imported

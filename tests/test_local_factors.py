@@ -6,11 +6,10 @@ import pytest
 
 from gwfloor import checks, local_factors
 from gwfloor.group_ring import (
-    HypUnivElement,
+    GroupRingElement,
     carrier_for,
-    elevator_square_closed_raw,
-    gamma_hat_raw,
-    m_a1_raw,
+    hyperbolic_reduce,
+    to_univ,
     type_a_closed_raw,
 )
 from gwfloor.local_factors import (
@@ -108,9 +107,15 @@ class TestTypeA:
             return e + 2 * UNIV_ONE - 2 * UNIV_TWO if m >= 9 else e
 
         monkeypatch.setattr(local_factors, "elevator_square", mutated)
-        for check in (checks._check_elevator_square, checks._check_universal_square_product):
-            assert check(8)[0]
-            assert not check(9)[0]
+        for check, raw in (
+            (checks._check_elevator_square, "raw square"),
+            (checks._check_universal_square_product, "raw product"),
+        ):
+            assert check(8) == (True, "")
+            assert check(9) == (
+                False,
+                f"{raw} <1> + 40h differs from elevator_square 3<1> + 40h - 2<2>",
+            )
 
 
 class TestTypeR:
@@ -198,6 +203,12 @@ class TestTwinTree:
         )
         assert twin_tree_factor(desc, 7) == edge * parity_sum
 
+    def test_failing_anchor_names_both_sides(self, monkeypatch):
+        monkeypatch.setattr(local_factors, "twin_tree_factor", lambda desc, n: TildeElement.constant(UNIV_ONE, n))
+        ok, detail = checks._check_anchor_twin_t3()
+        assert not ok
+        assert detail.startswith("value (<1>) differs from edge * parity_sum (-2<1> + 2h) + (2<1> + 6h)x1 + ")
+
     def test_crossing_product(self):
         # A two-point twin tree meeting a transversal crossing: every
         # surviving monomial carries a plain <1>.
@@ -271,21 +282,15 @@ class TestResidualPath:
 class TestCarrierRawForms:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 12])
     def test_square_equals_product_with_norm(self, m):
-        carrier = carrier_for(m)
-        assert gamma_hat_raw(m, carrier, None) == m_a1_raw(m, carrier)
+        assert checks._check_square_field(m) == (True, "")
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 12])
     def test_closed_square_forms(self, m):
-        carrier = carrier_for(m)
-        square = m_a1_raw(m, carrier) * m_a1_raw(m, carrier)
-        assert square == elevator_square_closed_raw(m, carrier)
-        assert square.to_univ() == elevator_square(m)
+        assert checks._check_elevator_square(m) == (True, "")
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 12])
     def test_formal_product_closed_form(self, m):
-        carrier = carrier_for(m, ("d",))
-        lhs = gamma_hat_raw(m, carrier, "d") * m_a1_raw(m, carrier)
-        assert lhs == type_a_closed_raw(m, carrier, "d")
+        assert checks._check_type_a_product(m) == (True, "")
 
     @pytest.mark.parametrize("m", [1, 3, 5, 7])
     def test_formal_symbol_collapse_matches_trivial_pair(self, m):
@@ -294,13 +299,16 @@ class TestCarrierRawForms:
         carrier = carrier_for(m, ("d",))
         raw = type_a_closed_raw(m, carrier, "d")
         dbit = carrier.bit("d")
-        folded: dict[int, int] = {}
+        collapsed = GroupRingElement(carrier)
         for mask, coeff in raw.coeffs.items():
-            key = mask & ~dbit
-            folded[key] = folded.get(key, 0) + coeff
-        collapsed = HypUnivElement(
-            carrier, raw.hcoeff, {k: v for k, v in folded.items() if v}
-        )
+            collapsed += GroupRingElement.symbol(carrier, mask & ~dbit, coeff)
         anchor = type_a_factor(m, 1, 1)
         expected = anchor.coefficient([]) + anchor.coefficient([1])
-        assert collapsed.to_univ() == expected
+        assert to_univ(hyperbolic_reduce(collapsed)) == expected
+
+    def test_failing_detail_names_both_sides(self, monkeypatch):
+        monkeypatch.setattr(checks, "gamma_hat_raw", lambda m, c, d: GroupRingElement.of_int(c, m, m))
+        assert checks._check_square_field(5) == (
+            False,
+            "gamma_hat 5*<5> differs from m_a1 2*<1> + 2*<-1> + 1*<5>",
+        )
