@@ -166,11 +166,13 @@ def hyperbolic_reduce(e: GroupRingElement) -> GroupRingElement:
     is supported on <-1> and the classes without the -1 bit.  These
     relations span an ideal, so equal classes reduce to equal elements.
     """
-    out: dict[int, int] = {}
+    out = {0: 0, 1: 0}
     for mask, c in e.coeffs.items():
-        terms = ((0, c), (1, c), (mask ^ 1, -c)) if mask & 1 and mask != 1 else ((mask, c),)
-        for key, v in terms:
-            out[key] = out.get(key, 0) + v
+        if mask & 1 and mask != 1:
+            out[0] += c
+            out[1] += c
+            mask, c = mask ^ 1, -c
+        out[mask] = out.get(mask, 0) + c
     return GroupRingElement(e.carrier, out)
 
 
