@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,28 @@ class TestCount:
             capsys, "count", "--degree", "3", "--merge", "5,6"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--field", "bogus"],
+            ["--field", "fq:4"],
+            ["--field", "fq:abc"],
+            ["--field", "fq:1"],
+            ["--field", "real", "--signs", "+-x"],
+            ["--field", "fq:5", "--assign", "sq/xx/ns"],
+        ],
+        ids=" ".join,
+    )
+    def test_field_options_are_read_before_counting(self, capsys, monkeypatch, options):
+        def refuse(d, cfg):
+            raise AssertionError(f"counted degree {d} at {cfg}")
+
+        monkeypatch.setattr(cli, "floor_count", refuse)
+        code, out, err = run_cli(capsys, "count", "--degree", "4", "--merge", "3,6,9", *options)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_field(self, capsys):
         code, out, err = run_cli(
@@ -305,3 +328,41 @@ class TestOutput:
         code, out, err = run_cli(capsys, "count", "--degree", "0")
         assert code == 2
         assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            [command, "--degree", degree, *extra]
+            for command, extra in (
+                ("enumerate", []),
+                ("count", []),
+                ("wallcross", ["--merge-from", "4", "--merge-to", "5"]),
+            )
+            for degree in ("0", "5")
+        ),
+        ["count", "--degree", "3", "--merge", "9"],
+        ["count", "--degree", "3", "--merge", "5,6"],
+        ["count", "--degree", "3", "--merge", "7,5"],
+        ["wallcross", "--degree", "3", "--merge-from", "4", "--merge-to", "4,6"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_readme_commands_run(capsys):
+    """Every command of the README's command-line block exits 0, so the
+    docs advertise no removed option."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gwfloor ")]
+    assert commands
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)

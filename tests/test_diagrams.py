@@ -124,6 +124,15 @@ class TestMergeConfigs:
         with pytest.raises(ValueError):
             enumerate_merge_configs(5, 3)
 
+    def test_degree_outside_the_range_names_it(self):
+        with pytest.raises(ValueError, match=rf"1\.\.{diagrams.MAX_DEGREE}"):
+            floor_count(0, ())
+
+    @pytest.mark.parametrize("count", [floor_count, floor_count_residual, enumerate_merged_diagrams])
+    def test_descending_positions_are_rejected(self, count):
+        with pytest.raises(ValueError, match="ascending"):
+            count(3, (7, 5))
+
     def test_unit_shifts(self):
         assert unit_shifts((1,), 8) == [(2,)]
         assert unit_shifts((4,), 8) == [(3,), (5,)]
