@@ -31,6 +31,7 @@ the same public level builders and run by ``run_checks``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -90,6 +91,10 @@ GW_LAW_ORDERS = (5, 7, 11, 13, 17)
 MAX_IDENTITY_WEIGHT = 60
 MAX_RESIDUAL_WEIGHT = 40
 MAX_GRAPH_POINTS = 12
+
+# One carrier for every identity check: the symbols of weight m <= 60 use
+# only odd primes up to 60, and the formal class d is its top bit.
+_CARRIER = carrier_for(MAX_IDENTITY_WEIGHT, ("d",))
 
 # Welschinger invariants W_{d,s} of the projective plane: rational curves
 # of degree d through 3d - 1 - 2s real points and s pairs of complex
@@ -187,40 +192,36 @@ def _check_type_a_product(m: int):
     parameter class d equals its closed form in the carrier and
     ``type_a_factor(m, 1, 1)``, the factor the counts multiply, embedded
     with x_1 as <d> and h as <1> + <-1>."""
-    carrier = carrier_for(m, ("d",))
-    raw = hyperbolic_reduce(gamma_hat_raw(m, carrier, "d") * m_a1_raw(m, carrier))
-    closed = hyperbolic_reduce(type_a_closed_raw(m, carrier, "d"))
+    raw = hyperbolic_reduce(gamma_hat_raw(m, _CARRIER, "d") * m_a1_raw(m, _CARRIER))
+    closed = hyperbolic_reduce(type_a_closed_raw(m, _CARRIER, "d"))
     if raw != closed:
         return _same("raw product", raw, "its closed form", closed)
-    two, d = carrier.bit("2"), carrier.bit("d")
+    two, d = _CARRIER.bit("2"), _CARRIER.bit("d")
     factor = lf.type_a_factor(m, 1, 1)
-    image = GroupRingElement(carrier)
+    image = GroupRingElement(_CARRIER)
     for key, v in factor.coeffs.items():
         at = d * key
-        image += GroupRingElement(carrier, {at: v.c1 + v.ch, at ^ 1: v.ch, at ^ two: v.c2})
+        image += GroupRingElement(_CARRIER, {at: v.c1 + v.ch, at ^ 1: v.ch, at ^ two: v.c2})
     if hyperbolic_reduce(image) != raw:
         return False, f"type_a_factor {factor!r} differs from the raw product {raw!r}"
     return True, ""
 
 
 def _check_square_field(m: int):
-    carrier = carrier_for(m)
-    gamma = hyperbolic_reduce(gamma_hat_raw(m, carrier, None))
-    return _same("gamma_hat", gamma, "m_a1", hyperbolic_reduce(m_a1_raw(m, carrier)))
+    gamma = hyperbolic_reduce(gamma_hat_raw(m, _CARRIER, None))
+    return _same("gamma_hat", gamma, "m_a1", hyperbolic_reduce(m_a1_raw(m, _CARRIER)))
 
 
 def _check_elevator_square(m: int):
-    carrier = carrier_for(m)
-    square = hyperbolic_reduce(m_a1_raw(m, carrier) * m_a1_raw(m, carrier))
-    closed = hyperbolic_reduce(elevator_square_closed_raw(m, carrier))
+    square = hyperbolic_reduce(m_a1_raw(m, _CARRIER) * m_a1_raw(m, _CARRIER))
+    closed = hyperbolic_reduce(elevator_square_closed_raw(m, _CARRIER))
     if square != closed:
         return _same("raw square", square, "its closed form", closed)
     return _same("raw square", to_univ(square), "elevator_square", lf.elevator_square(m))
 
 
 def _check_universal_square_product(m: int):
-    carrier = carrier_for(m)
-    product = hyperbolic_reduce(gamma_hat_raw(m, carrier, None) * m_a1_raw(m, carrier))
+    product = hyperbolic_reduce(gamma_hat_raw(m, _CARRIER, None) * m_a1_raw(m, _CARRIER))
     return _same("raw product", to_univ(product), "elevator_square", lf.elevator_square(m))
 
 
@@ -490,7 +491,7 @@ def _check_rational_binary():
 # ---------------------------------------------------------------------------
 
 
-def _identity_specs(budget: int):
+def _identity_specs():
     specs = []
     for family, fn in (
         ("type-a-product", _check_type_a_product),
@@ -514,8 +515,8 @@ def shift_levels(d: int) -> range:
     return range(1, (3 * d - 2) // 2 + 1)
 
 
-def _gated_levels(budget: int):
-    return [(d, s) for d in SHIFT_DEGREES if d <= budget for s in shift_levels(d)]
+def _gated_levels():
+    return [(d, s) for d in SHIFT_DEGREES for s in shift_levels(d)]
 
 
 def _cfg_name(cfg) -> str:
@@ -552,14 +553,11 @@ def pfister_specs(levels: int):
     return [(f"springer:pfister-aniso:s={s}", _check_pfister_aniso, (s,)) for s in range(levels + 1)]
 
 
-def _count_specs(budget: int):
-    specs = rank_specs(min(4, budget), 2)
-    if budget >= 3:
-        specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
-        for s in range(0, 5):
-            specs.append(
-                (f"signature-invariance:d=3:s={s}", _check_signature_invariance, (3, s))
-            )
+def _count_specs():
+    specs = rank_specs(4, 2)
+    specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
+    for s in range(0, 5):
+        specs.append((f"signature-invariance:d=3:s={s}", _check_signature_invariance, (3, s)))
     specs.extend(
         [
             ("anchor:type-a-m3", _check_anchor_type_a_m3, ()),
@@ -572,9 +570,9 @@ def _count_specs(budget: int):
     return specs
 
 
-def _dissolution_specs(budget: int):
+def _dissolution_specs():
     specs = []
-    for d in range(1, min(3, budget) + 1):
+    for d in range(1, 4):
         n = 3 * d - 1
         for s in range(1, n // 2 + 1):
             for cfg in enumerate_merge_configs(n, s):
@@ -585,40 +583,40 @@ def _dissolution_specs(budget: int):
     return specs
 
 
-def _wallcross_specs(budget: int):
-    specs = [shift_level_specs(d, s)[0] for d, s in _gated_levels(budget)]
+def _wallcross_specs():
+    specs = [shift_level_specs(d, s)[0] for d, s in _gated_levels()]
     for n in range(2, MAX_GRAPH_POINTS + 1):
         for s in range(0, n // 2 + 1):
             specs.append((f"merge-graph:n={n}:s={s}", _check_graph_connected, (n, s)))
     return specs
 
 
-def _residual_specs(budget: int):
+def _residual_specs():
     specs = []
     for m in range(1, MAX_RESIDUAL_WEIGHT + 1):
         specs.append((f"residual-factors:m={m}", _check_residual_factors, (m,)))
     specs.append(("residual-twin-trees", _check_residual_twin_trees, ()))
     # the base checks of every gated level, then the transfers above them
-    for d, s in sorted(_gated_levels(budget), key=lambda level: level[1] > 1):
+    for d, s in sorted(_gated_levels(), key=lambda level: level[1] > 1):
         specs.extend(shift_level_specs(d, s)[1:])
     return specs
 
 
-def _springer_specs(budget: int):
+def _springer_specs():
     specs = pfister_specs(8)[1:]
     specs.append(("springer:hyperbolic-plane", _check_hyperbolic_plane, ()))
     specs.append(("springer:rational-binary", _check_rational_binary, ()))
     return specs
 
 
-def _all_specs(budget: int):
+def _all_specs():
     return (
-        _identity_specs(budget)
-        + _count_specs(budget)
-        + _dissolution_specs(budget)
-        + _wallcross_specs(budget)
-        + _residual_specs(budget)
-        + _springer_specs(budget)
+        _identity_specs()
+        + _count_specs()
+        + _dissolution_specs()
+        + _wallcross_specs()
+        + _residual_specs()
+        + _springer_specs()
     )
 
 
@@ -655,11 +653,20 @@ def run_checks(specs) -> list[CheckResult]:
     return results
 
 
+def _id_degree(check_id: str) -> int:
+    """The degree a check id names in a ``d=`` part, 0 if it names none."""
+    found = re.search(r":d=(\d+)", check_id)
+    return int(found.group(1)) if found else 0
+
+
 def run_suite(name: str, budget: int = 4) -> SuiteResult:
-    """Run one verification suite; results keep their listed order."""
+    """Run one verification suite; results keep their listed order.
+
+    A check whose id names a degree ``d=`` above the budget is left out,
+    and every other check stays in its place."""
     if name not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if budget < 1:
         raise ValueError(f"budget must be a positive degree bound, got {budget}")
-    specs = _SUITE_BUILDERS[name](budget)
+    specs = [spec for spec in _SUITE_BUILDERS[name]() if _id_degree(spec[0]) <= budget]
     return SuiteResult(name, tuple(_run_check(spec) for spec in specs))

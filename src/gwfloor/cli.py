@@ -16,13 +16,11 @@ import os
 import sys
 
 from .checks import SUITE_NAMES, run_suite
-from .diagrams import enumerate_merged_diagrams, floor_count, is_merge_config
+from .diagrams import MAX_DEGREE, enumerate_merged_diagrams, floor_count
 from .fields import ClosedField, RealField, finite_field, specialize_field
 from .springer import MAX_TOWER_VARS, form_report, pfister_concrete
 from .univ import pfister_element
 from .wallcross import SCHEMA_VERSION, wallcross_report
-
-_DEFAULT_BUDGET = 4
 
 
 class UsageError(Exception):
@@ -39,16 +37,6 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
-
-
-def _validate_config(cfg: tuple[int, ...], n: int) -> None:
-    if not is_merge_config(cfg, n):
-        rule = (
-            f"positions must lie in 1..{n - 1}"
-            if any(not 1 <= p < n for p in cfg)
-            else "positions must be ascending and at least 2 apart"
-        )
-        raise UsageError(f"{cfg} is not a valid merge configuration for {n} points ({rule})")
 
 
 def _parse_signs(text, s: int) -> dict[int, int]:
@@ -114,15 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True, help="|".join(SUITE_NAMES))
+    p_ver.add_argument(
+        "--budget",
+        type=int,
+        default=MAX_DEGREE,
+        help=f"leave out the checks of degrees above this one (default {MAX_DEGREE})",
+    )
     add_common(p_ver)
-
-    for p in (p_enum, p_count, p_wall, p_ver):
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=_DEFAULT_BUDGET,
-            help="largest degree the command may enumerate (default 4)",
-        )
     return parser
 
 
@@ -131,15 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _check_degree(d: int, budget: int) -> None:
-    if d < 1:
-        raise UsageError(f"degree must be positive, got {d}")
-    if d > budget:
-        raise UsageError(f"degree {d} exceeds the enumeration budget {budget}")
-
-
 def _cmd_enumerate(args):
-    _check_degree(args.degree, args.budget)
     merged = enumerate_merged_diagrams(args.degree, ())
     total = floor_count(args.degree, ())
     doc = {
@@ -160,15 +138,28 @@ def _cmd_enumerate(args):
 
 
 def _cmd_count(args):
-    _check_degree(args.degree, args.budget)
-    n = 3 * args.degree - 1
     cfg = _parse_positions(args.merge)
-    _validate_config(cfg, n)
+    s = len(cfg)
     if args.signs is not None and args.field != "real":
         raise UsageError(f"--signs needs --field real, got --field {args.field}")
     if args.assign is not None and not args.field.startswith("fq:"):
         raise UsageError(f"--assign needs --field fq:Q, got --field {args.field}")
-    s = len(cfg)
+    # Every option is read before the count, so a bad one costs no count.
+    if args.field == "real":
+        model = RealField()
+        assign = _parse_signs(args.signs if args.signs is not None else "+" * s, s)
+    elif args.field == "closed":
+        model, assign = ClosedField(), dict.fromkeys(range(1, s + 1), 0)
+    elif args.field.startswith("fq:") and args.field[3:].isdigit():
+        model = finite_field(int(args.field[3:]))
+        assign = _parse_square_bits(
+            args.assign if args.assign is not None else "/".join(["sq"] * s), s
+        )
+    elif args.field != "symbolic":
+        raise UsageError(
+            f"unknown field model {args.field!r}; --field takes symbolic, real, closed, "
+            "or fq:Q for an odd prime power Q"
+        )
     value = floor_count(args.degree, cfg)
 
     doc = {
@@ -184,44 +175,27 @@ def _cmd_count(args):
     if args.field == "symbolic":
         doc["value"] = value.to_json()
         lines.append(f"  value {value!r}")
-    elif args.field == "real":
-        assign = _parse_signs(args.signs if args.signs is not None else "+" * s, s)
-        model = RealField()
-        image = specialize_field(value, model, assign)
+        return doc, lines, 0
+    image = specialize_field(value, model, assign)
+    if args.field == "real":
         doc["signs"] = model.describe_assign(assign)
         doc["signature"] = image.sig
         lines.append(f"  signs {doc['signs'] or '-'} rank {image.rank} signature {image.sig}")
     elif args.field == "closed":
-        image = specialize_field(value, ClosedField(), {l: 0 for l in range(1, s + 1)})
         doc["rank"] = image.rank
         lines.append(f"  rank {image.rank}")
-    elif args.field.startswith("fq:") and args.field[3:].isdigit():
-        q = int(args.field[3:])
-        model = finite_field(q)
-        assign = _parse_square_bits(
-            args.assign if args.assign is not None else "/".join(["sq"] * s), s
-        )
-        image = specialize_field(value, model, assign)
+    else:
         doc["assign"] = model.describe_assign(assign)
         doc["disc"] = image.disc
-        lines.append(f"  q={q} assign {doc['assign'] or '-'} rank {image.rank} disc bit {image.disc}")
-    else:
-        raise UsageError(
-            f"unknown field model {args.field!r}; --field takes symbolic, real, closed, "
-            "or fq:Q for an odd prime power Q"
+        lines.append(
+            f"  q={model.q} assign {doc['assign'] or '-'} rank {image.rank} disc bit {image.disc}"
         )
     return doc, lines, 0
 
 
 def _cmd_wallcross(args):
-    _check_degree(args.degree, args.budget)
-    n = 3 * args.degree - 1
     cfg_from = _parse_positions(args.merge_from)
     cfg_to = _parse_positions(args.merge_to)
-    _validate_config(cfg_from, n)
-    _validate_config(cfg_to, n)
-    if len(cfg_from) != len(cfg_to):
-        raise UsageError("source and target must merge the same number of pairs")
     report = wallcross_report(args.degree, cfg_from, cfg_to)
     lines = [
         f"degree {args.degree}: {list(cfg_from)} -> {list(cfg_to)}",

@@ -233,11 +233,15 @@ def enumerate_markings(diagram: FloorDiagram) -> list[tuple[tuple, ...]]:
     return out
 
 
+def _check_degree(d: int) -> None:
+    if not 1 <= d <= MAX_DEGREE:
+        raise ValueError(f"degree {d} outside supported range 1..{MAX_DEGREE}")
+
+
 @cache
 def enumerate_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
     """All (diagram, marking) pairs for the simple-point problem."""
-    if not 1 <= d <= MAX_DEGREE:
-        raise ValueError(f"degree {d} outside supported range 1..{MAX_DEGREE}")
+    _check_degree(d)
     out = []
     for diagram in _weighted_diagrams(d):
         for marking in enumerate_markings(diagram):
@@ -616,12 +620,19 @@ class MergedDiagram:
 
 
 def _merge_config(d: int, cfg) -> tuple[int, ...]:
-    """cfg sorted, after checking that it is a merge configuration among
-    the 3d-1 marks of degree d."""
-    cfg = tuple(sorted(cfg))
+    """cfg as a tuple, after checking that d is a supported degree and
+    that cfg, exactly as given, is a merge configuration among its 3d-1
+    marks; the error names the rule that is broken."""
+    _check_degree(d)
+    cfg = tuple(cfg)
     n = 3 * d - 1
     if not is_merge_config(cfg, n):
-        raise ValueError(f"invalid merge configuration {cfg} for {n} positions")
+        rule = (
+            f"positions must lie in 1..{n - 1}"
+            if any(not 1 <= p < n for p in cfg)
+            else "positions must be ascending and at least 2 apart"
+        )
+        raise ValueError(f"{cfg} is not a valid merge configuration for {n} points ({rule})")
     return cfg
 
 

@@ -27,7 +27,7 @@ subclasses ``TildeElement`` (universal coefficients) and
 
 Variable labels are validated only where they enter from outside: the
 constructor taking ``{frozenset(labels): coeff}``, ``variable``,
-``coefficient``, ``specialize_one`` and ``from_json``.  Products, sums
+``coefficient`` and ``specialize_one``.  Products, sums
 (all through ``linear_combination``), the cascade and the residual
 reduction work on masks.
 
@@ -92,10 +92,6 @@ class UnivElement:
 
     def to_json(self) -> dict:
         return {"one": self.c1, "h": self.ch, "two": self.c2}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "UnivElement":
-        return cls(int(data["one"]), int(data["h"]), int(data["two"]))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -369,14 +365,6 @@ class TildeElement(MultiAffine):
 
     def to_json(self) -> list:
         return [{"vars": list(labels), "coeff": v.to_json()} for labels, v in self.terms()]
-
-    @classmethod
-    def from_json(cls, data: list, nvars: int) -> "TildeElement":
-        coeffs = {
-            frozenset(entry["vars"]): UnivElement.from_json(entry["coeff"])
-            for entry in data
-        }
-        return cls(nvars, coeffs)
 
 
 class ResidualTilde(MultiAffine):
