@@ -1,6 +1,7 @@
 """Floor diagrams, merge configurations, counts, and dissolution."""
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
 from operator import mul
@@ -10,6 +11,7 @@ import pytest
 from gwfloor import checks, diagrams, local_factors
 from gwfloor.diagrams import (
     FloorDiagram,
+    MergedDiagram,
     UnsupportedShapeError,
     _apply_swaps,
     _class_table,
@@ -536,6 +538,55 @@ class TestOrbitMinima:
                     }
                 got = _orbit_test(d, index, rpairs)
                 assert (got if got is None else set(got)) == expected, (d, cfg, index)
+
+
+def _full_stabiliser(diagram, marking, rpairs) -> tuple:
+    """The position tuples of every non-empty set of the type-R pairs
+    ``rpairs`` whose operations leave the encoding unchanged, found by
+    applying all of them, in ``_orbit_test``'s order (by bit mask over
+    ``rpairs``)."""
+    own = (diagram.elevators, marking)
+    out = []
+    for mask in range(1, 1 << len(rpairs)):
+        chosen = [pair for b, pair in enumerate(rpairs) if mask >> b & 1]
+        if _apply_swaps(marking, chosen) == own:
+            out.append(tuple(p for p, _cls in chosen))
+    return tuple(out)
+
+
+def _classified_rows(d: int, cfg: tuple[int, ...]):
+    """Yield ``(index, diagram, marking, classes, rpairs)`` for every
+    marked diagram whose fused pairs all have a class under cfg."""
+    for index, (diagram, marking) in enumerate(enumerate_diagrams(d)):
+        classes = tuple(classify_pair(marking[p - 1], marking[p]) for p in cfg)
+        if None in classes:
+            continue
+        rpairs = tuple((p, cls) for p, cls in zip(cfg, classes) if cls[0] == "R")
+        yield index, diagram, marking, classes, rpairs
+
+
+class TestStabiliserWeights:
+    """Orbit counting (Cauchy-Frobenius-Burnside): the operations of r
+    type-R pairs form a group of order 2^r, so a marked diagram whose
+    stabiliser has |Stab| elements counts |Stab| / 2^r, and the members of
+    each orbit sum to one merged diagram."""
+
+    def test_weights_count_the_merged_diagrams(self):
+        """Every classifiable row weighs (1 + |full-search stabiliser|) /
+        2^r, with the joins ``_joins`` reads off that stabiliser; summed by
+        factor tuple, the weights are the merged diagrams' factor census on
+        every supported configuration at d <= 4."""
+        for d, cfg in _all_configs(4):
+            if (d, cfg[:4]) == (4, (1, 3, 5, 7)):
+                continue
+            weights: Counter = Counter()
+            for _index, diagram, marking, classes, rpairs in _classified_rows(d, cfg):
+                stabiliser = _full_stabiliser(diagram, marking, rpairs)
+                joins = _joins(d, marking, cfg, classes, stabiliser)
+                factors = MergedDiagram(diagram, marking, cfg, classes, joins).factors()
+                weights[factors] += Fraction(1 + len(stabiliser), 2 ** len(rpairs))
+            expected = Counter(m.factors() for m in enumerate_merged_diagrams(d, cfg))
+            assert weights == expected, (d, cfg)
 
 
 class TestJoins:
