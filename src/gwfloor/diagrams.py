@@ -39,24 +39,28 @@ within-pair swap keeps every marking constraint, and no elevator joins
 two merged floors, so relabeling them gives another sorted tree with the
 same weights.  Each class (orbit) therefore lies among the enumerated
 marked diagrams.  One walk groups the marked diagrams by their pair
-classes, which the two fused objects decide.  An orbit with no
-``("R", "floors")`` pair has only mark swaps, which always change the
-marking, so it has exactly 2^r members (r its type-R pairs), all with
-the same pair classes, elevator weights and local factors; n such marked
-diagrams hold n / 2^r orbits.  Fusing two floors is an orbit invariant,
-and a group with a floor pair is counted at each orbit's minimum
-encoding, where joined twins and unsupported shapes are detected.
-``enumerate_merged_diagrams`` lists every orbit's minimum and is the
-oracle of the weighted counts.  This rule set makes the rank of
-the total count equal the classical degree-d rational-curve count for
-every configuration, which is the completeness certificate the test
-suite enforces.
+classes, which the two fused objects decide; the operations of the r
+type-R pairs form a group of order 2^r acting on each group.  By the
+orbit-counting lemma (Cauchy-Frobenius-Burnside) a marked diagram whose
+stabiliser has |Stab| elements counts |Stab| / 2^r, and the members of
+each orbit sum to one.  Mark swaps alone always change the marking, so
+only a floor relabeling can fix an encoding, and only on a diagram whose
+elevators some floor relabeling fixes (``_stabiliser_table``).  Every
+other marked diagram has a trivial stabiliser, and n of them with the
+same pair classes and elevator weights, hence the same local factors,
+hold n / 2^r orbits.  The stabiliser, the same for each member of an
+orbit, also detects joined twins and unsupported shapes.
+``enumerate_merged_diagrams`` lists every orbit's minimum encoding,
+found by the orbit test, and is the oracle of the weighted counts.  This
+rule set makes the rank of the total count equal the classical degree-d
+rational-curve count for every configuration, which is the completeness
+certificate the test suite enforces.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import combinations, product
@@ -380,7 +384,9 @@ def _apply_swaps(marking: tuple, pairs) -> tuple[tuple, tuple]:
 @cache
 def _orbit_test(d: int, index: int, rpairs: tuple[tuple[int, tuple], ...]):
     """Orbit test of marked diagram ``enumerate_diagrams(d)[index]`` whose
-    type-R pairs are ``rpairs``, as ``(position, class)``.
+    type-R pairs are ``rpairs``, as ``(position, class)``; it picks the
+    orbit minima of ``enumerate_merged_diagrams``, the oracle of the
+    counts, which weigh every row by its stabiliser instead.
 
     Only type-R pairs admit a second encoding (the other within-pair
     order, realised for a ``("R", "floors")`` pair by relabeling the
@@ -422,8 +428,8 @@ class UnsupportedShapeError(ValueError):
 
 
 def _joins(d: int, marking: tuple, cfg: tuple, classes: tuple, stabiliser: tuple) -> tuple:
-    """Joint-twin detection for an orbit minimum whose fused pairs have
-    the ``classes``.
+    """Joint-twin detection for a marked diagram whose fused pairs have
+    the ``classes`` and whose stabiliser is ``stabiliser``.
 
     Lists label pairs (i, j), 1-based, of fused pairs whose two operations
     act identically on the marking: a doubled weight-1 elevator pair i
@@ -540,6 +546,83 @@ def _bits(mask: int):
     while k >= 0:
         yield k
         k = text.find("1", k + 1)
+
+
+@cache
+def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tuple]]:
+    """Every candidate stabiliser element of the marked diagrams of
+    ``enumerate_diagrams(d)``, found once per degree.
+
+    Only an operation that relabels floors can leave an encoding
+    unchanged, and it must leave the elevator tuple unchanged: the
+    diagram needs a fixing floor set, a non-empty set of disjoint
+    relabelings f <-> f+1 that maps its elevators to themselves.  Each
+    floor pair of such a set must hold adjacent marks, which the row's
+    ``("R", "floors")`` masks of ``_class_table`` say.  One pass over the
+    relabeled marking then finds the element: every object the set moves
+    must sit next to its image, and the element is the positions of
+    those pairs, the floor pairs and the swaps they force.  Under a
+    configuration the element lies in the row's stabiliser exactly when
+    its position mask lies inside the configuration's.
+
+    Returns ``(by_mask, elements)``: ``by_mask`` lists ``(position mask,
+    rows)`` for the rows holding an element with that mask, and
+    ``elements[k]`` lists row k's elements as ``(position mask,
+    positions)`` ascending by mask, the order of ``_orbit_test``'s bit
+    masks over the type-R pairs.
+    """
+    marked = enumerate_diagrams(d)
+    candidates = [
+        floors
+        for size in range(1, d // 2 + 1)
+        for floors in combinations(range(1, d), size)
+        if all(b - a >= 2 for a, b in zip(floors, floors[1:]))
+    ]
+    fixing: dict[FloorDiagram, list[frozenset]] = {}
+    for diagram, _marking in marked:
+        if diagram not in fixing:
+            fixing[diagram] = []
+            for floors in candidates:
+                moved = [("elev", *e) for e in diagram.elevators]
+                for f in floors:
+                    moved = _relabel_floors(moved, f)
+                if sorted(o[1:] for o in moved) == list(diagram.elevators):
+                    fixing[diagram].append(frozenset(floors))
+    rows = _mask([k for k, (diagram, _marking) in enumerate(marked) if fixing[diagram]])
+    adjacent: dict[int, set[int]] = {}
+    for p, column in enumerate(_class_table(d)[0], start=1):
+        for cls, mask in column:
+            if cls == _R_FLOORS:
+                for k in _bits(mask & rows):
+                    adjacent.setdefault(k, set()).add(marked[k][1][p - 1][1])
+    by_mask: dict[int, list[int]] = {}
+    elements: dict[int, tuple] = {}
+    for k in sorted(adjacent):
+        diagram, marking = marked[k]
+        found = []
+        for floors in fixing[diagram]:
+            if not floors <= adjacent[k]:
+                continue
+            image = marking
+            for f in floors:
+                image = _relabel_floors(image, f)
+            positions: list[int] = []
+            i = 0
+            while i < len(marking):
+                if image[i] == marking[i]:
+                    i += 1
+                elif i + 1 < len(marking) and image[i] == marking[i + 1]:
+                    positions.append(i + 1)
+                    i += 2
+                else:
+                    break
+            else:
+                found.append((sum(1 << p for p in positions), tuple(positions)))
+        if found:
+            elements[k] = tuple(sorted(found))
+            for mask, _positions in found:
+                by_mask.setdefault(mask, []).append(k)
+    return tuple((mask, _mask(ks)) for mask, ks in by_mask.items()), elements
 
 
 def _leaves(d: int, cfg: tuple[int, ...]):
@@ -668,34 +751,48 @@ def _multiset_product(ring, value, nvars: int, multiset: tuple):
 @cache
 def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     """How often each factor-key tuple occurs among the merged diagrams
-    (the orbits) of a valid configuration, counted by orbit weights (see
-    the module docstring); no ``MergedDiagram`` is built.
+    (the orbits) of a valid configuration, counted by stabiliser weights
+    (see the module docstring); no ``MergedDiagram`` is built.
 
-    One walk (``_leaves``) visits each tuple of pair classes once.  The
-    rows of a leaf with a ``("R", "floors")`` pair take the orbit test and
-    are counted at their minimum; in any other leaf, the rows of one
-    elevator-weight tuple share one factor tuple and are counted by orbit
-    weight.
+    One walk (``_leaves``) visits each tuple of pair classes once, and
+    every leaf is counted by one loop.  A row with an element of
+    ``_stabiliser_table`` inside the configuration is read on its own: its
+    joins come from those elements, and it adds 1 + their number (the
+    identity and them) to its factor tuple.  Every other row has a trivial
+    stabiliser, and the rows of one elevator-weight tuple add their number
+    to one factor tuple.  A leaf with r type-R pairs then holds
+    weight / 2^r merged diagrams of each factor tuple, and a weight that
+    2^r does not divide raises.
     """
     weights = _class_table(d)[1]
+    by_mask, elements = _stabiliser_table(d)
     marked = enumerate_diagrams(d)
+    cfg_mask = sum(1 << p for p in cfg)
+    stabilised = 0
+    for mask, rows in by_mask:
+        if not mask & ~cfg_mask:
+            stabilised |= rows
     counts: Counter = Counter()
     for chosen, rpairs, rows in _leaves(d, cfg):
-        if _R_FLOORS in chosen:
-            for index, joins in _minima(d, cfg, chosen, rpairs, rows):
-                counts[_factor_keys(_weights(marked[index][0]), chosen, joins)] += 1
-            continue
-        size = 1 << len(rpairs)
+        weight: defaultdict = defaultdict(int)
+        for index in _bits(rows & stabilised):
+            diagram, marking = marked[index]
+            stabiliser = tuple(pos for mask, pos in elements[index] if not mask & ~cfg_mask)
+            joins = _joins(d, marking, cfg, chosen, stabiliser)
+            weight[_factor_keys(_weights(diagram), chosen, joins)] += 1 + len(stabiliser)
+        trivial = rows & ~stabilised
         for w, mask in weights:
-            n = (rows & mask).bit_count()
-            if n % size:
+            if n := (trivial & mask).bit_count():
+                weight[_factor_keys(w, chosen, ())] += n
+        size = 1 << len(rpairs)
+        for key, total in weight.items():
+            if total % size:
                 raise RuntimeError(
-                    f"configuration {cfg}: {n} marked diagrams with pair "
-                    f"classes {chosen} and elevator weights {w} are not a "
+                    f"configuration {cfg}: marked diagrams with pair classes "
+                    f"{chosen} weigh {total} toward factor key {key}, not a "
                     f"whole number of orbits of size {size}"
                 )
-            if n:
-                counts[_factor_keys(w, chosen, ())] += n // size
+            counts[key] += total // size
     return counts
 
 
@@ -731,7 +828,13 @@ def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
 
 
 def dissolved_config(cfg: tuple[int, ...], j: int) -> tuple[int, ...]:
-    cfg = tuple(sorted(cfg))
+    """cfg, exactly as given, without its j-th pair (1-based)."""
+    cfg = tuple(cfg)
+    if any(b - a < 2 for a, b in zip(cfg, cfg[1:])):
+        raise ValueError(
+            f"{cfg} is not a valid merge configuration "
+            "(positions must be ascending and at least 2 apart)"
+        )
     if not 1 <= j <= len(cfg):
         raise ValueError(f"pair index {j} out of range")
     return cfg[: j - 1] + cfg[j:]

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from operator import mul
+from operator import mul, or_
 
 import pytest
 
@@ -18,6 +18,7 @@ from gwfloor.diagrams import (
     _factor_multisets,
     _joins,
     _orbit_test,
+    _stabiliser_table,
     classify_pair,
     dissolved_config,
     enumerate_diagrams,
@@ -588,6 +589,53 @@ class TestStabiliserWeights:
             expected = Counter(m.factors() for m in enumerate_merged_diagrams(d, cfg))
             assert weights == expected, (d, cfg)
 
+    def test_table_matches_full_search(self):
+        """The table's elements inside a configuration are each
+        classifiable row's full-search stabiliser, in the same order, orbit
+        minimum or not, for every configuration at d <= 4; its position
+        masks select exactly the rows with a non-trivial one.  Each row's
+        elements ascend by mask, as ``_orbit_test`` orders them, although
+        no configuration at d <= 4 holds two elements of one row."""
+        for d in range(1, 5):
+            assert all(list(found) == sorted(found) for found in _stabiliser_table(d)[1].values())
+        for d, cfg in _all_configs(4):
+            by_mask, elements = _stabiliser_table(d)
+            cfg_mask = sum(1 << p for p in cfg)
+            stabilised = reduce(or_, (rows for mask, rows in by_mask if not mask & ~cfg_mask), 0)
+            for index, diagram, marking, _classes, rpairs in _classified_rows(d, cfg):
+                got = tuple(pos for mask, pos in elements.get(index, ()) if not mask & ~cfg_mask)
+                assert got == _full_stabiliser(diagram, marking, rpairs), (d, cfg, index)
+                assert bool(stabilised >> index & 1) == bool(got), (d, cfg, index)
+
+    def test_dropped_element_must_divide(self, monkeypatch):
+        """A stabiliser element missing from the table leaves a weight that
+        is no whole number of orbits, and the count raises and names the
+        configuration.  Under (5, 7) at d = 3, rows 0 and 2 form one orbit,
+        each fixed by relabeling floors 2 and 3; row 0 loses its element."""
+        by_mask, elements = _stabiliser_table(3)
+        assert elements[0] == elements[2] == ((1 << 5 | 1 << 7, (5, 7)),)
+        corrupt = (by_mask, {**elements, 0: ()})
+        monkeypatch.setattr(diagrams, "_stabiliser_table", lambda d: corrupt)
+        _clear_caches()
+        try:
+            with pytest.raises(RuntimeError, match=r"configuration \(5, 7\): .*\('R', 'floors'\)"):
+                floor_count(3, (5, 7))
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        assert floor_count(3, (5, 7)).rank == 12
+
+    def test_counts_leave_the_orbit_memo_empty(self):
+        """The counts never run the orbit test, so its memo stays empty
+        through count-d4's 103 configurations in both rings."""
+        _clear_caches()
+        configs = [cfg for s in range(4) for cfg in enumerate_merge_configs(11, s)]
+        assert len(configs) == 103
+        for cfg in configs:
+            floor_count(4, cfg)
+            floor_count_residual(4, cfg)
+        assert _orbit_test.cache_info().currsize == 0
+
 
 class TestJoins:
     """``_joins`` on hand-built markings, with the pair classes that
@@ -753,3 +801,5 @@ class TestDissolution:
         assert dissolved_config((2, 5), 2) == (2,)
         with pytest.raises(ValueError):
             dissolved_config((2, 5), 3)
+        with pytest.raises(ValueError, match=r"\(5, 2\) .*ascending and at least 2 apart"):
+            dissolved_config((5, 2), 1)

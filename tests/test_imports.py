@@ -33,13 +33,14 @@ def test_module_imports_no_private_name(path):
 
 
 def test_only_classify_pair_decides_a_floor_pair():
-    """The orbit path reads a fused floor pair off its class
-    ``("R", "floors")``; none of its functions tests the object kind."""
+    """The orbit path and the stabiliser table read a fused floor pair off
+    its class ``("R", "floors")``; none of their functions tests the object
+    kind."""
     tree = ast.parse((PACKAGE / "diagrams.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     offenders = [
         name
-        for name in ("_orbit_test", "_apply_swaps", "_joins")
+        for name in ("_orbit_test", "_apply_swaps", "_joins", "_stabiliser_table")
         if any(isinstance(n, ast.Constant) and n.value == "floor" for n in ast.walk(functions[name]))
     ]
     assert offenders == []
