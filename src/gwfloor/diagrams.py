@@ -62,9 +62,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import combinations, product
-from operator import mul
 
 from .local_factors import factor_value, residual_factor
 from .univ import ResidualTilde, TildeElement
@@ -737,15 +736,19 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
 @cache
 def _multiset_product(ring, value, nvars: int, multiset: tuple):
     """Product of ``value(key, nvars)`` over a canonical factor-key tuple,
-    in ``ring`` (``TildeElement`` or ``ResidualTilde``).
+    in ``ring`` (``TildeElement`` or ``ResidualTilde``), multiplied left to
+    right from the ring's <1> (the degree-1 diagram has no factor).
 
-    Cached across configurations: at degree 4 with s <= 3 the 18,859
-    orbits carry only 268 distinct (s, multiset) pairs, so each product
-    is multiplied out once; ``_sum_by_multiset`` reads it, weighted by
-    its orbit count, and never mutates it.  The product starts at the
-    ring's <1>, because the degree-1 diagram has no factor.
+    Cached across configurations, and so is every prefix: the product is
+    the cached product of ``multiset[:-1]`` times the last factor.  At
+    degree 4 with s <= 3 the 18,859 orbits carry only 268 distinct
+    (s, multiset) pairs per ring, with 447 distinct prefixes (the empty
+    one included); ``_sum_by_multiset`` reads each product, weighted by
+    its orbit count, and never mutates it.
     """
-    return reduce(mul, (value(key, nvars) for key in multiset), ring.constant(1, nvars))
+    if not multiset:
+        return ring.constant(1, nvars)
+    return _multiset_product(ring, value, nvars, multiset[:-1]) * value(multiset[-1], nvars)
 
 
 @cache

@@ -437,14 +437,33 @@ def cascade_decompose(
 def cascade_reconstruct(
     witnesses: list[TildeElement], full: UnivElement, order: Iterable[int], nvars: int
 ) -> TildeElement:
-    """Rebuild the decomposed element from its cascade data."""
-    one = shift = TildeElement.constant(UNIV_ONE, nvars)
-    products = []
+    """Rebuild the decomposed element from its cascade data.  The shift
+    polynomial prod_{p<q} (x_{j_p} - 1) is kept as a map from mask to
+    signed integer, and each witness is multiplied into it by XOR of keys."""
+    acc: dict[int, list[int]] = {}
+    shift = {0: 1}
+
+    def add(coeffs):
+        for key, val in coeffs.items():
+            c1, ch, c2 = val.c1, val.ch, val.c2
+            for mask, n in shift.items():
+                row = acc.setdefault(key ^ mask, [0, 0, 0])
+                row[0] += n * c1
+                row[1] += n * ch
+                row[2] += n * c2
+
     for label, witness in zip(order, witnesses):
-        products.append((witness * shift, 1))
-        shift = shift * (TildeElement.variable(label, nvars) - one)
-    products.append((shift * full, 1))
-    return TildeElement.linear_combination(nvars, products)
+        if witness.nvars != nvars or not 1 <= label <= nvars:
+            raise ValueError(f"witness or label {label} does not fit {nvars} variables")
+        add(witness.coeffs)
+        bit = 1 << (label - 1)
+        moved = {}
+        for mask, n in shift.items():
+            moved[mask ^ bit] = moved.get(mask ^ bit, 0) + n
+            moved[mask] = moved.get(mask, 0) - n
+        shift = moved
+    add({0: full})
+    return TildeElement._of_masks(nvars, {k: UnivElement(*row) for k, row in acc.items()})
 
 
 def gw_normal_form(e: TildeElement) -> TildeElement:

@@ -62,9 +62,13 @@ SWEEP_FQ_ORDERS = (5, 7, 11, 17)
 
 
 def delta_count(d: int, cfg_from, cfg_to) -> TildeElement:
-    """Difference of the enriched counts at two merge configurations."""
-    cfg_from = tuple(cfg_from)
-    cfg_to = tuple(cfg_to)
+    """Difference of the enriched counts at two merge configurations,
+    memoised per pair as the counts are."""
+    return _delta_count(d, tuple(cfg_from), tuple(cfg_to))
+
+
+@functools.cache
+def _delta_count(d: int, cfg_from: tuple[int, ...], cfg_to: tuple[int, ...]) -> TildeElement:
     if len(cfg_from) != len(cfg_to):
         raise ValueError(
             f"configurations pair different numbers of points: "
@@ -103,15 +107,16 @@ def extract_universal_coefficient(
 def _sweep(s: int) -> tuple[tuple, ...]:
     """The entries of ``default_field_sweep(s)``, built once per s.  Each is
     (model, assignment as (label, value) pairs, the assignment's flip mask
-    for ``model.evaluate``, model name, assignment name)."""
+    for ``model.evaluate``, its two possible ``FieldCheck``s indexed by
+    the verdict: failing, then passing)."""
     entries = []
     for model in (RealField(), *map(finite_field, SWEEP_FQ_ORDERS), ClosedField()):
         for pattern in itertools.product(model.values, repeat=s):
             assign = dict(zip(range(1, s + 1), pattern))
             flips = sum(model.flip(value) << i for i, value in enumerate(pattern))
-            entries.append(
-                (model, tuple(assign.items()), flips, model.describe(), model.describe_assign(assign))
-            )
+            names = model.describe(), model.describe_assign(assign)
+            verdicts = FieldCheck(*names, False), FieldCheck(*names, True)
+            entries.append((model, tuple(assign.items()), flips, verdicts))
     return tuple(entries)
 
 
@@ -228,8 +233,8 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     # Every sweep assigns all s variables, so the models evaluate the
     # coefficients directly.
     field_checks = tuple(
-        FieldCheck(model_name, assign_name, model.evaluate(delta.coeffs, flips).is_zero())
-        for model, _, flips, model_name, assign_name in _sweep(s)
+        verdicts[model.evaluate(delta.coeffs, flips).is_zero()]
+        for model, _, flips, verdicts in _sweep(s)
     )
 
     first_witness = next(
@@ -379,6 +384,16 @@ def transfer_targets(d: int, s: int):
     return tuple(targets), tuple(unsupported)
 
 
+@functools.cache
+def _transfer_checks(d: int, s: int, lhs: int) -> tuple[TransferCheck, ...]:
+    """The ``TransferCheck`` of every target of ``transfer_targets(d, s)``
+    against a source whose <1>-parity is ``lhs``."""
+    return tuple(
+        TransferCheck(target_from, target_to, lhs, rhs)
+        for target_from, target_to, rhs in transfer_targets(d, s)[0]
+    )
+
+
 def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
     """Mod-2 analysis of one wall crossing.
 
@@ -411,11 +426,8 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
 
     transfers = unsupported = ()
     if s >= 2:
-        targets, unsupported = transfer_targets(d, s - 1)
-        transfers = tuple(
-            TransferCheck(target_from, target_to, top.a, rhs)
-            for target_from, target_to, rhs in targets
-        )
+        transfers = _transfer_checks(d, s - 1, top.a)
+        unsupported = transfer_targets(d, s - 1)[1]
 
     return ResidualReport(
         d=d,

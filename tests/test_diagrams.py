@@ -8,7 +8,7 @@ from operator import mul, or_
 
 import pytest
 
-from gwfloor import checks, diagrams, local_factors
+from gwfloor import checks, diagrams, local_factors, wallcross
 from gwfloor.diagrams import (
     FloorDiagram,
     MergedDiagram,
@@ -17,6 +17,7 @@ from gwfloor.diagrams import (
     _class_table,
     _factor_multisets,
     _joins,
+    _multiset_product,
     _orbit_test,
     _stabiliser_table,
     classify_pair,
@@ -28,6 +29,7 @@ from gwfloor.diagrams import (
     floor_count,
     floor_count_residual,
     graph_connected,
+    is_merge_config,
     kontsevich_nd,
     unit_shift_graph,
     unit_shifts,
@@ -379,6 +381,22 @@ class TestMultisetMemo:
             ((1, 3, 5, 7, 10), message),
         ]
 
+    def test_prefix_products_multiply_factor_by_factor(self):
+        """Every (s, multiset) of the supported counts at d <= 4, in both
+        rings, is the product multiplied out one factor at a time from
+        the ring's <1>, although the cache builds it from its prefix."""
+        multisets = set()
+        for d, cfg in _all_configs(4):
+            if (d, cfg[:4]) != (4, (1, 3, 5, 7)):
+                multisets.update((len(cfg), m) for m in _factor_multisets(d, cfg))
+        for ring, value in ((TildeElement, factor_value), (ResidualTilde, residual_factor)):
+            for s, multiset in multisets:
+                product = ring.constant(1, s)
+                for key in multiset:
+                    product = product * value(key, s)
+                assert _multiset_product(ring, value, s, multiset) == product, (s, multiset)
+            assert _multiset_product(ring, value, 2, ()) == ring.constant(1, 2)
+
     def test_orbit_weights_must_divide(self, monkeypatch):
         """A leaf whose row count is not a whole number of orbits raises
         and names the configuration: drop one row from the ("R",) mask.
@@ -435,9 +453,10 @@ class TestMultisetMemo:
 
 
 def _clear_caches():
-    """Empty every cache behind the counts: every memoised function of
-    ``diagrams`` and ``local_factors``, found by its ``cache_clear``."""
-    for module in (diagrams, local_factors):
+    """Empty every cache behind the counts and the reports: every memoised
+    function of ``diagrams``, ``local_factors`` and ``wallcross``, found by
+    its ``cache_clear``."""
+    for module in (diagrams, local_factors, wallcross):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
@@ -606,6 +625,32 @@ class TestStabiliserWeights:
                 got = tuple(pos for mask, pos in elements.get(index, ()) if not mask & ~cfg_mask)
                 assert got == _full_stabiliser(diagram, marking, rpairs), (d, cfg, index)
                 assert bool(stabilised >> index & 1) == bool(got), (d, cfg, index)
+
+    def test_element_order_at_degree_five(self, monkeypatch):
+        """At d = 5 a configuration can hold two elements of one row, and
+        their order decides which unsupported message ``_joins`` raises.
+        On every row whose elements together form a valid configuration,
+        the table's elements are the full-search stabiliser in order; 90
+        of those rows hold two or more."""
+        monkeypatch.setattr(diagrams, "MAX_DEGREE", 5)
+        try:
+            marked = enumerate_diagrams(5)
+            rows = several = 0
+            for index, found in _stabiliser_table(5)[1].items():
+                cfg = tuple(sorted({p for _mask, positions in found for p in positions}))
+                if not is_merge_config(cfg, 14):
+                    continue
+                diagram, marking = marked[index]
+                classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
+                rpairs = tuple((p, cls) for p, cls in zip(cfg, classes) if cls[0] == "R")
+                got = tuple(positions for _mask, positions in found)
+                assert got == _full_stabiliser(diagram, marking, rpairs), index
+                rows += 1
+                several += len(found) > 1
+            assert (rows, several) == (3980, 90)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
 
     def test_dropped_element_must_divide(self, monkeypatch):
         """A stabiliser element missing from the table leaves a weight that

@@ -232,6 +232,24 @@ class TestCascade:
         witnesses, full = cascade_decompose(e, order)
         assert cascade_reconstruct(witnesses, full, order, 3) == e
 
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.permutations(range(1, n + 1)), st.lists(tilde_elements(n), min_size=n, max_size=n), univ_elements
+    )))
+    @settings(max_examples=80)
+    def test_reconstruction_is_the_written_formula(self, data):
+        """For arbitrary witnesses, even ones holding variables already
+        peeled, the rebuild is sum_q S_q prod_{p<q} (x_{j_p} - 1) +
+        C prod_p (x_{j_p} - 1), multiplied out in TildeElement products."""
+        order, witnesses, full = data
+        n = len(order)
+        one = shift = TildeElement.constant(UNIV_ONE, n)
+        expected = TildeElement.zero(n)
+        for label, witness in zip(order, witnesses):
+            expected = expected + witness * shift
+            shift = shift * (TildeElement.variable(label, n) - one)
+        expected = expected + TildeElement.constant(full, n) * shift
+        assert cascade_reconstruct(witnesses, full, order, n) == expected
+
     @given(tilde_elements(4), st.permutations([1, 2, 3, 4]), st.permutations([1, 2, 3, 4]))
     @settings(max_examples=60)
     def test_full_coefficient_is_order_independent(self, e, order_a, order_b):

@@ -22,12 +22,14 @@ from gwfloor.univ import (
 )
 from gwfloor.wallcross import (
     SWEEP_FQ_ORDERS,
+    FieldCheck,
     TransferCheck,
     default_field_sweep,
     delta_count,
     extract_universal_coefficient,
     proof_cascade_order,
     residual_report,
+    transfer_targets,
     unit_shift_pairs,
     wallcross_report,
 )
@@ -255,6 +257,55 @@ class TestWallCrossReport:
             for q in SWEEP_FQ_ORDERS
             for flips in range(1 << 3)
         )
+
+    def test_perturbed_witness_fails_reconstruction(self, monkeypatch):
+        """The reconstruction rebuilds the element from the witnesses it is
+        given: a witness off by <1> no longer rebuilds the normal form."""
+        def perturbed(delta, order=None):
+            full, witnesses = extract_universal_coefficient(delta, order)
+            bump = TildeElement.constant(UNIV_ONE, delta.nvars)
+            return full, (witnesses[0] + bump, *witnesses[1:])
+
+        monkeypatch.setattr(wallcross, "extract_universal_coefficient", perturbed)
+        report = wallcross_report(4, (1, 4), (1, 5))
+        assert report.reconstruction is False
+        assert "reconstruction" in report.failed_checks()
+
+
+class TestCachedReportObjects:
+    """The reports hand out field checks and transfers built once per
+    level; they must equal the objects built afresh for each shift."""
+
+    @staticmethod
+    def fresh_field_checks(report):
+        return tuple(
+            FieldCheck(
+                model.describe(),
+                model.describe_assign(assign),
+                specialize_field(report.delta, model, assign).is_zero(),
+            )
+            for model, assign in default_field_sweep(report.s)
+        )
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_match_fresh_construction(self, s):
+        targets = transfer_targets(4, s - 1)[0]
+        for pair in unit_shift_pairs(11, s):
+            report, residual = wallcross_report(4, *pair), residual_report(4, *pair)
+            assert residual.transfers == tuple(
+                TransferCheck(target_from, target_to, residual.top.a, rhs)
+                for target_from, target_to, rhs in targets
+            )
+            assert report.field_checks == self.fresh_field_checks(report)
+
+    def test_failing_images_match_fresh_construction(self, monkeypatch):
+        """<1> - x1 vanishes exactly where x1 is a square, so the cached
+        checks must pass and fail as the fresh ones do."""
+        delta = TildeElement.constant(UNIV_ONE, 1) - TildeElement.variable(1, 1)
+        monkeypatch.setattr(wallcross, "delta_count", lambda d, cfg_from, cfg_to: delta)
+        report = wallcross_report(2, (1,), (2,))
+        assert {c.ok for c in report.field_checks} == {True, False}
+        assert report.field_checks == self.fresh_field_checks(report)
 
 
 class TestWallcrossLevelCheck:
