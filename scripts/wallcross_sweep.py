@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the wall-crossing and residual checks over every unit shift.
 
-Runs the checks of ``gwfloor verify`` for each degree in --degrees and
-each pair count s that has a unit shift: the wall-crossing level check,
+Runs the checks of ``gwfloor verify`` for each degree in --degrees (by
+default the degrees that verify gates, ``checks.SHIFT_DEGREES``) and each
+pair count s that has a unit shift: the wall-crossing level check,
 then the residual check of each shift, printing one line per check.  A
 failing level names its first failing shift and that shift's failing
 checks; an unsupported shift is named on its level's line and never
@@ -13,13 +14,14 @@ degree exits 2; a failing check, 1.
 import argparse
 import sys
 
-from gwfloor.checks import run_checks, shift_level_specs, shift_levels
+from gwfloor.checks import SHIFT_DEGREES, run_checks, shift_level_specs, shift_levels
 from gwfloor.diagrams import MAX_DEGREE
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--degrees", default="2,3", help="comma-separated degrees (default 2,3)")
+    default = ",".join(map(str, SHIFT_DEGREES))
+    ap.add_argument("--degrees", default=default, help=f"comma-separated degrees (default {default})")
     args = ap.parse_args(argv)
     try:
         degrees = [int(t) for t in args.degrees.split(",") if t]

@@ -17,7 +17,7 @@ import sys
 
 from .checks import SUITE_NAMES, run_suite
 from .diagrams import MAX_DEGREE, enumerate_merged_diagrams, floor_count
-from .fields import ClosedField, RealField, finite_field, specialize_field
+from .fields import field_model, specialize_field
 from .springer import MAX_TOWER_VARS, form_report, pfister_concrete
 from .univ import pfister_element
 from .wallcross import SCHEMA_VERSION, wallcross_report
@@ -37,28 +37,6 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_signs(text, s: int) -> dict[int, int]:
-    if text == []:
-        # argparse swallows the exact value "--" (its option terminator),
-        # leaving an empty list; that spelling can only mean two minuses
-        text = "--"
-    text = text.replace(",", "")
-    if len(text) != s or any(ch not in "+-" for ch in text):
-        raise UsageError(
-            f"sign pattern must be {s} characters of '+'/'-', got {text!r}"
-        )
-    return {l: 1 if text[l - 1] == "+" else -1 for l in range(1, s + 1)}
-
-
-def _parse_square_bits(text: str, s: int) -> dict[int, int]:
-    tokens = [t for t in text.replace(",", "/").split("/") if t]
-    if len(tokens) != s or any(t not in ("sq", "ns") for t in tokens):
-        raise UsageError(
-            f"assignment must be {s} 'sq'/'ns' tokens separated by '/', got {text!r}"
-        )
-    return {l: 0 if tokens[l - 1] == "sq" else 1 for l in range(1, s + 1)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,21 +123,12 @@ def _cmd_count(args):
     if args.assign is not None and not args.field.startswith("fq:"):
         raise UsageError(f"--assign needs --field fq:Q, got --field {args.field}")
     # Every option is read before the count, so a bad one costs no count.
-    if args.field == "real":
-        model = RealField()
-        assign = _parse_signs(args.signs if args.signs is not None else "+" * s, s)
-    elif args.field == "closed":
-        model, assign = ClosedField(), dict.fromkeys(range(1, s + 1), 0)
-    elif args.field.startswith("fq:") and args.field[3:].isdigit():
-        model = finite_field(int(args.field[3:]))
-        assign = _parse_square_bits(
-            args.assign if args.assign is not None else "/".join(["sq"] * s), s
-        )
-    elif args.field != "symbolic":
-        raise UsageError(
-            f"unknown field model {args.field!r}; --field takes symbolic, real, closed, "
-            "or fq:Q for an odd prime power Q"
-        )
+    if args.field != "symbolic":
+        # argparse swallows the exact value "--" (its option terminator),
+        # leaving an empty list; that spelling can only mean two minuses
+        signs = "--" if args.signs == [] else args.signs
+        model = field_model(args.field)
+        assign = model.parse_assign(args.assign if signs is None else signs, s)
     value = floor_count(args.degree, cfg)
 
     doc = {

@@ -380,7 +380,6 @@ def _apply_swaps(marking: tuple, pairs) -> tuple[tuple, tuple]:
     return tuple(sorted(o[1:] for o in mk if o[0] == "elev")), tuple(mk)
 
 
-@cache
 def _orbit_test(d: int, index: int, rpairs: tuple[tuple[int, tuple], ...]):
     """Orbit test of marked diagram ``enumerate_diagrams(d)[index]`` whose
     type-R pairs are ``rpairs``, as ``(position, class)``; it picks the
@@ -389,29 +388,16 @@ def _orbit_test(d: int, index: int, rpairs: tuple[tuple[int, tuple], ...]):
 
     Only type-R pairs admit a second encoding (the other within-pair
     order, realised for a ``("R", "floors")`` pair by relabeling the
-    floors); type-A and twin pairs have a single valid order.  Returns
-    None when some alternate encoding is smaller than the diagram's own,
-    and otherwise its stabiliser: the position tuples whose operations
-    leave the encoding unchanged.  Keyed on the row index, so a lookup
-    hashes no diagram or marking.
-
-    A mark swap changes only its own two marks, so a descending pair
-    outside the floor pairs proves a smaller encoding at once; once every
-    such pair ascends, swaps without a floor relabeling only give larger
-    encodings, and only the sets with a relabeling are searched.
+    floors); type-A and twin pairs have a single valid order.  Every
+    non-empty set of the operations is applied.  Returns None when some
+    alternate encoding is smaller than the diagram's own, and otherwise
+    its stabiliser: the position tuples whose operations leave the
+    encoding unchanged, in bit-mask order over ``rpairs``.
     """
     diagram, marking = enumerate_diagrams(d)[index]
-    relabelings = 0  # bit b set when rpairs[b] is a floor pair
-    for b, (p, cls) in enumerate(rpairs):
-        if cls == _R_FLOORS:
-            relabelings |= 1 << b
-        elif marking[p] < marking[p - 1]:
-            return None
     identity_key = (diagram.elevators, marking)
     stabiliser = []
     for mask in range(1, 1 << len(rpairs)):
-        if not mask & relabelings:
-            continue
         chosen = [pair for b, pair in enumerate(rpairs) if mask >> b & 1]
         key = _apply_swaps(marking, chosen)
         if key < identity_key:
@@ -458,17 +444,6 @@ def _joins(d: int, marking: tuple, cfg: tuple, classes: tuple, stabiliser: tuple
         used.update(positions)
         joins.append((i, j))
     return tuple(sorted(joins))
-
-
-def _minima(d: int, cfg: tuple[int, ...], classes: tuple, rpairs: tuple, rows: int):
-    """Yield ``(index, joins)`` for each marked diagram of the leaf
-    ``(classes, rpairs, rows)`` of ``_leaves`` that is its orbit's minimum
-    encoding."""
-    marked = enumerate_diagrams(d)
-    for index in _bits(rows):
-        stabiliser = _orbit_test(d, index, rpairs)
-        if stabiliser is not None:
-            yield index, _joins(d, marked[index][1], cfg, classes, stabiliser)
 
 
 def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
@@ -572,10 +547,7 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
     """
     marked = enumerate_diagrams(d)
     candidates = [
-        floors
-        for size in range(1, d // 2 + 1)
-        for floors in combinations(range(1, d), size)
-        if all(b - a >= 2 for a, b in zip(floors, floors[1:]))
+        floors for size in range(1, d // 2 + 1) for floors in enumerate_merge_configs(d, size)
     ]
     fixing: dict[FloorDiagram, list[frozenset]] = {}
     for diagram, _marking in marked:
@@ -727,8 +699,12 @@ def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[Merged
     marked = enumerate_diagrams(d)
     out = []
     for classes, rpairs, rows in _leaves(d, cfg):
-        for index, joins in _minima(d, cfg, classes, rpairs, rows):
-            out.append(MergedDiagram(*marked[index], cfg, classes, joins))
+        for index in _bits(rows):
+            stabiliser = _orbit_test(d, index, rpairs)
+            if stabiliser is not None:
+                diagram, marking = marked[index]
+                joins = _joins(d, marking, cfg, classes, stabiliser)
+                out.append(MergedDiagram(diagram, marking, cfg, classes, joins))
     out.sort(key=lambda m: (m.diagram.elevators, m.marking))
     return tuple(out)
 
@@ -833,7 +809,8 @@ def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
 def dissolved_config(cfg: tuple[int, ...], j: int) -> tuple[int, ...]:
     """cfg, exactly as given, without its j-th pair (1-based)."""
     cfg = tuple(cfg)
-    if any(b - a < 2 for a, b in zip(cfg, cfg[1:])):
+    # no mark count is given, so any count above the last position will do
+    if not is_merge_config(cfg, max(cfg, default=0) + 1):
         raise ValueError(
             f"{cfg} is not a valid merge configuration "
             "(positions must be ascending and at least 2 apart)"

@@ -4,18 +4,19 @@ Three concrete targets are supported.
 
 * ``RealField``: elements are (rank, signature) pairs with componentwise
   arithmetic.  A rank-one class maps to (1, sign of the unit), h to (2, 0).
-* ``FiniteField(q)``: q an odd prime power, q > 3 (and in the sweeps q is
-  always larger than the curve degree).  The Grothendieck-Witt group is
-  rank plus a discriminant bit, with product rule
+* ``FiniteField(q)``: q an odd prime power, 3 < q <= 10^12 (and in the
+  sweeps q is always larger than the curve degree).  The Grothendieck-Witt
+  group is rank plus a discriminant bit, with product rule
   disc(ab) = rank(b)*disc(a) + rank(a)*disc(b) mod 2.
 * ``ClosedField``: rank only, the quadratically closed case.
 
 Each model owns its assignments: ``values`` are one variable's unit
 values in sweep order (real: the signs 1, -1; F_q: the square bits 0, 1;
-closed: 0, a value it ignores), and ``describe_assign`` names an
-assignment ("+-", "sq/ns", "").  ``specialize_field`` pushes a universal
-or multi-affine element through a model; it is the one entry point that
-validates a dict assignment.
+closed: 0, a value it ignores), ``describe_assign`` names an assignment
+("+-", "sq/ns", "") and ``parse_assign`` reads that text back, as
+``field_model`` reads back the name that ``describe`` gives a model.
+``specialize_field`` pushes a universal or multi-affine element through a
+model; it is the one entry point that validates a dict assignment.
 
 Every variable maps to a rank-one class, so the image of an element is a
 pair of integers read off its terms in one pass.  An assignment is a flip
@@ -128,14 +129,26 @@ class RealField:
     def describe_assign(self, assign: dict) -> str:
         return "".join("+" if assign[l] == 1 else "-" for l in sorted(assign))
 
+    def parse_assign(self, text: str | None, s: int) -> dict[int, int]:
+        """The assignment of labels 1..s that ``describe_assign`` names
+        ``text``, commas ignored; None sends every label to +1."""
+        if text is None:
+            return dict.fromkeys(range(1, s + 1), self.values[0])
+        text = text.replace(",", "")
+        if len(text) != s or any(ch not in "+-" for ch in text):
+            raise ValueError(f"sign pattern must be {s} characters of '+'/'-', got {text!r}")
+        return {l: 1 if ch == "+" else -1 for l, ch in enumerate(text, start=1)}
+
 
 class FiniteField:
     values = (0, 1)
 
     def __init__(self, q: int):
+        # Checked before factoring: factor_prime_power trial-divides up to
+        # sqrt(q), about 0.1 s at the bound.
+        if q % 2 == 0 or not 3 < q <= 10**12:
+            raise ValueError(f"finite-field model needs an odd prime power 3 < q <= 10^12, got {q}")
         p, k = factor_prime_power(q)
-        if p == 2 or q <= 3:
-            raise ValueError(f"finite-field model needs an odd prime power > 3, got {q}")
         self.q = q
         self.p = p
         self.k = k
@@ -176,6 +189,18 @@ class FiniteField:
     def describe_assign(self, assign: dict) -> str:
         return "/".join("sq" if assign[l] == 0 else "ns" for l in sorted(assign))
 
+    def parse_assign(self, text: str | None, s: int) -> dict[int, int]:
+        """The assignment of labels 1..s that ``describe_assign`` names
+        ``text``, a comma read as '/'; None sends every label to a square."""
+        if text is None:
+            return dict.fromkeys(range(1, s + 1), self.values[0])
+        tokens = [t for t in text.replace(",", "/").split("/") if t]
+        if len(tokens) != s or any(t not in ("sq", "ns") for t in tokens):
+            raise ValueError(
+                f"assignment must be {s} 'sq'/'ns' tokens separated by '/', got {text!r}"
+            )
+        return {l: 0 if t == "sq" else 1 for l, t in enumerate(tokens, start=1)}
+
 
 @cache
 def finite_field(q: int) -> FiniteField:
@@ -199,6 +224,25 @@ class ClosedField:
 
     def describe_assign(self, assign: dict) -> str:
         return ""
+
+    def parse_assign(self, text: str | None, s: int) -> dict[int, int]:
+        """Labels 1..s at 0: every unit is a square, so the text names
+        nothing."""
+        return dict.fromkeys(range(1, s + 1), self.values[0])
+
+
+def field_model(name: str):
+    """The model that ``describe()`` names ``name``: ``real``, ``closed``
+    or ``fq:Q`` (the shared ``finite_field(Q)``)."""
+    if name == "real":
+        return RealField()
+    if name == "closed":
+        return ClosedField()
+    if name.startswith("fq:") and name[3:].isdigit():
+        return finite_field(int(name[3:]))
+    raise ValueError(
+        f"unknown field model {name!r}; expected real, closed, or fq:Q for an odd prime power Q"
+    )
 
 
 def specialize_field(e, model, assign: dict | None = None):

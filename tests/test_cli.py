@@ -6,12 +6,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import gwfloor
-from gwfloor import cli
+from gwfloor import cli, fields
 from gwfloor.checks import run_suite
 from gwfloor.cli import main
 from gwfloor.diagrams import MAX_DEGREE
@@ -133,16 +134,49 @@ class TestCount:
             capsys, "count", "--degree", "2", "--field", "fq:4"
         )
         assert code == 2
-        # a malformed order names the option and the models it accepts
+        # a malformed order names the models there are
         code, out, err = run_cli(
             capsys, "count", "--degree", "2", "--field", "fq:abc"
         )
         assert code == 2
         assert out == ""
         assert err == (
-            "error: unknown field model 'fq:abc'; --field takes symbolic, real, "
-            "closed, or fq:Q for an odd prime power Q\n"
+            "error: unknown field model 'fq:abc'; expected real, closed, "
+            "or fq:Q for an odd prime power Q\n"
         )
+
+    def test_order_above_the_bound_is_refused_before_factoring(self, capsys, monkeypatch):
+        """1000000000039 is a prime just above 10^12, refused without
+        factoring it."""
+
+        def refuse(q):
+            raise AssertionError(f"factored {q}")
+
+        monkeypatch.setattr(fields, "factor_prime_power", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "count", "--degree", "2", "--merge", "1", "--field", "fq:1000000000039"
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: finite-field model needs an odd prime power 3 < q <= 10^12, "
+            "got 1000000000039\n"
+        )
+
+    @pytest.mark.parametrize("assign", ["sq", "ns"])
+    def test_largest_order_reads_like_five(self, capsys, assign):
+        """999999999989, the largest prime below 10^12, is 5 mod 8 like 5:
+        -1 is a square and 2 is not, so the documents differ only in the
+        field they name."""
+        big, small = (
+            run_json(capsys, "count", "--degree", "2", "--merge", "1", "--field", f"fq:{q}",
+                     "--assign", assign)
+            for q in (999999999989, 5)
+        )
+        assert big.pop("field") == "fq:999999999989"
+        assert small.pop("field") == "fq:5"
+        assert big == small
 
     def test_sign_count_mismatch(self, capsys):
         code, out, err = run_cli(

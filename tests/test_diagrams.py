@@ -435,7 +435,7 @@ class TestMultisetMemo:
         assert backward[::-1] == forward
 
     def test_unsupported_shape_raises_with_cold_memo(self):
-        """A memoised orbit test never hides the raise: the join
+        """A memoised table never hides the raise: the join
         classification runs on every call, cold or warm."""
         _clear_caches()
         self._assert_unsupported_raise()
@@ -533,9 +533,7 @@ class TestOrbitMinima:
             assert kept == sorted(minima), (d, cfg)
 
     def test_orbit_test_matches_full_search(self):
-        """The orbit test's shortcuts (a descending non-floor pair; only
-        sets with a floor relabeling searched) agree with comparing every
-        alternate encoding."""
+        """The orbit test agrees with comparing every alternate encoding."""
         for d, cfg in _all_configs(4):
             for index, (diagram, marking) in enumerate(enumerate_diagrams(d)):
                 classes = [classify_pair(marking[p - 1], marking[p]) for p in cfg]
@@ -670,16 +668,21 @@ class TestStabiliserWeights:
             _clear_caches()
         assert floor_count(3, (5, 7)).rank == 12
 
-    def test_counts_leave_the_orbit_memo_empty(self):
-        """The counts never run the orbit test, so its memo stays empty
-        through count-d4's 103 configurations in both rings."""
+    def test_counts_never_run_the_orbit_test(self, monkeypatch):
+        """The counts weigh rows by their stabilisers and never run the
+        orbit test: with it raising, count-d4's 103 configurations still
+        count in both rings from cold caches."""
+
+        def refuse(*args):
+            raise AssertionError(f"orbit test run on {args}")
+
+        monkeypatch.setattr(diagrams, "_orbit_test", refuse)
         _clear_caches()
         configs = [cfg for s in range(4) for cfg in enumerate_merge_configs(11, s)]
         assert len(configs) == 103
         for cfg in configs:
             floor_count(4, cfg)
             floor_count_residual(4, cfg)
-        assert _orbit_test.cache_info().currsize == 0
 
 
 class TestJoins:
@@ -848,3 +851,6 @@ class TestDissolution:
             dissolved_config((2, 5), 3)
         with pytest.raises(ValueError, match=r"\(5, 2\) .*ascending and at least 2 apart"):
             dissolved_config((5, 2), 1)
+        # position 0 is not a merge position
+        with pytest.raises(ValueError, match=r"\(0, 2\) .*ascending and at least 2 apart"):
+            dissolved_config((0, 2), 1)

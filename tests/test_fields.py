@@ -14,6 +14,8 @@ from gwfloor.fields import (
     FqClass,
     RealClass,
     RealField,
+    field_model,
+    finite_field,
     specialize_field,
 )
 from gwfloor.univ import (
@@ -25,6 +27,7 @@ from gwfloor.univ import (
     TildeElement,
     UnivElement,
 )
+from gwfloor.wallcross import SWEEP_FQ_ORDERS
 
 univ_elements = st.builds(
     UnivElement, st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)
@@ -123,9 +126,11 @@ class TestFiniteField:
         assert FiniteField(9).is_square(2)
 
     def test_rejects_bad_order(self):
-        for q in (2, 3, 4, 8, 12):
-            with pytest.raises(ValueError):
+        for q in (2, 3, 4, 8, 12, 10**12 + 39):
+            with pytest.raises(ValueError, match="odd prime power 3 < q <= 10\\^12"):
                 FiniteField(q)
+        with pytest.raises(ValueError, match="15 is not a prime power"):
+            FiniteField(15)
 
     def test_h_image(self):
         for q in (5, 7, 11, 13):
@@ -225,3 +230,50 @@ class TestSpecialize:
                 assert specialize_field(e, model, assign) == naive_specialize(
                     e, model, assign
                 ), (model.describe(), assign)
+
+
+SWEEP_MODELS = (RealField(), *map(finite_field, SWEEP_FQ_ORDERS), ClosedField())
+
+
+class TestAssignmentText:
+    """Each model reads back the texts it prints: its name through
+    ``field_model`` and its assignments through ``parse_assign``."""
+
+    @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.describe())
+    def test_round_trip(self, model):
+        assert type(field_model(model.describe())) is type(model)
+        for s in range(4):
+            for values in itertools.product(model.values, repeat=s):
+                assign = dict(enumerate(values, start=1))
+                assert model.parse_assign(model.describe_assign(assign), s) == assign
+            assert model.parse_assign(None, s) == dict.fromkeys(range(1, s + 1), model.values[0])
+
+    def test_finite_field_models_are_shared(self):
+        assert field_model("fq:13") is finite_field(13)
+
+    def test_separators(self):
+        assert RealField().parse_assign("+,-", 2) == {1: 1, 2: -1}
+        assert finite_field(5).parse_assign("ns,sq", 2) == {1: 1, 2: 0}
+
+    def test_bad_texts(self):
+        with pytest.raises(ValueError) as exc:
+            RealField().parse_assign("+,-x", 3)
+        assert str(exc.value) == "sign pattern must be 3 characters of '+'/'-', got '+-x'"
+        with pytest.raises(ValueError) as exc:
+            RealField().parse_assign("+-", 3)
+        assert str(exc.value) == "sign pattern must be 3 characters of '+'/'-', got '+-'"
+        with pytest.raises(ValueError) as exc:
+            finite_field(5).parse_assign("sq/xx/ns", 3)
+        assert str(exc.value) == (
+            "assignment must be 3 'sq'/'ns' tokens separated by '/', got 'sq/xx/ns'"
+        )
+        with pytest.raises(ValueError) as exc:
+            finite_field(5).parse_assign("sq", 2)
+        assert str(exc.value) == "assignment must be 2 'sq'/'ns' tokens separated by '/', got 'sq'"
+        for name in ("symbolic", "bogus", "fq:", "fq:abc", "fq:-5"):
+            with pytest.raises(ValueError) as exc:
+                field_model(name)
+            assert str(exc.value) == (
+                f"unknown field model {name!r}; expected real, closed, "
+                "or fq:Q for an odd prime power Q"
+            )

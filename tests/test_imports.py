@@ -32,6 +32,32 @@ def test_module_imports_no_private_name(path):
             )
 
 
+def test_every_private_helper_is_used():
+    """Every module-level private function or class is referenced from
+    some other statement of the package (a recursive call does not
+    count), so no dead helper or wrapper lingers."""
+    statements = [
+        node for path in sorted(PACKAGE.glob("*.py")) for node in ast.parse(path.read_text()).body
+    ]
+
+    def names(node):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    used = [names(node) for node in statements]
+    unused = [
+        node.name
+        for k, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(node.name in u for j, u in enumerate(used) if j != k)
+    ]
+    assert unused == []
+
+
 def test_only_classify_pair_decides_a_floor_pair():
     """The orbit path and the stabiliser table read a fused floor pair off
     its class ``("R", "floors")``; none of their functions tests the object

@@ -101,8 +101,13 @@ class TestRankSweep:
 
 class TestWallcrossSweep:
     def test_default_degrees_pass(self, capsys):
+        """With no --degrees the sweep runs the degrees verify gates,
+        ``checks.SHIFT_DEGREES``: the 48 checks of 2,3."""
         assert load_script("wallcross_sweep").main(["--degrees", "2,3"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "48 checks, 0 failed"
+        explicit = capsys.readouterr().out
+        assert explicit.splitlines()[-1] == "48 checks, 0 failed"
+        assert load_script("wallcross_sweep").main([]) == 0
+        assert capsys.readouterr().out == explicit
 
     def test_degree_four_is_pinned(self, capsys):
         """Every degree-4 check passes.  The three unsupported shifts have
