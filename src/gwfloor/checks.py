@@ -37,6 +37,7 @@ from time import perf_counter
 
 from . import local_factors as lf
 from .diagrams import (
+    MAX_DEGREE,
     UnsupportedShapeError,
     dissolved_config,
     enumerate_merge_configs,
@@ -537,9 +538,15 @@ def shift_level_specs(d: int, s: int):
     """The wall-crossing check of level (d, s), then the residual check
     of each of its unit shifts: the base case at s = 1, the transfer
     congruence above it.  A shift whose counts are unsupported has no
-    residual check; the level check names and tallies it."""
+    residual check; the level check names and tallies it.  Telling the
+    two apart counts the level; if a count faults there, every shift is
+    listed, so that its check meets the fault and fails with it."""
     specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s))]
-    for cfg_from, cfg_to, _ in transfer_targets(d, s)[0]:
+    try:
+        shifts = [pair for *pair, _rhs in transfer_targets(d, s)[0]]
+    except Exception:
+        shifts = unit_shift_pairs(3 * d - 1, s)
+    for cfg_from, cfg_to in shifts:
         if s == 1:
             check_id = f"residual-base:d={d}:{cfg_from[0]}-{cfg_to[0]}"
         else:
@@ -584,7 +591,8 @@ def _dissolution_specs():
 
 
 def _wallcross_specs():
-    specs = [shift_level_specs(d, s)[0] for d, s in _gated_levels()]
+    # the level checks alone, built without counting
+    specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s)) for d, s in _gated_levels()]
     for n in range(2, MAX_GRAPH_POINTS + 1):
         for s in range(0, n // 2 + 1):
             specs.append((f"merge-graph:n={n}:s={s}", _check_graph_connected, (n, s)))
@@ -659,7 +667,7 @@ def _id_degree(check_id: str) -> int:
     return int(found.group(1)) if found else 0
 
 
-def run_suite(name: str, budget: int = 4) -> SuiteResult:
+def run_suite(name: str, budget: int = MAX_DEGREE) -> SuiteResult:
     """Run one verification suite; results keep their listed order.
 
     A check whose id names a degree ``d=`` above the budget is left out,

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
@@ -243,7 +244,9 @@ def _check_degree(d: int) -> None:
 
 @cache
 def enumerate_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
-    """All (diagram, marking) pairs for the simple-point problem."""
+    """All (diagram, marking) pairs for the simple-point problem.
+
+    Cached per degree."""
     _check_degree(d)
     out = []
     for diagram in _weighted_diagrams(d):
@@ -460,7 +463,10 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
     ``classes`` the ``classify_pair`` of each fused pair, ``joins`` the
     label pairs of ``_joins``.  A type-A pair on
     an elevator consumes that elevator; a joined pair consumes its two
-    weight-1 elevators.  Down ends contribute <1> and are left out."""
+    weight-1 elevators.  Down ends contribute <1> and are left out.
+
+    Cached per (weights, classes, joins) triple, a set that grows with
+    the configurations counted."""
     joined = dict(joins)
     left = list(weights)
     out: list[tuple] = []
@@ -489,7 +495,9 @@ def _class_table(d: int) -> tuple[tuple, tuple]:
     diagram k, from ``classify_pair``.  Returns ``(classes, weights)``:
     ``classes[p - 1]`` lists ``(pair class, rows)`` for pair p (an
     unclassifiable pair is in no mask), and ``weights`` lists ``(sorted
-    elevator weights, rows)``."""
+    elevator weights, rows)``.
+
+    Cached per degree."""
     marked = enumerate_diagrams(d)
     classes = []
     for p in range(1, 3 * d - 1):
@@ -544,6 +552,8 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
     ``elements[k]`` lists row k's elements as ``(position mask,
     positions)`` ascending by mask, the order of ``_orbit_test``'s bit
     masks over the type-R pairs.
+
+    Cached per degree.
     """
     marked = enumerate_diagrams(d)
     candidates = [
@@ -673,7 +683,7 @@ class MergedDiagram:
         }
 
 
-def _merge_config(d: int, cfg) -> tuple[int, ...]:
+def _merge_config(d: int, cfg: Sequence[int]) -> tuple[int, ...]:
     """cfg as a tuple, after checking that d is a supported degree and
     that cfg, exactly as given, is a merge configuration among its 3d-1
     marks; the error names the rule that is broken."""
@@ -690,11 +700,11 @@ def _merge_config(d: int, cfg) -> tuple[int, ...]:
     return cfg
 
 
-@cache
-def enumerate_merged_diagrams(d: int, cfg: tuple[int, ...] = ()) -> tuple[MergedDiagram, ...]:
+def enumerate_merged_diagrams(d: int, cfg: Sequence[int] = ()) -> tuple[MergedDiagram, ...]:
     """All merged diagrams for the configuration, one per orbit: the
     marked diagrams that are their orbit's minimum encoding, sorted by
-    that encoding."""
+    that encoding.  Built afresh on every call: no merged diagram is
+    kept."""
     cfg = _merge_config(d, cfg)
     marked = enumerate_diagrams(d)
     out = []
@@ -715,8 +725,9 @@ def _multiset_product(ring, value, nvars: int, multiset: tuple):
     in ``ring`` (``TildeElement`` or ``ResidualTilde``), multiplied left to
     right from the ring's <1> (the degree-1 diagram has no factor).
 
-    Cached across configurations, and so is every prefix: the product is
-    the cached product of ``multiset[:-1]`` times the last factor.  At
+    Cached per (ring, value, nvars, multiset), across configurations, and
+    so is every prefix: the product is the cached product of
+    ``multiset[:-1]`` times the last factor.  At
     degree 4 with s <= 3 the 18,859 orbits carry only 268 distinct
     (s, multiset) pairs per ring, with 447 distinct prefixes (the empty
     one included); ``_sum_by_multiset`` reads each product, weighted by
@@ -742,6 +753,9 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     to one factor tuple.  A leaf with r type-R pairs then holds
     weight / 2^r merged diagrams of each factor tuple, and a weight that
     2^r does not divide raises.
+
+    Cached per validated configuration, so it grows with the number of
+    configurations counted; both rings read it.
     """
     weights = _class_table(d)[1]
     by_mask, elements = _stabiliser_table(d)
@@ -775,30 +789,31 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     return counts
 
 
+@cache
 def _sum_by_multiset(d: int, cfg: tuple[int, ...], ring, value):
     """The sum in ``ring`` of the multiplicity of every merged diagram of
     the configuration, its factors read by ``value``: each distinct factor
     multiset is multiplied out once, and ``ring.linear_combination`` adds
-    the products, each times its orbit count, in integer coordinates."""
+    the products, each times its orbit count, in integer coordinates.
+
+    Cached per validated configuration and ring, so it grows with the
+    number of configurations counted: the one memo of the counts, keyed
+    by the tuple ``_merge_config`` returns."""
     s = len(cfg)
     return ring.linear_combination(
         s, ((_multiset_product(ring, value, s, m), n) for m, n in _factor_multisets(d, cfg).items())
     )
 
 
-@cache
-def floor_count(d: int, cfg: tuple[int, ...] = ()) -> TildeElement:
+def floor_count(d: int, cfg: Sequence[int] = ()) -> TildeElement:
     """Symbolic enriched count: sum of merged-diagram multiplicities."""
-    cfg = _merge_config(d, cfg)
-    return _sum_by_multiset(d, cfg, TildeElement, factor_value)
+    return _sum_by_multiset(d, _merge_config(d, cfg), TildeElement, factor_value)
 
 
-@cache
-def floor_count_residual(d: int, cfg: tuple[int, ...] = ()) -> ResidualTilde:
+def floor_count_residual(d: int, cfg: Sequence[int] = ()) -> ResidualTilde:
     """Residual count assembled from the mod-2 factor table directly --
     an independent path from residual-reducing floor_count."""
-    cfg = _merge_config(d, cfg)
-    return _sum_by_multiset(d, cfg, ResidualTilde, residual_factor)
+    return _sum_by_multiset(d, _merge_config(d, cfg), ResidualTilde, residual_factor)
 
 
 # ---------------------------------------------------------------------------

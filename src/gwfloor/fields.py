@@ -204,7 +204,9 @@ class FiniteField:
 
 @cache
 def finite_field(q: int) -> FiniteField:
-    """The model of F_q shared by every caller: one per order."""
+    """The model of F_q shared by every caller.
+
+    Cached per finite-field order."""
     return FiniteField(q)
 
 

@@ -165,9 +165,10 @@ def twin_tree_factor(desc: TwinTreeDescriptor, nvars: int) -> TildeElement:
 
 @cache
 def factor_value(key: tuple, nvars: int) -> TildeElement:
-    """Exact value of the local factor ``key`` (see the module docstring),
-    memoised: at degree 4 with s <= 3 the counts multiply 1,175 factors
-    with only 46 distinct (key, nvars) pairs."""
+    """Exact value of the local factor ``key`` (see the module docstring).
+
+    Cached per (key, nvars): at degree 4 with s <= 3 the counts multiply
+    1,175 factors with only 46 distinct (key, nvars) pairs."""
     kind = key[0]
     if kind == "square":
         return TildeElement.constant(elevator_square(key[1]), nvars)
@@ -182,8 +183,9 @@ def factor_value(key: tuple, nvars: int) -> TildeElement:
 
 @cache
 def residual_factor(key: tuple, nvars: int) -> ResidualTilde:
-    """Residual image of the local factor ``key``, computed directly mod 2
-    and memoised like ``factor_value``.
+    """Residual image of the local factor ``key``, computed directly mod 2.
+
+    Cached per (key, nvars), like ``factor_value``.
 
     This is deliberately not implemented as residual_reduce(factor_value(key));
     the two paths are compared by the residual test suite.

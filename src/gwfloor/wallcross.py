@@ -62,13 +62,14 @@ SWEEP_FQ_ORDERS = (5, 7, 11, 17)
 
 
 def delta_count(d: int, cfg_from, cfg_to) -> TildeElement:
-    """Difference of the enriched counts at two merge configurations,
-    memoised per pair as the counts are."""
+    """Difference of the enriched counts at two merge configurations."""
     return _delta_count(d, tuple(cfg_from), tuple(cfg_to))
 
 
 @functools.cache
 def _delta_count(d: int, cfg_from: tuple[int, ...], cfg_to: tuple[int, ...]) -> TildeElement:
+    """Cached per (degree, configuration pair), so it grows with the
+    number of pairs compared."""
     if len(cfg_from) != len(cfg_to):
         raise ValueError(
             f"configurations pair different numbers of points: "
@@ -105,10 +106,12 @@ def extract_universal_coefficient(
 
 @functools.cache
 def _sweep(s: int) -> tuple[tuple, ...]:
-    """The entries of ``default_field_sweep(s)``, built once per s.  Each is
+    """The entries of ``default_field_sweep(s)``.  Each is
     (model, assignment as (label, value) pairs, the assignment's flip mask
     for ``model.evaluate``, its two possible ``FieldCheck``s indexed by
-    the verdict: failing, then passing)."""
+    the verdict: failing, then passing).
+
+    Cached per pair count s."""
     entries = []
     for model in (RealField(), *map(finite_field, SWEEP_FQ_ORDERS), ClosedField()):
         for pattern in itertools.product(model.values, repeat=s):
@@ -354,6 +357,7 @@ def unit_shift_pairs(n: int, s: int) -> list[tuple[tuple[int, ...], tuple[int, .
 
 @functools.cache
 def _unit_shift_pairs(n: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Cached per (n, s) level."""
     pairs = []
     for cfg in enumerate_merge_configs(n, s):
         for other in unit_shifts(cfg, n):
@@ -369,7 +373,9 @@ def transfer_targets(d: int, s: int):
     coefficient: the right side of the transfer congruence for every
     source with s + 1 pairs.  The pairs whose counts raise
     ``UnsupportedShapeError`` are set aside and returned as the second
-    item."""
+    item.
+
+    Cached per level (d, s)."""
     targets = []
     unsupported = []
     for pair in _unit_shift_pairs(3 * d - 1, s):
@@ -387,7 +393,9 @@ def transfer_targets(d: int, s: int):
 @functools.cache
 def _transfer_checks(d: int, s: int, lhs: int) -> tuple[TransferCheck, ...]:
     """The ``TransferCheck`` of every target of ``transfer_targets(d, s)``
-    against a source whose <1>-parity is ``lhs``."""
+    against a source whose <1>-parity is ``lhs``.
+
+    Cached per (d, s, lhs)."""
     return tuple(
         TransferCheck(target_from, target_to, lhs, rhs)
         for target_from, target_to, rhs in transfer_targets(d, s)[0]

@@ -135,8 +135,15 @@ class TestMergeConfigs:
 
     @pytest.mark.parametrize("count", [floor_count, floor_count_residual, enumerate_merged_diagrams])
     def test_descending_positions_are_rejected(self, count):
-        with pytest.raises(ValueError, match="ascending"):
-            count(3, (7, 5))
+        for cfg in ((7, 5), [7, 5]):
+            with pytest.raises(ValueError, match="ascending"):
+                count(3, cfg)
+
+    @pytest.mark.parametrize("count", [floor_count, floor_count_residual, enumerate_merged_diagrams])
+    def test_list_and_tuple_agree(self, count):
+        """The counts validate a configuration before any memo reads it,
+        so they take any int sequence, a list included."""
+        assert count(4, [3, 6, 9]) == count(4, (3, 6, 9))
 
     def test_unit_shifts(self):
         assert unit_shifts((1,), 8) == [(2,)]
@@ -397,10 +404,11 @@ class TestMultisetMemo:
                 assert _multiset_product(ring, value, s, multiset) == product, (s, multiset)
             assert _multiset_product(ring, value, 2, ()) == ring.constant(1, 2)
 
-    def test_orbit_weights_must_divide(self, monkeypatch):
-        """A leaf whose row count is not a whole number of orbits raises
-        and names the configuration: drop one row from the ("R",) mask.
-        That mask holds no floor pair, so its rows are counted by weight."""
+    @staticmethod
+    def _drop_r_row(monkeypatch):
+        """Drop one row from the ("R",) mask of pair 6 at d = 3, so that a
+        leaf's row count is not a whole number of orbits.  That mask holds
+        no floor pair, so its rows are counted by weight."""
         classes, weights = _class_table(3)
         column = 6 - 1
 
@@ -415,6 +423,11 @@ class TestMultisetMemo:
         corrupt = (tuple(classes), weights)
         monkeypatch.setattr(diagrams, "_class_table", lambda d: corrupt)
         _clear_caches()
+
+    def test_orbit_weights_must_divide(self, monkeypatch):
+        """A leaf whose row count is not a whole number of orbits raises
+        and names the configuration."""
+        self._drop_r_row(monkeypatch)
         try:
             with pytest.raises(RuntimeError, match=r"configuration \(6,\): .*\('R',\)"):
                 floor_count(3, (6,))
@@ -422,6 +435,24 @@ class TestMultisetMemo:
             monkeypatch.undo()
             _clear_caches()
         assert floor_count(3, (6,)).rank == 12
+
+    @pytest.mark.parametrize("suite", ["counts", "dissolution", "wallcross", "residual", "all"])
+    def test_faulting_count_fails_every_suite_that_holds_it(self, monkeypatch, suite):
+        """A count that faults is a failing row naming its configuration in
+        every suite that counts degree 3, never a raise while the suite
+        builds its check list: the wallcross list counts nothing, and the
+        residual list then runs a check for every unit shift."""
+        self._drop_r_row(monkeypatch)
+        try:
+            result = checks.run_suite(suite, 3)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        assert not result.passed
+        failed = [c for c in result.checks if not c.passed]
+        assert any("configuration (6,): " in c.detail for c in failed)
+        counting = ("rank-", "signature-", "dissolution:", "wallcross:", "residual-")
+        assert all(c.check_id.startswith(counting) for c in failed)
 
     def test_counts_survive_cold_caches_in_any_order(self):
         configs = [
@@ -671,18 +702,25 @@ class TestStabiliserWeights:
     def test_counts_never_run_the_orbit_test(self, monkeypatch):
         """The counts weigh rows by their stabilisers and never run the
         orbit test: with it raising, count-d4's 103 configurations still
-        count in both rings from cold caches."""
+        count in both rings from cold caches, and so do the 14
+        configurations with s <= 1 at d = 5."""
 
         def refuse(*args):
             raise AssertionError(f"orbit test run on {args}")
 
         monkeypatch.setattr(diagrams, "_orbit_test", refuse)
+        monkeypatch.setattr(diagrams, "MAX_DEGREE", 5)
         _clear_caches()
-        configs = [cfg for s in range(4) for cfg in enumerate_merge_configs(11, s)]
-        assert len(configs) == 103
-        for cfg in configs:
-            floor_count(4, cfg)
-            floor_count_residual(4, cfg)
+        try:
+            for d, top, size in ((4, 3, 103), (5, 1, 14)):
+                configs = [cfg for s in range(top + 1) for cfg in enumerate_merge_configs(3 * d - 1, s)]
+                assert len(configs) == size
+                for cfg in configs:
+                    floor_count(d, cfg)
+                    floor_count_residual(d, cfg)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
 
 
 class TestJoins:

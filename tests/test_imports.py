@@ -58,6 +58,27 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_every_cache_states_its_domain():
+    """Every module-level ``@cache`` or ``@functools.cache`` function of
+    the package says what its memo is keyed by, in a docstring line that
+    begins ``Cached per``, so a memo that grows with the configurations
+    is visible where it is declared."""
+    undocumented = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cached = any(
+                isinstance(dec, (ast.Name, ast.Attribute))
+                and (dec.id if isinstance(dec, ast.Name) else dec.attr) == "cache"
+                for dec in node.decorator_list
+            )
+            lines = (ast.get_docstring(node) or "").splitlines()
+            if cached and not any(line.startswith("Cached per") for line in lines):
+                undocumented.append(f"{path.name}:{node.name}")
+    assert undocumented == []
+
+
 def test_only_classify_pair_decides_a_floor_pair():
     """The orbit path and the stabiliser table read a fused floor pair off
     its class ``("R", "floors")``; none of their functions tests the object
