@@ -68,11 +68,7 @@ def test_every_cache_states_its_domain():
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.FunctionDef):
                 continue
-            cached = any(
-                isinstance(dec, (ast.Name, ast.Attribute))
-                and (dec.id if isinstance(dec, ast.Name) else dec.attr) == "cache"
-                for dec in node.decorator_list
-            )
+            cached = any(ast.unparse(dec) in ("cache", "functools.cache") for dec in node.decorator_list)
             lines = (ast.get_docstring(node) or "").splitlines()
             if cached and not any(line.startswith("Cached per") for line in lines):
                 undocumented.append(f"{path.name}:{node.name}")
