@@ -191,49 +191,39 @@ def _weighted_diagrams(d: int):
 
 
 def enumerate_markings(diagram: FloorDiagram) -> list[tuple[tuple, ...]]:
-    """All linear extensions of the marking order constraints."""
-    objects = diagram.objects()
-    succ: dict[tuple, list[tuple]] = {o: [] for o in objects}
-    indeg: dict[tuple, int] = {o: 0 for o in objects}
+    """All linear extensions of the marking poset, in lexicographic order.
 
-    def edge(a, b):
-        succ[a].append(b)
-        indeg[b] += 1
-
-    for f in range(1, diagram.d):
-        edge(("floor", f), ("floor", f + 1))
-    for lo, hi, w in diagram.elevators:
-        edge(("floor", lo), ("elev", lo, hi, w))
-        edge(("elev", lo, hi, w), ("floor", hi))
-    for f, cnt in enumerate(diagram.end_counts, start=1):
-        for i in range(cnt):
-            edge(("end", f, i), ("floor", f))
-            if i + 1 < cnt:
-                edge(("end", f, i), ("end", f, i + 1))
+    ``below[o]`` holds the objects that must be marked before o, one
+    branch per rule of the module docstring; a marking grows by any
+    unmarked object whose ``below`` set is already marked, smallest
+    first."""
+    objects = sorted(diagram.objects())
+    below: dict[tuple, set[tuple]] = {o: set() for o in objects}
+    for o in objects:
+        kind, f = o[:2]
+        if kind == "floor" and f > 1:  # floor marks ascend
+            below[o].add(("floor", f - 1))
+        elif kind == "elev":  # an elevator lies strictly between its floors
+            below[o].add(("floor", f))
+            below[("floor", o[2])].add(o)
+        elif kind == "end":  # an end lies below its floor
+            below[("floor", f)].add(o)
+            if o[2]:  # the ends of one floor ascend
+                below[o].add(("end", f, o[2] - 1))
 
     out: list[tuple[tuple, ...]] = []
-    chosen: list[tuple] = []
-    ready = sorted(o for o in objects if indeg[o] == 0)
 
-    def backtrack(ready: list[tuple]):
-        if not ready:
-            if len(chosen) == len(objects):
-                out.append(tuple(chosen))
+    def grow(marking: tuple, marked: set[tuple]):
+        if len(marking) == len(objects):
+            out.append(marking)
             return
-        for idx, o in enumerate(ready):
-            chosen.append(o)
-            nxt = ready[:idx] + ready[idx + 1 :]
-            added = []
-            for b in succ[o]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    added.append(b)
-            backtrack(sorted(nxt + added))
-            for b in succ[o]:
-                indeg[b] += 1
-            chosen.pop()
+        for o in objects:
+            if o not in marked and below[o] <= marked:
+                marked.add(o)
+                grow((*marking, o), marked)
+                marked.remove(o)
 
-    backtrack(ready)
+    grow((), set())
     return out
 
 
@@ -538,12 +528,14 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
     Only an operation that relabels floors can leave an encoding
     unchanged, and it must leave the elevator tuple unchanged: the
     diagram needs a fixing floor set, a non-empty set of disjoint
-    relabelings f <-> f+1 that maps its elevators to themselves.  Each
-    floor pair of such a set must hold adjacent marks, which the row's
-    ``("R", "floors")`` masks of ``_class_table`` say.  One pass over the
-    relabeled marking then finds the element: every object the set moves
-    must sit next to its image, and the element is the positions of
-    those pairs, the floor pairs and the swaps they force.  Under a
+    relabelings f <-> f+1 that maps its elevators to themselves.  For
+    each row of such a diagram and each such set, one pass over the
+    relabeled marking decides whether the set gives an element: every
+    object the set moves must sit next to its image, and the element is
+    the positions of those pairs, the floor pairs and the swaps they
+    force.  The pass alone enforces that each floor pair holds adjacent
+    marks: the image has floor f+1 at floor f's mark, and floor marks
+    ascend, so floor f+1 can only be floor f's upper neighbour.  Under a
     configuration the element lies in the row's stabiliser exactly when
     its position mask lies inside the configuration's.
 
@@ -559,7 +551,7 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
     candidates = [
         floors for size in range(1, d // 2 + 1) for floors in enumerate_merge_configs(d, size)
     ]
-    fixing: dict[FloorDiagram, list[frozenset]] = {}
+    fixing: dict[FloorDiagram, list[tuple[int, ...]]] = {}
     for diagram, _marking in marked:
         if diagram not in fixing:
             fixing[diagram] = []
@@ -568,22 +560,12 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
                 for f in floors:
                     moved = _relabel_floors(moved, f)
                 if sorted(o[1:] for o in moved) == list(diagram.elevators):
-                    fixing[diagram].append(frozenset(floors))
-    rows = _mask([k for k, (diagram, _marking) in enumerate(marked) if fixing[diagram]])
-    adjacent: dict[int, set[int]] = {}
-    for p, column in enumerate(_class_table(d)[0], start=1):
-        for cls, mask in column:
-            if cls == _R_FLOORS:
-                for k in _bits(mask & rows):
-                    adjacent.setdefault(k, set()).add(marked[k][1][p - 1][1])
+                    fixing[diagram].append(floors)
     by_mask: dict[int, list[int]] = {}
     elements: dict[int, tuple] = {}
-    for k in sorted(adjacent):
-        diagram, marking = marked[k]
+    for k, (diagram, marking) in enumerate(marked):
         found = []
         for floors in fixing[diagram]:
-            if not floors <= adjacent[k]:
-                continue
             image = marking
             for f in floors:
                 image = _relabel_floors(image, f)
@@ -797,8 +779,10 @@ def _sum_by_multiset(d: int, cfg: tuple[int, ...], ring, value):
     the products, each times its orbit count, in integer coordinates.
 
     Cached per validated configuration and ring, so it grows with the
-    number of configurations counted: the one memo of the counts, keyed
-    by the tuple ``_merge_config`` returns."""
+    number of configurations counted.  It is one of the two memos keyed
+    by the tuple ``_merge_config`` returns: this one holds each ring's
+    count, and ``_factor_multisets`` holds the orbit counts that both
+    rings read, so a configuration's second ring does not walk again."""
     s = len(cfg)
     return ring.linear_combination(
         s, ((_multiset_product(ring, value, s, m), n) for m, n in _factor_multisets(d, cfg).items())

@@ -193,8 +193,7 @@ class MultiAffine:
     ``coeffs`` maps monomial bitmasks to nonzero coefficients; key 0 is
     the constant part.  Every variable is involutive, so keys multiply by
     XOR and no key repeats a variable.  A subclass fixes the coefficient
-    ring through ``_zero``, ``_one``, ``_coerce``, which maps an int or a
-    ring element into the ring and raises TypeError otherwise, and
+    ring through ``_zero``, whose type is the ring, ``_one``, and
     ``_coords``, which gives a ring element's integer coordinates.
     """
 
@@ -211,6 +210,17 @@ class MultiAffine:
             if not val.is_zero():
                 clean[mask] = val
         self.coeffs = clean
+
+    @classmethod
+    def _coerce(cls, value):
+        """``value`` in the coefficient ring: an int n as n<1>, a ring
+        element as itself; anything else raises TypeError."""
+        ring = type(cls._zero)
+        if isinstance(value, ring):
+            return value
+        if isinstance(value, int):
+            return ring(value)
+        raise TypeError(f"cannot coerce {value!r} to a {ring.__name__}")
 
     @classmethod
     def _of_masks(cls, nvars: int, coeffs: dict):
@@ -350,14 +360,6 @@ class TildeElement(MultiAffine):
     _one = UNIV_ONE
     _coords = staticmethod(attrgetter("c1", "ch", "c2"))
 
-    @staticmethod
-    def _coerce(value) -> UnivElement:
-        if isinstance(value, UnivElement):
-            return value
-        if isinstance(value, int):
-            return UnivElement(value, 0, 0)
-        raise TypeError(f"cannot coerce {value!r} to a universal-ring element")
-
     @property
     def rank(self) -> int:
         """Rank of the image under any field map (all x_l have rank 1)."""
@@ -375,14 +377,6 @@ class ResidualTilde(MultiAffine):
     _zero = RES_ZERO
     _one = RES_ONE
     _coords = staticmethod(attrgetter("a", "b"))
-
-    @staticmethod
-    def _coerce(value) -> ResidualElement:
-        if isinstance(value, ResidualElement):
-            return value
-        if isinstance(value, int):
-            return ResidualElement(value, 0)
-        raise TypeError(f"cannot coerce {value!r} to a residual-ring element")
 
 
 def top_coefficient(e: MultiAffine):

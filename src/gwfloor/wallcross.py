@@ -351,19 +351,14 @@ class ResidualReport:
 
 
 def unit_shift_pairs(n: int, s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Unordered unit-shift pairs at the given level, in a stable order."""
-    return list(_unit_shift_pairs(n, s))
-
-
-@functools.cache
-def _unit_shift_pairs(n: int, s: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Cached per (n, s) level."""
+    """Unordered unit-shift pairs at the given level, sorted, as a fresh
+    list."""
     pairs = []
     for cfg in enumerate_merge_configs(n, s):
         for other in unit_shifts(cfg, n):
             if cfg < other:
                 pairs.append((cfg, other))
-    return tuple(sorted(pairs))
+    return sorted(pairs)
 
 
 @functools.cache
@@ -378,7 +373,7 @@ def transfer_targets(d: int, s: int):
     Cached per level (d, s)."""
     targets = []
     unsupported = []
-    for pair in _unit_shift_pairs(3 * d - 1, s):
+    for pair in unit_shift_pairs(3 * d - 1, s):
         try:
             # top_coefficient is linear: read the <2>-coordinate of the
             # target's delta from the two counts, without the delta

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import mul, or_
 
 import pytest
@@ -116,6 +116,38 @@ class TestEnumeration:
             # floors appear bottom-up along every marking
             assert mk.index(("floor", 1)) < mk.index(("floor", 2))
             assert mk.index(("floor", 2)) < mk.index(("floor", 3))
+
+    def test_markings_are_the_filtered_permutations(self):
+        """At d <= 3, the markings of every diagram are exactly the
+        orderings of its sorted objects that obey the four rules, in the
+        order ``permutations`` yields them."""
+        for d in (1, 2, 3):
+            for diagram in dict.fromkeys(dg for dg, _marking in enumerate_diagrams(d)):
+                brute = [
+                    mk for mk in permutations(sorted(diagram.objects())) if _obeys_marking_rules(diagram, mk)
+                ]
+                assert enumerate_markings(diagram) == brute
+
+    def test_degree_four_markings_obey_the_rules_and_ascend(self):
+        rows = enumerate_diagrams(4)
+        assert all(_obeys_marking_rules(dg, mk) for dg, mk in rows)
+        for dg in dict.fromkeys(dg for dg, _marking in rows):
+            markings = [mk for other, mk in rows if other == dg]
+            assert all(a < b for a, b in zip(markings, markings[1:]))
+
+
+def _obeys_marking_rules(diagram: FloorDiagram, marking: tuple) -> bool:
+    """The four marking rules of the ``diagrams`` module docstring, read
+    off the marks of one ordering of the diagram's objects."""
+    mark = {o: k for k, o in enumerate(marking)}
+    floor = {f: mark[("floor", f)] for f in range(1, diagram.d + 1)}
+    ends = [o for o in marking if o[0] == "end"]
+    return (
+        all(floor[f] < floor[f + 1] for f in range(1, diagram.d))
+        and all(floor[lo] < mark[("elev", lo, hi, w)] < floor[hi] for lo, hi, w in diagram.elevators)
+        and all(mark[o] < floor[o[1]] for o in ends)
+        and all(mark[("end", o[1], o[2] - 1)] < mark[o] for o in ends if o[2])
+    )
 
 
 class TestMergeConfigs:

@@ -11,6 +11,7 @@ import pytest
 import gwfloor
 
 PACKAGE = Path(gwfloor.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -76,9 +77,10 @@ def test_every_cache_states_its_domain():
 
 
 def test_only_classify_pair_decides_a_floor_pair():
-    """The orbit path and the stabiliser table read a fused floor pair off
-    its class ``("R", "floors")``; none of their functions tests the object
-    kind."""
+    """The orbit path reads a fused floor pair off its class ``("R",
+    "floors")``, and the stabiliser table reads no pair class at all: its
+    walk over the relabeled marking decides which floors are adjacent.
+    None of these functions tests the object kind."""
     tree = ast.parse((PACKAGE / "diagrams.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     offenders = [
@@ -125,3 +127,15 @@ def test_group_ring_has_one_ring_element():
                     imported.setdefault(alias.name.removeprefix("gwfloor."), set()).add("*module*")
     assert imported.get("univ") == {"UnivElement"}
     assert "local_factors" not in imported
+
+
+@pytest.mark.parametrize("top", ["src", "scripts", "tests", "perfbench"])
+def test_sources_parse_as_python_3_10(top):
+    """Every Python file parses with the grammar of Python 3.10, the
+    oldest version the package supports, so a newer construct (``except*``,
+    a ``type`` alias statement, PEP 695 generics) fails here under any
+    newer interpreter.  The files are only read."""
+    paths = sorted((REPO / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -327,6 +327,22 @@ class TestResidual:
         assert residual_reduce(a * b) == residual_reduce(a) * residual_reduce(b)
         assert residual_reduce(a + b) == residual_reduce(a) + residual_reduce(b)
 
+    @pytest.mark.parametrize(
+        "ring, three",
+        [(TildeElement, UnivElement(3, 0, 0)), (ResidualTilde, RES_ONE)],
+        ids=["universal", "residual"],
+    )
+    def test_both_rings_coerce_ints_and_refuse_floats(self, ring, three):
+        """One ``_coerce`` serves both rings: an int n is n<1>, a ring
+        element is itself, and a float raises in construction and in
+        products alike."""
+        assert ring.constant(3, 1) == ring.constant(three, 1)
+        assert ring.variable(1, 1) * 3 == 3 * ring.variable(1, 1) == ring(1, {frozenset({1}): 3})
+        with pytest.raises(TypeError, match="cannot coerce 1.5"):
+            ring.constant(1.5, 1)
+        with pytest.raises(TypeError):
+            ring.variable(1, 1) * 1.5
+
     def test_residual_tilde_convolution(self):
         x1 = ResidualTilde(2, {frozenset({1}): RES_ONE})
         assert x1 * x1 == ResidualTilde.constant(RES_ONE, 2)
