@@ -1,5 +1,6 @@
 """Floor diagrams, merge configurations, counts, and dissolution."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
@@ -541,6 +542,45 @@ class TestClassTable:
                     assert holding == ([] if cls is None else [cls]), (d, k, p)
                     floors = o1[0] == o2[0] == "floor"
                     assert (cls == ("R", "floors")) == floors, (d, k, p)
+
+
+# sha256 of the repr of each per-degree table: the marked diagrams as
+# (elevators, marking), then _class_table(d), then _stabiliser_table(d).
+TABLE_SHA256 = {
+    1: (
+        "c65f222928879f5cf7787058b1296a2f66b3f20aff3bffc6272387b5f11f4eba",
+        "65b97549d1ca3b152313998543e116794a8d2d7d4ee764ed3e8a503d13e7b488",
+        "abbfc3e4c033b034406a9e320712f963a0f191131bbb2d0ab561bc37e228256c",
+    ),
+    2: (
+        "ffe2c5eca57e7ac97569437d21ea5388afe1d3196adc26bedbadc590192e6fe3",
+        "e189ac6545e755b601f15860a557c6de58b0767e4bd5d5f03f4d0afc77c5bd38",
+        "abbfc3e4c033b034406a9e320712f963a0f191131bbb2d0ab561bc37e228256c",
+    ),
+    3: (
+        "7b4b232017aa42a65edf78bf7afbb737d722fbfbb0963f8a0ca4e8f994e98778",
+        "16a951600c8afdfab5eeaa3c75bc1d305f403cfa61f0c4545176ed13a91a9f0c",
+        "b08752fda5dd6c984e5e9bb212721febe7c547d885532a6e10a82bac5758c4b1",
+    ),
+    4: (
+        "f64990b132419058f140ff4d37109ecd1c3d6d2b0f32945edb22bda5e819b764",
+        "59c9814d5c1a7f43f101f25c9b0722425601fb10cfa2c14925a2f5a1ae907903",
+        "b81f77b9a475d6157aea8db9b5351224f7abe9d2cfb77c2ed574681ffa7c9f54",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(TABLE_SHA256))
+def test_tables_are_pinned(d):
+    """Every row index feeds a mask, so the tables are gated byte for
+    byte, order included, and not only through the counts they give."""
+    tables = (
+        [(diagram.elevators, marking) for diagram, marking in enumerate_diagrams(d)],
+        _class_table(d),
+        _stabiliser_table(d),
+    )
+    digests = tuple(hashlib.sha256(repr(table).encode()).hexdigest() for table in tables)
+    assert digests == TABLE_SHA256[d]
 
 
 @cache
