@@ -60,11 +60,10 @@ certificate the test suite enforces.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .local_factors import factor_value, residual_factor
 from .univ import ResidualTilde, TildeElement
@@ -178,16 +177,59 @@ MAX_DEGREE = 4
 
 
 def _weighted_diagrams(d: int):
-    all_edges = list(combinations(range(1, d + 1), 2))
-    for edges in combinations(all_edges, d - 1):
-        if not _is_tree(d, edges):
-            continue
-        for weights in product(range(1, d + 1), repeat=len(edges)):
-            elevators = tuple(
-                sorted((lo, hi, w) for (lo, hi), w in zip(edges, weights))
-            )
-            if min(_divergence(d, elevators)) >= 0:
-                yield FloorDiagram(d, elevators)
+    """Every floor diagram of degree d, built from the definition: trees
+    in lexicographic order of their edge sets, over the sorted (lo, hi)
+    pairs, and each tree's weightings in lexicographic order of the
+    weights along its sorted edges.
+
+    A tree grows by each later edge that joins two of its components.
+    Its elevators are weighed by descending upper floor, so when those
+    ending at floor f are reached, those leaving f upward already carry
+    their weights: U(f) is fixed, and L(f) <= U(f) + 1, which is
+    E(f) >= 0, bounds every choice.  No weight needs a cap.  Cutting an
+    elevator off the tree leaves a side S holding its lower endpoint,
+    and the sum of E(f) - 1 over S is its weight; since all floors hold
+    d ends together, every weight is at most d - 1."""
+    edges = list(combinations(range(1, d + 1), 2))
+    trees: list[tuple] = []
+
+    def grow(tree: tuple, component: tuple, start: int):
+        if len(tree) == d - 1:
+            trees.append(tree)
+            return
+        for k in range(start, len(edges)):
+            lo, hi = edges[k]
+            if component[lo] != component[hi]:
+                merged = tuple(component[lo] if c == component[hi] else c for c in component)
+                grow((*tree, (lo, hi)), merged, k + 1)
+
+    def weightings(tree: tuple) -> list[tuple[int, ...]]:
+        top_down = sorted(range(len(tree)), key=lambda k: -tree[k][1])
+        weight = [0] * len(tree)
+        room = [1] * (d + 1)  # U(f) + 1 - L(f) over the weights given so far
+        found = []
+
+        def weigh(i: int):
+            if i == len(top_down):
+                found.append(tuple(weight))
+                return
+            k = top_down[i]
+            lo, hi = tree[k]
+            for w in range(1, room[hi] + 1):
+                weight[k] = w
+                room[hi] -= w
+                room[lo] += w
+                weigh(i + 1)
+                room[hi] += w
+                room[lo] -= w
+
+        weigh(0)
+        return sorted(found)
+
+    grow((), tuple(range(d + 1)), 0)
+    for tree in trees:
+        for weights in weightings(tree):
+            yield FloorDiagram(d, tuple((lo, hi, w) for (lo, hi), w in zip(tree, weights)))
 
 
 def enumerate_markings(diagram: FloorDiagram) -> list[tuple[tuple, ...]]:
@@ -588,24 +630,24 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
     return tuple((mask, _mask(ks)) for mask, ks in by_mask.items()), elements
 
 
-def _leaves(d: int, cfg: tuple[int, ...]):
-    """Yield ``(classes, rpairs, rows)`` once per tuple of pair classes under
-    the valid configuration cfg: ``rows`` are the marked diagrams with those
-    classes, ``rpairs`` the ``(position, class)`` of the type-R pairs.  A
-    depth-first walk ANDs the masks of ``_class_table``; an unclassifiable
-    row reaches none."""
+def _leaves(d: int, cfg: tuple[int, ...]) -> list[tuple[tuple, tuple, int]]:
+    """Each ``(classes, rpairs, rows)`` under the valid configuration cfg,
+    one per tuple of pair classes that some marked diagram has: ``rows``
+    are the marked diagrams with those classes, ``rpairs`` the
+    ``(position, class)`` of the type-R pairs.  The leaves grow one pair
+    at a time, each split by the masks of ``_class_table`` at its
+    position, so they come out in the order of the table's classes; an
+    unclassifiable row reaches none."""
     classes = _class_table(d)[0]
-
-    def walk(i: int, rows: int, chosen: tuple, rpairs: tuple):
-        if i == len(cfg):
-            yield chosen, rpairs, rows
-            return
-        p = cfg[i]
-        for cls, mask in classes[p - 1]:
-            if sub := rows & mask:
-                yield from walk(i + 1, sub, (*chosen, cls), (*rpairs, (p, cls)) if cls[0] == "R" else rpairs)
-
-    return walk(0, (1 << len(enumerate_diagrams(d))) - 1, (), ())
+    leaves = [((), (), (1 << len(enumerate_diagrams(d))) - 1)]
+    for p in cfg:
+        leaves = [
+            ((*chosen, cls), (*rpairs, (p, cls)) if cls[0] == "R" else rpairs, sub)
+            for chosen, rpairs, rows in leaves
+            for cls, mask in classes[p - 1]
+            if (sub := rows & mask)
+        ]
+    return leaves
 
 
 def _oid(obj: tuple) -> str:
@@ -721,20 +763,20 @@ def _multiset_product(ring, value, nvars: int, multiset: tuple):
 
 
 @cache
-def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
-    """How often each factor-key tuple occurs among the merged diagrams
-    (the orbits) of a valid configuration, counted by stabiliser weights
-    (see the module docstring); no ``MergedDiagram`` is built.
+def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[tuple, int]:
+    """How many merged diagrams (orbits) of a valid configuration carry
+    each factor-key tuple, counted by stabiliser weights (see the module
+    docstring); no ``MergedDiagram`` is built.
 
-    One walk (``_leaves``) visits each tuple of pair classes once, and
-    every leaf is counted by one loop.  A row with an element of
-    ``_stabiliser_table`` inside the configuration is read on its own: its
-    joins come from those elements, and it adds 1 + their number (the
-    identity and them) to its factor tuple.  Every other row has a trivial
-    stabiliser, and the rows of one elevator-weight tuple add their number
-    to one factor tuple.  A leaf with r type-R pairs then holds
-    weight / 2^r merged diagrams of each factor tuple, and a weight that
-    2^r does not divide raises.
+    Each leaf of ``_leaves`` (one tuple of pair classes) is counted by
+    one loop.  When the leaf holds a row with an element of
+    ``_stabiliser_table`` inside the configuration, each such row is
+    read on its own: its joins come from those elements, and it adds
+    1 + their number (the identity and them) to its factor tuple.  Every
+    other row has a trivial stabiliser, and the rows of one
+    elevator-weight tuple add their number to one factor tuple.  A leaf
+    with r type-R pairs then holds weight / 2^r merged diagrams of each
+    factor tuple, and a weight that 2^r does not divide raises.
 
     Cached per validated configuration, so it grows with the number of
     configurations counted; both rings read it.
@@ -747,18 +789,22 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
     for mask, rows in by_mask:
         if not mask & ~cfg_mask:
             stabilised |= rows
-    counts: Counter = Counter()
+    counts: dict[tuple, int] = {}
     for chosen, rpairs, rows in _leaves(d, cfg):
-        weight: defaultdict = defaultdict(int)
-        for index in _bits(rows & stabilised):
-            diagram, marking = marked[index]
-            stabiliser = tuple(pos for mask, pos in elements[index] if not mask & ~cfg_mask)
-            joins = _joins(d, marking, cfg, chosen, stabiliser)
-            weight[_factor_keys(_weights(diagram), chosen, joins)] += 1 + len(stabiliser)
-        trivial = rows & ~stabilised
+        weight: dict[tuple, int] = {}
+        trivial = rows
+        if held := rows & stabilised:
+            trivial = rows ^ held
+            for index in _bits(held):
+                diagram, marking = marked[index]
+                stabiliser = tuple(pos for mask, pos in elements[index] if not mask & ~cfg_mask)
+                joins = _joins(d, marking, cfg, chosen, stabiliser)
+                key = _factor_keys(_weights(diagram), chosen, joins)
+                weight[key] = weight.get(key, 0) + 1 + len(stabiliser)
         for w, mask in weights:
             if n := (trivial & mask).bit_count():
-                weight[_factor_keys(w, chosen, ())] += n
+                key = _factor_keys(w, chosen, ())
+                weight[key] = weight.get(key, 0) + n
         size = 1 << len(rpairs)
         for key, total in weight.items():
             if total % size:
@@ -767,7 +813,7 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> Counter:
                     f"{chosen} weigh {total} toward factor key {key}, not a "
                     f"whole number of orbits of size {size}"
                 )
-            counts[key] += total // size
+            counts[key] = counts.get(key, 0) + total // size
     return counts
 
 

@@ -4,7 +4,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import mul, or_
 
 import pytest
@@ -21,6 +21,7 @@ from gwfloor.diagrams import (
     _multiset_product,
     _orbit_test,
     _stabiliser_table,
+    _weighted_diagrams,
     classify_pair,
     dissolved_config,
     enumerate_diagrams,
@@ -135,6 +136,40 @@ class TestEnumeration:
         for dg in dict.fromkeys(dg for dg, _marking in rows):
             markings = [mk for other, mk in rows if other == dg]
             assert all(a < b for a, b in zip(markings, markings[1:]))
+
+
+    def test_diagrams_are_the_filtered_weightings(self):
+        """At d <= 5, the diagrams built by construction are exactly those
+        the filter keeps, in its order: every (d-1)-edge tree of the
+        complete graph on the floors, times every weight tuple in 1..d,
+        kept when no divergence is negative."""
+        for d in range(1, 6):
+            assert list(_weighted_diagrams(d)) == list(_filtered_diagrams(d)), d
+
+    def test_degree_one_has_one_diagram_without_elevators(self):
+        assert [diagram.elevators for diagram in _weighted_diagrams(1)] == [()]
+
+    def test_diagram_count_is_cayley_count(self):
+        """The diagram count equals d^(d-2), Cayley's count of labelled
+        trees on d vertices, at every d <= 6.  This is observed here, not
+        derived: no bijection with the labelled trees is claimed."""
+        counts = [sum(1 for _ in _weighted_diagrams(d)) for d in range(1, 7)]
+        assert counts == [d ** (d - 2) for d in range(1, 7)] == [1, 1, 3, 16, 125, 1296]
+
+
+def _filtered_diagrams(d: int):
+    """The floor diagrams of degree d by brute force: each (d-1)-edge
+    subset of the complete graph on the floors that forms a tree, in
+    ``combinations`` order, then each weight tuple in 1..d in ``product``
+    order, kept when every floor's divergence is non-negative."""
+    all_edges = list(combinations(range(1, d + 1), 2))
+    for edges in combinations(all_edges, d - 1):
+        if not diagrams._is_tree(d, edges):
+            continue
+        for weights in product(range(1, d + 1), repeat=len(edges)):
+            elevators = tuple(sorted((lo, hi, w) for (lo, hi), w in zip(edges, weights)))
+            if min(diagrams._divergence(d, elevators)) >= 0:
+                yield FloorDiagram(d, elevators)
 
 
 def _obeys_marking_rules(diagram: FloorDiagram, marking: tuple) -> bool:
