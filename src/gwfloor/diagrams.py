@@ -531,11 +531,17 @@ def _class_table(d: int) -> tuple[tuple, tuple]:
 
     Cached per degree."""
     marked = enumerate_diagrams(d)
+    # Few object pairs recur over many rows (349 over 336,323 at d = 5),
+    # so each is classified once per build.
+    known: dict[tuple, tuple | None] = {}
     classes = []
     for p in range(1, 3 * d - 1):
         rows: dict[tuple, list[int]] = {}
         for k, (_diagram, marking) in enumerate(marked):
-            cls = classify_pair(marking[p - 1], marking[p])
+            pair = marking[p - 1], marking[p]
+            cls = known.get(pair, False)
+            if cls is False:
+                cls = known[pair] = classify_pair(*pair)
             if cls is not None:
                 rows.setdefault(cls, []).append(k)
         classes.append(tuple((cls, _mask(ks)) for cls, ks in rows.items()))

@@ -21,24 +21,39 @@ model; it is the one entry point that validates a dict assignment.
 Every variable maps to a rank-one class, so the image of an element is a
 pair of integers read off its terms in one pass.  An assignment is a flip
 mask: bit l-1 is set when x_l is negative (real) or a nonsquare (F_q).
-With c a term's coefficient and k its monomial mask,
+With c a term's coefficient, k its monomial mask, r = rank(c) and
+v = c1 + c2,
 
-* real: rank = sum rank(c), and sig = sum of +-(c1 + c2), the sign
-  negative when popcount(k & mask) is odd;
-* F_q: rank = sum rank(c), and disc = XOR over the terms of
-  disc(c) ^ (rank(c) & 1 & parity of popcount(k & mask));
-* closed: rank = sum rank(c).
+* real: rank = sum r, and sig = sum of +-v, the sign negative when
+  popcount(k & mask) is odd;
+* F_q: rank = sum r, and disc = XOR over the terms of
+  disc(c) ^ (r & 1 & parity of popcount(k & mask));
+* closed: rank = sum r.
 
-``evaluate`` is that pass, and a universal element is the coefficient of
-the empty monomial; each model's ``flip`` validates one assigned value
-and gives its bit of the mask.  ``finite_field(q)`` shares one model per
-order among all callers.
+``evaluate`` is that pass at one mask; ``specialize_field``, the checks
+and the CLI read it, and a universal element is the coefficient of the
+empty monomial.  ``vanishing`` says at every mask of n variables at once
+whether the image is zero, and the wall-crossing sweep reads that.  The
+rank does not depend on the mask, and the rest follows in two lines:
+
+* the signature at mask m is sum_k (-1)^popcount(k & m) v_k, the
+  Walsh-Hadamard transform of v indexed by key, so n butterfly passes
+  over 2^n integers give it at every mask;
+* popcount(k & m) mod 2 = XOR_l k_l m_l is linear in k, so the XOR of
+  the odd-rank terms' parities is parity(K & m), with K the XOR of their
+  keys, and disc at mask m is D ^ parity(K & m), D the XOR of the
+  disc(c): one pass over the terms, then O(1) a mask.
+
+Each model's ``flip`` validates one assigned value and gives its bit of
+the mask.  ``finite_field(q)`` shares one model per order among all
+callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add, not_, sub
 
 from .intmath import factor_prime_power, legendre_is_square
 from .univ import TildeElement, UnivElement, mask_labels
@@ -123,6 +138,25 @@ class RealField:
                 sig += c.c1 + c.c2
         return RealClass(rank, sig)
 
+    def vanishing(self, coeffs, nvars: int) -> list[bool]:
+        """Whether the image is zero at each flip mask below 2^nvars,
+        indexed by the mask; the keys are masks below 2^nvars too."""
+        rank = 0
+        sig = [0] * (1 << nvars)
+        for key, c in coeffs.items():
+            rank += c.c1 + 2 * c.ch + c.c2
+            sig[key] = c.c1 + c.c2
+        if rank:
+            return [False] * len(sig)
+        # Each butterfly pass combines the entries whose indices differ in
+        # bit 0 and moves that bit to the top, sums below and differences
+        # above; after nvars passes every bit is back in place, and sig[m]
+        # is the signature at mask m.
+        for _ in range(nvars):
+            even, odd = sig[::2], sig[1::2]
+            sig = [*map(add, even, odd), *map(sub, even, odd)]
+        return list(map(not_, sig))
+
     def describe(self) -> str:
         return "real"
 
@@ -183,6 +217,26 @@ class FiniteField:
             disc ^= (c.ch & minus_one) ^ (c.c2 & two) ^ (r & (key & nonsquare).bit_count() & 1)
         return FqClass(rank, disc)
 
+    def vanishing(self, coeffs, nvars: int) -> list[bool]:
+        """Whether the image is zero at each flip mask below 2^nvars,
+        indexed by the mask."""
+        minus_one, two = self.bit_minus_one, self.bit_two
+        rank = disc = odd_keys = 0
+        for key, c in coeffs.items():
+            r = c.c1 + 2 * c.ch + c.c2
+            rank += r
+            disc ^= (c.ch & minus_one) ^ (c.c2 & two)
+            if r & 1:
+                odd_keys ^= key
+        if rank:
+            return [False] * (1 << nvars)
+        # Setting bit l of the mask flips the parity exactly when bit l of
+        # odd_keys is set, so each bit doubles the list, flipped or not.
+        zero = [not disc]
+        for l in range(nvars):
+            zero = zero + (list(map(not_, zero)) if odd_keys >> l & 1 else zero)
+        return zero
+
     def describe(self) -> str:
         return f"fq:{self.q}"
 
@@ -220,6 +274,11 @@ class ClosedField:
         """Image of the multi-affine element with these coefficients; every
         unit is a square, so the flips do not matter."""
         return ClosedClass(sum(c.rank for c in coeffs.values()))
+
+    def vanishing(self, coeffs, nvars: int) -> list[bool]:
+        """Whether the image is zero at each flip mask below 2^nvars: at
+        all of them or at none."""
+        return [sum(c.rank for c in coeffs.values()) == 0] * (1 << nvars)
 
     def describe(self) -> str:
         return "closed"

@@ -107,9 +107,10 @@ def extract_universal_coefficient(
 @functools.cache
 def _sweep(s: int) -> tuple[tuple, ...]:
     """The entries of ``default_field_sweep(s)``.  Each is
-    (model, assignment as (label, value) pairs, the assignment's flip mask
-    for ``model.evaluate``, its two possible ``FieldCheck``s indexed by
-    the verdict: failing, then passing).
+    (model, assignment as (label, value) pairs, the assignment's flip mask,
+    which indexes ``model.vanishing`` and is the mask ``model.evaluate``
+    takes, its two possible ``FieldCheck``s indexed by the verdict:
+    failing, then passing).  Each model's entries are consecutive.
 
     Cached per pair count s."""
     entries = []
@@ -224,7 +225,11 @@ class WallCrossReport:
 
 
 def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
-    """Evaluate every vanishing check for the given configuration pair."""
+    """Evaluate every vanishing check for the given configuration pair.
+
+    The field images come from one ``vanishing`` pass per model of the
+    sweep, which covers all of that model's assignments; each sweep entry
+    then reads its prebuilt ``FieldCheck`` at its flip mask."""
     cfg_from = tuple(cfg_from)
     cfg_to = tuple(cfg_to)
     delta = delta_count(d, cfg_from, cfg_to)
@@ -233,12 +238,13 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
     normal = gw_normal_form(delta)
     coefficient, witnesses = extract_universal_coefficient(normal, order)
 
-    # Every sweep assigns all s variables, so the models evaluate the
-    # coefficients directly.
-    field_checks = tuple(
-        verdicts[model.evaluate(delta.coeffs, flips).is_zero()]
-        for model, _, flips, verdicts in _sweep(s)
-    )
+    field_checks = []
+    model = zero = None
+    for entry_model, _, flips, verdicts in _sweep(s):
+        if entry_model is not model:
+            model = entry_model
+            zero = model.vanishing(delta.coeffs, s)
+        field_checks.append(verdicts[zero[flips]])
 
     first_witness = next(
         (f"S_{q} {first_term_name(w)}" for q, w in enumerate(map(gw_normal_form, witnesses), 1) if w.coeffs),
@@ -259,7 +265,7 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
         rank_zero=delta.rank == 0,
         broccoli=coefficient.c1 + coefficient.c2 == 0,
         parity=coefficient.c1 % 2 == 0,
-        field_checks=field_checks,
+        field_checks=tuple(field_checks),
         first_witness=first_witness,
         reconstruction=reconstruction,
     )

@@ -235,6 +235,73 @@ class TestSpecialize:
 SWEEP_MODELS = (RealField(), *map(finite_field, SWEEP_FQ_ORDERS), ClosedField())
 
 
+def _one_minus_variables(nvars):
+    """(<1> - x_l) over a random nonempty set of labels, each factor
+    vanishing where x_l is +1 or a square."""
+    return st.sets(st.integers(1, nvars), min_size=1).map(
+        lambda labels: functools.reduce(
+            lambda acc, l: acc * (TildeElement.constant(UNIV_ONE, nvars) - TildeElement.variable(l, nvars)),
+            sorted(labels),
+            TildeElement.constant(UNIV_ONE, nvars),
+        )
+    )
+
+
+def _sweep_elements(nvars):
+    """Random elements in nvars variables: any, of rank zero (so every
+    real signature is computed), and times a product of <1> - x_l (so
+    they vanish at some masks only)."""
+    any_element = st.dictionaries(_monomials(nvars), univ_elements, max_size=12).map(
+        lambda cs: TildeElement(nvars, cs)
+    )
+    rank_zero = any_element.map(lambda e: e - TildeElement.constant(UnivElement(e.rank), nvars))
+    if nvars == 0:
+        return st.one_of(any_element, rank_zero)
+    return st.one_of(
+        any_element,
+        rank_zero,
+        st.builds(lambda e, f: e * f, rank_zero, _one_minus_variables(nvars)),
+        st.builds(lambda e, f: e * f, any_element, _one_minus_variables(nvars)),
+    )
+
+
+def image_zeros(model, e):
+    return [model.evaluate(e.coeffs, m).is_zero() for m in range(1 << e.nvars)]
+
+
+class TestVanishing:
+    """``vanishing`` gives every mask's verdict in one pass; ``evaluate``
+    at each mask is the reference."""
+
+    @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.describe())
+    @given(e=st.integers(0, 7).flatmap(_sweep_elements))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_evaluate_at_every_mask(self, model, e):
+        assert model.vanishing(e.coeffs, e.nvars) == image_zeros(model, e)
+
+    @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.describe())
+    def test_elements_vanishing_at_some_masks(self, model):
+        # <1> - <2> lies in I only; it vanishes exactly where 2 is a square.
+        e = TildeElement.constant(UNIV_ONE - UNIV_TWO, 0)
+        two_is_square = not isinstance(model, FiniteField) or not model.bit_two
+        assert model.vanishing(e.coeffs, 0) == image_zeros(model, e) == [two_is_square]
+        for nvars in range(1, 8):
+            one = TildeElement.constant(UNIV_ONE, nvars)
+            x = [TildeElement.variable(l, nvars) for l in range(1, nvars + 1)]
+            # <1> - x_l vanishes exactly where x_l is +1 or a square: at
+            # half of the masks, or at all of them in the closed model.
+            for l in (1, nvars):
+                e = one - x[l - 1]
+                expected = [isinstance(model, ClosedField) or not m >> (l - 1) & 1 for m in range(1 << nvars)]
+                assert model.vanishing(e.coeffs, nvars) == image_zeros(model, e) == expected
+            # (<1> - <2>) * prod (x_l - <1>) lies in I^(nvars + 1), and its
+            # signature is 0 and I^2(F_q) = 0, so every image vanishes.
+            e = TildeElement.constant(UNIV_ONE - UNIV_TWO, nvars)
+            for y in x:
+                e = e * (y - one)
+            assert model.vanishing(e.coeffs, nvars) == image_zeros(model, e) == [True] * (1 << nvars)
+
+
 class TestAssignmentText:
     """Each model reads back the texts it prints: its name through
     ``field_model`` and its assignments through ``parse_assign``."""

@@ -299,13 +299,15 @@ class TestCachedReportObjects:
             assert report.field_checks == self.fresh_field_checks(report)
 
     def test_failing_images_match_fresh_construction(self, monkeypatch):
-        """<1> - x1 vanishes exactly where x1 is a square, so the cached
-        checks must pass and fail as the fresh ones do."""
-        delta = TildeElement.constant(UNIV_ONE, 1) - TildeElement.variable(1, 1)
-        monkeypatch.setattr(wallcross, "delta_count", lambda d, cfg_from, cfg_to: delta)
-        report = wallcross_report(2, (1,), (2,))
-        assert {c.ok for c in report.field_checks} == {True, False}
-        assert report.field_checks == self.fresh_field_checks(report)
+        """<1> - x_s vanishes exactly where x_s is a square, so the cached
+        checks must pass and fail as the fresh ones do, at s = 1 and at
+        s = 6, where the label reads the top bit of the flip mask."""
+        for s in (1, 6):
+            delta = TildeElement.constant(UNIV_ONE, s) - TildeElement.variable(s, s)
+            monkeypatch.setattr(wallcross, "delta_count", lambda d, cfg_from, cfg_to: delta)
+            report = wallcross_report(2, tuple(range(1, s + 1)), tuple(range(2, s + 2)))
+            assert {c.ok for c in report.field_checks} == {True, False}
+            assert report.field_checks == self.fresh_field_checks(report)
 
 
 class TestWallcrossLevelCheck:
