@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from time import perf_counter
 
 from . import local_factors as lf
@@ -115,12 +115,11 @@ WELSCHINGER = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    check_id: str
-    passed: bool
-    detail: str = ""
-    elapsed: float = 0.0
+class CheckResult(namedtuple("CheckResult", "check_id passed detail elapsed", defaults=("", 0.0))):
+    """One named verdict, with its detail text and its wall-clock time in
+    seconds."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         # Elapsed time is deliberately left out: suite output must be
@@ -133,10 +132,10 @@ class CheckResult:
         return f"  {'ok  ' if self.passed else 'FAIL'} {self.check_id}{detail}"
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteResult:
-    suite: str
-    checks: tuple[CheckResult, ...]
+class SuiteResult(namedtuple("SuiteResult", "suite checks")):
+    """The ``CheckResult`` tuple of one suite."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -60,9 +60,9 @@ certificate the test suite enforces.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 
 from .local_factors import factor_value, residual_factor
@@ -103,32 +103,38 @@ def _divergence(d: int, elevators) -> tuple[int, ...]:
     return tuple(up[f] + 1 - down[f] for f in range(1, d + 1))
 
 
-@dataclass(frozen=True)
-class FloorDiagram:
-    """Degree-d genus-0 floor diagram; ends are derived from divergence."""
+class FloorDiagram(namedtuple("FloorDiagram", "d elevators")):
+    """Degree-d genus-0 floor diagram; ends are derived from divergence.
 
-    d: int
-    elevators: tuple[tuple[int, int, int], ...]
+    ``elevators`` lists the d-1 bounded elevators (lo, hi, w) in sorted
+    order."""
 
-    def __post_init__(self):
-        d = self.d
+    __slots__ = ()
+
+    def __new__(cls, d: int, elevators) -> "FloorDiagram":
         if d < 1:
             raise ValueError("degree must be positive")
-        if len(self.elevators) != d - 1:
+        if len(elevators) != d - 1:
             raise ValueError("genus 0 requires exactly d-1 bounded elevators")
-        for lo, hi, w in self.elevators:
+        for lo, hi, w in elevators:
             if not (1 <= lo < hi <= d):
                 raise ValueError(f"bad elevator endpoints ({lo}, {hi})")
             if w < 1:
                 raise ValueError("elevator weight must be positive")
-        if not _is_tree(d, [(lo, hi) for lo, hi, _w in self.elevators]):
+        if not _is_tree(d, [(lo, hi) for lo, hi, _w in elevators]):
             raise ValueError("elevators must form a tree (cycle found)")
-        if tuple(self.elevators) != tuple(sorted(self.elevators)):
+        if tuple(elevators) != tuple(sorted(elevators)):
             raise ValueError("elevators must be listed in sorted order")
-        if any(e < 0 for e in self.end_counts):
+        if any(e < 0 for e in _divergence(d, elevators)):
             raise ValueError("negative divergence: no valid end placement")
+        return tuple.__new__(cls, (d, elevators))
 
-    @cached_property
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the validating constructor, so ``_replace`` does."""
+        return cls(*iterable)
+
+    @property
     def end_counts(self) -> tuple[int, ...]:
         return _divergence(self.d, self.elevators)
 
@@ -663,13 +669,13 @@ def _oid(obj: tuple) -> str:
     return ":".join(map(str, obj))
 
 
-@dataclass(frozen=True)
-class MergedDiagram:
-    diagram: FloorDiagram
-    marking: tuple
-    cfg: tuple[int, ...]
-    classes: tuple
-    joins: tuple[tuple[int, int], ...] = ()
+class MergedDiagram(namedtuple("MergedDiagram", "diagram marking cfg classes joins", defaults=((),))):
+    """A marked floor diagram with the pairs at the positions ``cfg``
+    merged: ``classes`` holds each pair's ``classify_pair`` class, and
+    ``joins`` the 1-based label pairs (i, j) that form one twin tree, a
+    weight-1 elevator pair i with the floor pair j above it."""
+
+    __slots__ = ()
 
     @property
     def s(self) -> int:

@@ -51,47 +51,62 @@ callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from operator import add, not_, sub
 
 from .intmath import factor_prime_power, legendre_is_square
-from .univ import TildeElement, UnivElement, mask_labels
+from .univ import RingValue, TildeElement, UnivElement, mask_labels
 
 
-@dataclass(frozen=True, slots=True)
-class RealClass:
-    rank: int = 0
-    sig: int = 0
+class RealClass(RingValue, namedtuple("RealClass", "rank sig", defaults=(0, 0))):
+    __slots__ = ()
 
     def __add__(self, other: "RealClass") -> "RealClass":
+        if type(other) is not RealClass:
+            return NotImplemented
         return RealClass(self.rank + other.rank, self.sig + other.sig)
 
     def __sub__(self, other: "RealClass") -> "RealClass":
+        if type(other) is not RealClass:
+            return NotImplemented
         return RealClass(self.rank - other.rank, self.sig - other.sig)
 
     def __mul__(self, other: "RealClass") -> "RealClass":
+        if type(other) is not RealClass:
+            return NotImplemented
         return RealClass(self.rank * other.rank, self.sig * other.sig)
 
     def is_zero(self) -> bool:
         return self.rank == 0 and self.sig == 0
 
 
-@dataclass(frozen=True, slots=True)
-class FqClass:
-    rank: int = 0
-    disc: int = 0
+class FqClass(RingValue, namedtuple("FqClass", "rank disc")):
+    """Rank and discriminant bit; the constructor reduces disc mod 2."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "disc", self.disc & 1)
+    __slots__ = ()
+
+    def __new__(cls, rank: int = 0, disc: int = 0) -> "FqClass":
+        return tuple.__new__(cls, (rank, disc & 1))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the validating constructor, so ``_replace`` does."""
+        return cls(*iterable)
 
     def __add__(self, other: "FqClass") -> "FqClass":
+        if type(other) is not FqClass:
+            return NotImplemented
         return FqClass(self.rank + other.rank, self.disc ^ other.disc)
 
     def __sub__(self, other: "FqClass") -> "FqClass":
+        if type(other) is not FqClass:
+            return NotImplemented
         return FqClass(self.rank - other.rank, self.disc ^ other.disc)
 
     def __mul__(self, other: "FqClass") -> "FqClass":
+        if type(other) is not FqClass:
+            return NotImplemented
         return FqClass(
             self.rank * other.rank,
             ((other.rank & 1) * self.disc) ^ ((self.rank & 1) * other.disc),
@@ -101,17 +116,22 @@ class FqClass:
         return self.rank == 0 and self.disc == 0
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedClass:
-    rank: int = 0
+class ClosedClass(RingValue, namedtuple("ClosedClass", "rank", defaults=(0,))):
+    __slots__ = ()
 
     def __add__(self, other: "ClosedClass") -> "ClosedClass":
+        if type(other) is not ClosedClass:
+            return NotImplemented
         return ClosedClass(self.rank + other.rank)
 
     def __sub__(self, other: "ClosedClass") -> "ClosedClass":
+        if type(other) is not ClosedClass:
+            return NotImplemented
         return ClosedClass(self.rank - other.rank)
 
     def __mul__(self, other: "ClosedClass") -> "ClosedClass":
+        if type(other) is not ClosedClass:
+            return NotImplemented
         return ClosedClass(self.rank * other.rank)
 
     def is_zero(self) -> bool:
@@ -130,12 +150,12 @@ class RealField:
         """Image of the multi-affine element with these coefficients, the
         variables in ``negative`` (a label mask) sent to -1."""
         rank = sig = 0
-        for key, c in coeffs.items():
-            rank += c.c1 + 2 * c.ch + c.c2
+        for key, (c1, ch, c2) in coeffs.items():
+            rank += c1 + 2 * ch + c2
             if (key & negative).bit_count() & 1:
-                sig -= c.c1 + c.c2
+                sig -= c1 + c2
             else:
-                sig += c.c1 + c.c2
+                sig += c1 + c2
         return RealClass(rank, sig)
 
     def vanishing(self, coeffs, nvars: int) -> list[bool]:
@@ -143,9 +163,9 @@ class RealField:
         indexed by the mask; the keys are masks below 2^nvars too."""
         rank = 0
         sig = [0] * (1 << nvars)
-        for key, c in coeffs.items():
-            rank += c.c1 + 2 * c.ch + c.c2
-            sig[key] = c.c1 + c.c2
+        for key, (c1, ch, c2) in coeffs.items():
+            rank += c1 + 2 * ch + c2
+            sig[key] = c1 + c2
         if rank:
             return [False] * len(sig)
         # Each butterfly pass combines the entries whose indices differ in
@@ -209,12 +229,12 @@ class FiniteField:
         variables in ``nonsquare`` (a label mask) sent to a nonsquare."""
         minus_one, two = self.bit_minus_one, self.bit_two
         rank = disc = 0
-        for key, c in coeffs.items():
-            r = c.c1 + 2 * c.ch + c.c2
+        for key, (c1, ch, c2) in coeffs.items():
+            r = c1 + 2 * ch + c2
             rank += r
             # h = <1> + <-1> has the discriminant of -1; each nonsquare
             # variable shifts the discriminant of an odd-rank term.
-            disc ^= (c.ch & minus_one) ^ (c.c2 & two) ^ (r & (key & nonsquare).bit_count() & 1)
+            disc ^= (ch & minus_one) ^ (c2 & two) ^ (r & (key & nonsquare).bit_count() & 1)
         return FqClass(rank, disc)
 
     def vanishing(self, coeffs, nvars: int) -> list[bool]:
@@ -222,10 +242,10 @@ class FiniteField:
         indexed by the mask."""
         minus_one, two = self.bit_minus_one, self.bit_two
         rank = disc = odd_keys = 0
-        for key, c in coeffs.items():
-            r = c.c1 + 2 * c.ch + c.c2
+        for key, (c1, ch, c2) in coeffs.items():
+            r = c1 + 2 * ch + c2
             rank += r
-            disc ^= (c.ch & minus_one) ^ (c.c2 & two)
+            disc ^= (ch & minus_one) ^ (c2 & two)
             if r & 1:
                 odd_keys ^= key
         if rank:

@@ -35,7 +35,7 @@ identity suite checks them against after one hyperbolic reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
@@ -114,35 +114,38 @@ def twin_edge_factor(m: int, label: int, nvars: int) -> TildeElement:
     )
 
 
-@dataclass(frozen=True)
-class TwinTreeDescriptor:
+class TwinTreeDescriptor(namedtuple("TwinTreeDescriptor", "t m_circ labels bounded_edges")):
     """Shape data for a twin tree carrying t double points.
 
     ``labels`` lists the pair labels of the t double points in order;
     ``bounded_edges`` holds (weight, label) entries for the bounded twin
-    edges; ``m_circ`` is the circuit weight (root weight plus the number
-    of unbounded twin elevators) whose parity selects the subset sum.
+    edges, none by default; ``m_circ`` is the circuit weight (root weight
+    plus the number of unbounded twin elevators) whose parity selects the
+    subset sum.
     """
 
-    t: int
-    m_circ: int
-    labels: tuple[int, ...]
-    bounded_edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __new__(cls, t: int, m_circ: int, labels, bounded_edges=()) -> "TwinTreeDescriptor":
+        if t < 1:
             raise ValueError("a twin tree carries at least one double point")
-        if len(self.labels) != self.t:
+        if len(labels) != t:
             raise ValueError("need exactly one label per double point")
-        if len(set(self.labels)) != self.t:
+        if len(set(labels)) != t:
             raise ValueError("labels must be distinct")
-        for w, lab in self.bounded_edges:
+        for w, lab in bounded_edges:
             if w < 1:
                 raise ValueError("twin-edge weight must be positive")
-            if lab not in self.labels:
+            if lab not in labels:
                 raise ValueError(f"bounded-edge label {lab} not among the tree labels")
-        if len(self.bounded_edges) >= self.t:
+        if len(bounded_edges) >= t:
             raise ValueError("a twin tree has fewer bounded edges than double points")
+        return tuple.__new__(cls, (t, m_circ, labels, bounded_edges))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the validating constructor, so ``_replace`` does."""
+        return cls(*iterable)
 
 
 def twin_tree_factor(desc: TwinTreeDescriptor, nvars: int) -> TildeElement:

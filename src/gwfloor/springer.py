@@ -20,7 +20,7 @@ generated forms never abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
@@ -52,8 +52,7 @@ def _reduce_unit(value: int) -> int:
     return core
 
 
-@dataclass(frozen=True, slots=True)
-class DiagonalForm:
+class DiagonalForm(namedtuple("DiagonalForm", "nvars entries")):
     """Diagonal quadratic form over the Laurent tower on nvars variables.
 
     Each entry is (unit, bits): the unit is a reduced square-class
@@ -62,25 +61,27 @@ class DiagonalForm:
     forms compare equal.
     """
 
-    nvars: int
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nvars < 0:
-            raise ValueError(f"variable count must be nonnegative, got {self.nvars}")
+    def __new__(cls, nvars: int, entries) -> "DiagonalForm":
+        if nvars < 0:
+            raise ValueError(f"variable count must be nonnegative, got {nvars}")
         clean = []
-        for unit, bits in self.entries:
+        for unit, bits in entries:
             if unit == 0:
                 raise ValueError("diagonal entries must be nonzero")
             bits = int(bits)
-            if bits < 0 or bits >= 1 << self.nvars:
+            if bits < 0 or bits >= 1 << nvars:
                 raise ValueError(
-                    f"monomial mask {bits:#x} exceeds {self.nvars} variables"
+                    f"monomial mask {bits:#x} exceeds {nvars} variables"
                 )
             clean.append((_reduce_unit(unit), bits))
-        object.__setattr__(
-            self, "entries", tuple(sorted(clean, key=itemgetter(1, 0)))
-        )
+        return tuple.__new__(cls, (nvars, tuple(sorted(clean, key=itemgetter(1, 0)))))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the validating constructor, so ``_replace`` does."""
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -108,10 +109,7 @@ def _derived(nvars: int, entries: tuple) -> DiagonalForm:
     """A form built from entries that are already reduced, sorted and
     within nvars variables, as every form derived from another one is:
     only the public constructor validates."""
-    form = object.__new__(DiagonalForm)
-    object.__setattr__(form, "nvars", nvars)
-    object.__setattr__(form, "entries", entries)
-    return form
+    return tuple.__new__(DiagonalForm, (nvars, entries))
 
 
 def negate(f: DiagonalForm) -> DiagonalForm:

@@ -16,6 +16,11 @@ and ``h`` the hyperbolic form.  The derived symbols are
 The residual ring F_2[eps]/(eps^2 - 1) is the quotient of the universal
 ring by (2, h), with eps the image of <2>.
 
+Ring elements are immutable tuples of their integer coordinates,
+``UnivElement`` (c1, ch, c2) and ``ResidualElement`` (a, b); the kernels
+unpack them, and ``RingValue`` keeps them from comparing equal to, or
+combining with, a plain tuple or the other ring's values.
+
 The multi-affine extension adjoins commuting variables ``x_1 .. x_s``
 subject to ``x_l**2 = 1``; ``x_l`` stands for the square class of the
 l-th double-point parameter.  One sparse container, ``MultiAffine``,
@@ -37,9 +42,39 @@ no arithmetic in this module can overflow or round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from collections import namedtuple
 from typing import Iterable, Mapping
+
+
+# Builds a value from coordinates that are already in range, skipping the
+# constructor's normalisation: the ring kernels below return through it.
+_new = tuple.__new__
+
+
+class RingValue:
+    """Tuple behaviour of a ring value, the tuple of its coordinates.
+
+    Mixed into a coordinate ``namedtuple``: a value equals, and hashes as,
+    only a value of its own class, never a plain tuple or a value of
+    another ring, and ``n * value`` never repeats the tuple.  Each ring's
+    ``__add__`` and ``__mul__`` accept only their own class, so a sum
+    never concatenates either.
+    """
+
+    __slots__ = ()
+
+    # False, not NotImplemented: a plain tuple's reflected comparison
+    # would take the value for its coordinates.
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __rmul__(self, n):
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -47,48 +82,54 @@ from typing import Iterable, Mapping
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class UnivElement:
+class UnivElement(RingValue, namedtuple("UnivElement", "c1 ch c2", defaults=(0, 0, 0))):
     """Element c1*<1> + ch*h + c2*<2> of the universal coefficient ring."""
 
-    c1: int = 0
-    ch: int = 0
-    c2: int = 0
+    __slots__ = ()
 
     def __add__(self, other: "UnivElement") -> "UnivElement":
-        return UnivElement(self.c1 + other.c1, self.ch + other.ch, self.c2 + other.c2)
+        if type(other) is not UnivElement:
+            return NotImplemented
+        a1, ah, a2 = self
+        b1, bh, b2 = other
+        return _new(UnivElement, (a1 + b1, ah + bh, a2 + b2))
 
     def __sub__(self, other: "UnivElement") -> "UnivElement":
-        return UnivElement(self.c1 - other.c1, self.ch - other.ch, self.c2 - other.c2)
+        if type(other) is not UnivElement:
+            return NotImplemented
+        a1, ah, a2 = self
+        b1, bh, b2 = other
+        return _new(UnivElement, (a1 - b1, ah - bh, a2 - b2))
 
     def __neg__(self) -> "UnivElement":
-        return UnivElement(-self.c1, -self.ch, -self.c2)
+        a1, ah, a2 = self
+        return _new(UnivElement, (-a1, -ah, -a2))
 
     def __rmul__(self, n: int) -> "UnivElement":
         if not isinstance(n, int):
             return NotImplemented
-        return UnivElement(n * self.c1, n * self.ch, n * self.c2)
+        a1, ah, a2 = self
+        return _new(UnivElement, (n * a1, n * ah, n * a2))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return UnivElement(other * self.c1, other * self.ch, other * self.c2)
-        if not isinstance(other, UnivElement):
-            return NotImplemented
-        a1, ah, a2 = self.c1, self.ch, self.c2
-        b1, bh, b2 = other.c1, other.ch, other.c2
+        if type(other) is not UnivElement:
+            return self.__rmul__(other)  # scaled by an int, else NotImplemented
+        a1, ah, a2 = self
+        b1, bh, b2 = other
         # h absorbs every rank-one symbol: h*<u> = h, and h*h = 2h.
-        return UnivElement(
+        return _new(UnivElement, (
             a1 * b1 + a2 * b2,
             a1 * bh + ah * b1 + 2 * ah * bh + ah * b2 + a2 * bh,
             a1 * b2 + a2 * b1,
-        )
+        ))
 
     def is_zero(self) -> bool:
         return self.c1 == 0 and self.ch == 0 and self.c2 == 0
 
     @property
     def rank(self) -> int:
-        return self.c1 + 2 * self.ch + self.c2
+        a1, ah, a2 = self
+        return a1 + 2 * ah + a2
 
     def to_json(self) -> dict:
         return {"one": self.c1, "h": self.ch, "two": self.c2}
@@ -122,22 +163,29 @@ UNIV_MINUS_TWO = UNIV_H - UNIV_TWO
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ResidualElement:
+class ResidualElement(RingValue, namedtuple("ResidualElement", "a b")):
     """Element a + b*eps of F_2[eps]/(eps^2 - 1).
 
     The quotient of the universal ring by (2, h); eps is the image of <2>.
+    The constructor reduces both coordinates mod 2.
     """
 
-    a: int = 0
-    b: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a & 1)
-        object.__setattr__(self, "b", self.b & 1)
+    def __new__(cls, a: int = 0, b: int = 0) -> "ResidualElement":
+        return _new(cls, (a & 1, b & 1))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the validating constructor, so ``_replace`` does."""
+        return cls(*iterable)
 
     def __add__(self, other: "ResidualElement") -> "ResidualElement":
-        return ResidualElement(self.a ^ other.a, self.b ^ other.b)
+        if type(other) is not ResidualElement:
+            return NotImplemented
+        a, b = self
+        c, d = other
+        return _new(ResidualElement, (a ^ c, b ^ d))
 
     __sub__ = __add__
 
@@ -145,10 +193,11 @@ class ResidualElement:
         return self
 
     def __mul__(self, other: "ResidualElement") -> "ResidualElement":
-        return ResidualElement(
-            (self.a & other.a) ^ (self.b & other.b),
-            (self.a & other.b) ^ (self.b & other.a),
-        )
+        if type(other) is not ResidualElement:
+            return NotImplemented
+        a, b = self
+        c, d = other
+        return _new(ResidualElement, ((a & c) ^ (b & d), (a & d) ^ (b & c)))
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -193,8 +242,9 @@ class MultiAffine:
     ``coeffs`` maps monomial bitmasks to nonzero coefficients; key 0 is
     the constant part.  Every variable is involutive, so keys multiply by
     XOR and no key repeats a variable.  A subclass fixes the coefficient
-    ring through ``_zero``, whose type is the ring, ``_one``, and
-    ``_coords``, which gives a ring element's integer coordinates.
+    ring through ``_zero``, whose type is the ring, and ``_one``.  A ring
+    element is the tuple of its integer coordinates, so a coefficient is
+    zero exactly when all of them are.
     """
 
     __slots__ = ("nvars", "coeffs")
@@ -227,7 +277,7 @@ class MultiAffine:
         """Wrap mask-keyed coefficients without checking keys; drop zeros."""
         out = object.__new__(cls)
         out.nvars = nvars
-        out.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        out.coeffs = {k: v for k, v in coeffs.items() if any(v)}
         return out
 
     # -- constructors ------------------------------------------------------
@@ -267,10 +317,9 @@ class MultiAffine:
     @classmethod
     def linear_combination(cls, nvars: int, terms: Iterable[tuple["MultiAffine", int]]):
         """The sum of n*e over the (e, n) pairs, each e in ``nvars``
-        variables: every key's integer coordinates (``_coords``) are summed
-        in one dict and one ring element is built per key.  The inputs are
-        only read."""
-        coords = cls._coords
+        variables: every key's integer coordinates (each coefficient is the
+        tuple of them) are summed in one dict and one ring element is built
+        per key.  The inputs are only read."""
         acc: dict[int, list[int]] = {}
         for e, n in terms:
             if e.nvars != nvars:
@@ -278,9 +327,9 @@ class MultiAffine:
             for key, val in e.coeffs.items():
                 row = acc.get(key)
                 if row is None:
-                    acc[key] = list(coords(val)) if n == 1 else [x * n for x in coords(val)]
+                    acc[key] = list(val) if n == 1 else [x * n for x in val]
                 else:
-                    for i, x in enumerate(coords(val)):
+                    for i, x in enumerate(val):
                         row[i] += x * n
         ring = type(cls._zero)
         return cls._of_masks(nvars, {k: ring(*row) for k, row in acc.items()})
@@ -358,7 +407,6 @@ class TildeElement(MultiAffine):
 
     _zero = UNIV_ZERO
     _one = UNIV_ONE
-    _coords = staticmethod(attrgetter("c1", "ch", "c2"))
 
     @property
     def rank(self) -> int:
@@ -376,7 +424,6 @@ class ResidualTilde(MultiAffine):
 
     _zero = RES_ZERO
     _one = RES_ONE
-    _coords = staticmethod(attrgetter("a", "b"))
 
 
 def top_coefficient(e: MultiAffine):
@@ -439,7 +486,7 @@ def cascade_reconstruct(
 
     def add(coeffs):
         for key, val in coeffs.items():
-            c1, ch, c2 = val.c1, val.ch, val.c2
+            c1, ch, c2 = val
             for mask, n in shift.items():
                 row = acc.setdefault(key ^ mask, [0, 0, 0])
                 row[0] += n * c1

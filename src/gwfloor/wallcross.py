@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagrams import (
     UnsupportedShapeError,
@@ -37,8 +37,6 @@ from .diagrams import (
 )
 from .fields import ClosedField, RealField, finite_field
 from .univ import (
-    ResidualElement,
-    ResidualTilde,
     TildeElement,
     UnivElement,
     cascade_decompose,
@@ -139,37 +137,36 @@ def default_field_sweep(s: int) -> list[tuple[object, dict]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FieldCheck:
-    model: str
-    assign: str
-    ok: bool
+class FieldCheck(namedtuple("FieldCheck", "model assign ok")):
+    """Whether the image in the field model named ``model`` vanishes at
+    the assignment named ``assign``."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"model": self.model, "assign": self.assign, "ok": self.ok}
 
 
-@dataclass(frozen=True, slots=True)
-class WallCrossReport:
-    """All vanishing checks for one wall crossing, evaluated as data."""
+class WallCrossReport(
+    namedtuple(
+        "WallCrossReport",
+        "d cfg_from cfg_to delta coefficient witnesses n1 n2 m"
+        " rank_zero broccoli parity field_checks first_witness reconstruction",
+    )
+):
+    """All vanishing checks for one wall crossing, evaluated as data.
 
-    d: int
-    cfg_from: tuple[int, ...]
-    cfg_to: tuple[int, ...]
-    delta: TildeElement
-    coefficient: UnivElement
-    witnesses: tuple[TildeElement, ...]
-    n1: int
-    n2: int
-    m: int
-    rank_zero: bool
-    broccoli: bool
-    parity: bool
-    field_checks: tuple[FieldCheck, ...]
-    # the first witness nonzero in Q, as "S_<q> <first monomial of its normal
-    # form>" with q its 1-based index in the cascade order; None if none
-    first_witness: str | None
-    reconstruction: bool
+    ``delta`` is the ``TildeElement`` difference of the two counts,
+    ``coefficient`` its cascade's full-monomial ``UnivElement`` C =
+    n1<1> + n2<2>, and ``witnesses`` the tuple of its witnesses; m is the
+    h-content.  ``rank_zero``, ``broccoli``, ``parity`` and
+    ``reconstruction`` are bools, and ``field_checks`` a tuple of
+    ``FieldCheck``.  ``first_witness`` is the first witness nonzero in Q,
+    as "S_<q> <first monomial of its normal form>" with q its 1-based
+    index in the cascade order, or None if there is none.
+    """
+
+    __slots__ = ()
 
     @property
     def s(self) -> int:
@@ -276,8 +273,7 @@ def wallcross_report(d: int, cfg_from, cfg_to) -> WallCrossReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TransferCheck:
+class TransferCheck(namedtuple("TransferCheck", "target_from target_to lhs rhs")):
     """One instance of the mod-2 transfer congruence after dissolution.
 
     lhs is the <1>-parity of the source top coefficient (s pairs); rhs is
@@ -286,10 +282,7 @@ class TransferCheck:
     both sides vanish.
     """
 
-    target_from: tuple[int, ...]
-    target_to: tuple[int, ...]
-    lhs: int
-    rhs: int
+    __slots__ = ()
 
     @property
     def congruent(self) -> bool:
@@ -310,24 +303,27 @@ class TransferCheck:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ResidualReport:
+class ResidualReport(
+    namedtuple(
+        "ResidualReport",
+        "d cfg_from cfg_to residual_delta top base_zero transfers unsupported",
+        defaults=((),),
+    )
+):
     """Mod-2 data of a wall crossing in the quotient ring.
 
     The residual image is computed along an independent mod-2 pipeline
     (per-factor residual tables) and must agree with the reduction of the
     integral difference; construction asserts that agreement.
+
+    ``residual_delta`` is that image, a ``ResidualTilde``, and ``top`` its
+    full-monomial ``ResidualElement``; ``base_zero`` is a bool at s = 1
+    and None otherwise.  ``transfers`` is a tuple of ``TransferCheck``,
+    and ``unsupported`` the transfer targets, as (from, to) pairs, whose
+    counts are unsupported and so are left out of ``transfers``.
     """
 
-    d: int
-    cfg_from: tuple[int, ...]
-    cfg_to: tuple[int, ...]
-    residual_delta: ResidualTilde
-    top: ResidualElement
-    base_zero: bool | None
-    transfers: tuple[TransferCheck, ...]
-    # transfer targets whose counts are unsupported, left out of transfers
-    unsupported: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    __slots__ = ()
 
     @property
     def s(self) -> int:

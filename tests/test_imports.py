@@ -91,18 +91,27 @@ def test_only_classify_pair_decides_a_floor_pair():
     assert offenders == []
 
 
-def test_import_leaves_group_ring_unloaded():
-    """The group-ring oracle is for the identity checks; ``import gwfloor``
-    and the count path do not load it."""
-    code = "import sys, gwfloor; print('gwfloor.group_ring' in sys.modules)"
+@pytest.mark.parametrize(
+    ("module", "group_ring"),
+    [("gwfloor", False), ("gwfloor.checks", True), ("gwfloor.cli", True)],
+    ids=["gwfloor", "gwfloor.checks", "gwfloor.cli"],
+)
+def test_import_footprint(module, group_ring):
+    """Importing the package, the checks or the CLI loads neither
+    ``dataclasses`` nor ``inspect``: the value types are tuples, so no
+    module needs them at import.  The group-ring oracle is for the identity checks; ``import gwfloor`` and
+    the count path do not load it.  ``-S`` keeps the modules that site
+    hooks import out of the list."""
+    watched = ("dataclasses", "inspect", "gwfloor.group_ring")
+    code = f"import sys, {module}; print([m for m in {watched!r} if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     ).stdout
-    assert out == "False\n"
+    assert out == f"{['gwfloor.group_ring'] if group_ring else []}\n"
 
 
 def test_group_ring_has_one_ring_element():

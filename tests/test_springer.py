@@ -165,13 +165,32 @@ class TestVerdicts:
         assert is_anisotropic(g) is Verdict.ISOTROPIC
 
     def test_verdict_builds_no_forms(self, monkeypatch):
+        """The verdict builds no form, and every derived form skips the
+        validating constructor: only ``DiagonalForm(...)`` re-validates."""
         form = pfister_concrete(6)
         built = []
-        monkeypatch.setattr(
-            DiagonalForm, "__post_init__", lambda self: built.append(self)
-        )
+        validate = DiagonalForm.__new__
+
+        def recording_new(cls, *args):
+            built.append(args)
+            return validate(cls, *args)
+
+        monkeypatch.setattr(DiagonalForm, "__new__", recording_new)
         assert is_anisotropic(form) is Verdict.ANISOTROPIC
         assert built == []
+        unit_part, uniformizer_part = springer_split(form, 6)
+        derived = [
+            pfister_concrete(6),
+            negate(form),
+            form.restrict_variables(7),
+            unit_part.restrict_variables(5),
+            uniformizer_part,
+        ]
+        assert built == []
+        assert derived[0] == form and derived[2].nvars == 7
+        # the hook sees the public constructor
+        assert DiagonalForm(1, ((1, 1),)) == DiagonalForm(1, ((1, 1),))
+        assert len(built) == 2
 
     def test_verdict_json_values(self):
         assert Verdict.ANISOTROPIC.value == "aniso"

@@ -1,7 +1,5 @@
 """Wall-crossing differences, cascade extraction, and report objects."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,10 +313,10 @@ class TestWallcrossLevelCheck:
         def one_field_fails(d, cfg_from, cfg_to):
             report = wallcross_report(d, cfg_from, cfg_to)
             field_checks = tuple(
-                replace(c, ok=False) if (c.model, c.assign) == ("fq:7", "ns") else c
+                c._replace(ok=False) if (c.model, c.assign) == ("fq:7", "ns") else c
                 for c in report.field_checks
             )
-            return replace(report, field_checks=field_checks)
+            return report._replace(field_checks=field_checks)
 
         monkeypatch.setattr(checks, "wallcross_report", one_field_fails)
         assert checks._check_wallcross_level(2, 1) == (
@@ -374,7 +372,7 @@ class TestWallcrossLevelCheck:
             "witnesses_zero",
             "reconstruction",
         ]
-        assert not replace(report, first_witness="S_1 x1").passed
+        assert not report._replace(first_witness="S_1 x1").passed
 
 
 class TestResidualCheck:
@@ -382,7 +380,7 @@ class TestResidualCheck:
         def no_supported_target(d, cfg_from, cfg_to):
             report = residual_report(d, cfg_from, cfg_to)
             pairs = tuple((t.target_from, t.target_to) for t in report.transfers)
-            return replace(report, transfers=(), unsupported=pairs)
+            return report._replace(transfers=(), unsupported=pairs)
 
         monkeypatch.setattr(checks, "residual_report", no_supported_target)
         ok, detail = checks._check_residual(2, (1, 3), (1, 4))
