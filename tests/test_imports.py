@@ -99,9 +99,10 @@ def test_only_classify_pair_decides_a_floor_pair():
 def test_import_footprint(module, group_ring):
     """Importing the package, the checks or the CLI loads neither
     ``dataclasses`` nor ``inspect``: the value types are tuples, so no
-    module needs them at import.  The group-ring oracle is for the identity checks; ``import gwfloor`` and
-    the count path do not load it.  ``-S`` keeps the modules that site
-    hooks import out of the list."""
+    module needs them at import.  The group-ring oracle is for the
+    identity checks; ``import gwfloor`` and the count path do not load
+    it.  ``-S`` keeps the modules that site hooks import out of the
+    list."""
     watched = ("dataclasses", "inspect", "gwfloor.group_ring")
     code = f"import sys, {module}; print([m for m in {watched!r} if m in sys.modules])"
     out = subprocess.run(

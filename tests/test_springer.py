@@ -178,19 +178,15 @@ class TestVerdicts:
         monkeypatch.setattr(DiagonalForm, "__new__", recording_new)
         assert is_anisotropic(form) is Verdict.ANISOTROPIC
         assert built == []
-        unit_part, uniformizer_part = springer_split(form, 6)
-        derived = [
-            pfister_concrete(6),
-            negate(form),
-            form.restrict_variables(7),
-            unit_part.restrict_variables(5),
-            uniformizer_part,
-        ]
+        unit_part, _ = springer_split(form, 6)
+        unit_part.restrict_variables(5)
+        form.restrict_variables(7)
+        negate(form)
+        assert pfister_concrete(6) == form
         assert built == []
-        assert derived[0] == form and derived[2].nvars == 7
         # the hook sees the public constructor
-        assert DiagonalForm(1, ((1, 1),)) == DiagonalForm(1, ((1, 1),))
-        assert len(built) == 2
+        DiagonalForm(1, ((1, 1),))
+        assert len(built) == 1
 
     def test_verdict_json_values(self):
         assert Verdict.ANISOTROPIC.value == "aniso"
