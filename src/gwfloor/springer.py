@@ -9,20 +9,22 @@ exactly when both residue forms are (``springer_split`` gives the two
 residue forms, the certificate the checks inspect).
 
 Iterating the split all the way down sorts every entry by the parity of
-each variable in turn, so each bottom residue form is exactly the set of
+each variable in turn, so each bottom residue form is exactly the run of
 entries sharing one monomial mask, with that monomial divided out.  The
-verdict is therefore decided in one pass over the mask groups: ISOTROPIC
-if any group is isotropic over Q, otherwise UNSUPPORTED if any group's
-rational form falls outside the supported shapes (indefinite of rank
->= 3), otherwise ANISOTROPIC.  Verdicts are data, so sweeps over
-generated forms never abort.
+verdict is therefore decided in one scan over those runs, which are
+contiguous because entries are sorted by mask: a run of one entry is
+anisotropic, a run of two <a, b> is isotropic exactly when b = -a, and
+only a run of three or more goes to the rational rule.  The form is
+ISOTROPIC if any run is, otherwise UNSUPPORTED if any run's rational
+form falls outside the supported shapes (indefinite of rank >= 3),
+otherwise ANISOTROPIC.  Verdicts are data, so sweeps over generated
+forms never abort.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from itertools import groupby
 from operator import itemgetter
 
 from .intmath import squarefree_split
@@ -129,10 +131,19 @@ def pfister_concrete(s: int) -> DiagonalForm:
 
 def _split(entries: tuple, bit: int) -> tuple[tuple, tuple]:
     """Partition entries by the parity of the variable at mask ``bit``;
-    divide it out of the uniformizer part."""
-    unit_part = tuple(e for e in entries if not e[1] & bit)
-    uniformizer_part = tuple((u, b ^ bit) for u, b in entries if b & bit)
-    return unit_part, uniformizer_part
+    divide it out of the uniformizer part.  One pass tests each entry
+    once; clearing a bit every moved mask has keeps the parts sorted."""
+    unit_part = []
+    uniformizer_part = []
+    keep = unit_part.append
+    move = uniformizer_part.append
+    for entry in entries:
+        unit, bits = entry
+        if bits & bit:
+            move((unit, bits ^ bit))
+        else:
+            keep(entry)
+    return tuple(unit_part), tuple(uniformizer_part)
 
 
 def springer_split(
@@ -147,14 +158,8 @@ def springer_split(
 
 
 def _rational_base_verdict(units: list) -> Verdict:
-    """Verdict over Q for the reduced units of a form with no tower variable."""
-    if len(units) == 1:
-        return Verdict.ANISOTROPIC
-    if len(units) == 2:
-        # <a, b> is isotropic iff -ab is a square; for a, b in {+-1, +-2}
-        # that happens exactly when b = -a.
-        a, b = units
-        return Verdict.ISOTROPIC if a == -b else Verdict.ANISOTROPIC
+    """Verdict over Q for the reduced units of a form of rank >= 3 with
+    no tower variable; ``is_anisotropic`` decides ranks 1 and 2 inline."""
     if all(u > 0 for u in units) or all(u < 0 for u in units):
         # Definite forms have no real zero, hence no rational one.
         return Verdict.ANISOTROPIC
@@ -162,23 +167,40 @@ def _rational_base_verdict(units: list) -> Verdict:
 
 
 def is_anisotropic(f: DiagonalForm) -> Verdict:
-    """Springer's residue recursion, decided in one pass over mask groups.
+    """Springer's residue recursion, decided in one scan over mask runs.
 
     Splitting at every tower variable in turn leaves, at the bottom, one
-    rational residue form per monomial mask: the units of the entries
-    with that mask.  The form is anisotropic exactly when all of them
-    are, so one isotropic group makes it isotropic, and an unsupported
-    group leaves it undetermined (UNSUPPORTED) unless an isotropic one
-    settles it.  The empty form has no groups and is anisotropic.
-    Entries are sorted by mask on construction, so the groups are runs.
+    rational residue form per monomial mask: the units of the run of
+    entries with that mask (entries are sorted by mask on construction).
+    The form is anisotropic exactly when all of them are, so one
+    isotropic run makes it isotropic, and an unsupported run leaves it
+    undetermined (UNSUPPORTED) unless an isotropic one settles it.  A
+    run of one entry is anisotropic; a run of two <a, b> is isotropic
+    exactly when -ab is a square, which for a, b in {+-1, +-2} means
+    b = -a; longer runs go to ``_rational_base_verdict``.  The empty
+    form has no runs and is anisotropic.
     """
+    entries = f.entries
+    n = len(entries)
     verdict = Verdict.ANISOTROPIC
-    for _, group in groupby(f.entries, key=itemgetter(1)):
-        group_verdict = _rational_base_verdict([u for u, _ in group])
-        if group_verdict is Verdict.ISOTROPIC:
-            return group_verdict
-        if group_verdict is Verdict.UNSUPPORTED:
-            verdict = group_verdict
+    start = 0
+    while start < n:
+        unit, bits = entries[start]
+        end = start + 1
+        if end == n or entries[end][1] != bits:  # a run of one
+            start = end
+            continue
+        end += 1
+        if end == n or entries[end][1] != bits:  # a run of two
+            if entries[start + 1][0] == -unit:
+                return Verdict.ISOTROPIC
+            start = end
+            continue
+        while end < n and entries[end][1] == bits:
+            end += 1
+        if _rational_base_verdict([u for u, _ in entries[start:end]]) is Verdict.UNSUPPORTED:
+            verdict = Verdict.UNSUPPORTED
+        start = end
     return verdict
 
 

@@ -520,13 +520,18 @@ def gw_normal_form(e: TildeElement) -> TildeElement:
 
 def pfister_element(s: int) -> TildeElement:
     """The 2-torsion product (<1> - <2>) * prod_l (<1> - x_l) on s
-    variables, written out over its 2^s monomials: the coefficient of x^b
-    is (-1)^|b| (<1> - <2>)."""
+    variables, built directly over its 2^s monomials: the coefficient of
+    x^b is (-1)^|b| (<1> - <2>).  Every coefficient is nonzero by
+    construction, so the dict is wrapped as it is, without the zero test
+    of ``_of_masks``."""
     if s < 0:
         raise ValueError(f"variable count must be nonnegative, got {s}")
     even = UNIV_ONE - UNIV_TWO
     odd = -even
-    return TildeElement._of_masks(s, {b: odd if b.bit_count() & 1 else even for b in range(1 << s)})
+    out = object.__new__(TildeElement)
+    out.nvars = s
+    out.coeffs = {b: odd if b.bit_count() & 1 else even for b in range(1 << s)}
+    return out
 
 
 def first_term_name(e: MultiAffine) -> str:

@@ -137,13 +137,16 @@ class TestVerdicts:
         assert is_anisotropic(g) is Verdict.ANISOTROPIC
 
     def test_binary_base_matches_square_class(self):
-        # <a, b> over Q is isotropic exactly when -ab is a square
+        # <a, b> over Q is isotropic exactly when -ab is a square, and so
+        # is <a, b> times any monomial, a run of two at one mask
         units = (1, -1, 2, -2)
         for a in units:
             for b in units:
                 iso = squarefree_split(-a * b)[0] == 1
                 expected = Verdict.ISOTROPIC if iso else Verdict.ANISOTROPIC
-                assert _rational_base_verdict([a, b]) is expected
+                for bits in (0, 0b101):
+                    f = DiagonalForm(3, ((a, bits), (b, bits)))
+                    assert is_anisotropic(f) is expected
 
     def test_pfister_tower_is_anisotropic(self):
         # the paper's claim stops at s = 8; s = 13 is the benchmark's top
@@ -216,7 +219,15 @@ def recursive_verdict(entries: tuple) -> Verdict:
         return Verdict.ANISOTROPIC
     top = max(bits for _, bits in entries)
     if top == 0:
-        return _rational_base_verdict([u for u, _ in entries])
+        units = [u for u, _ in entries]
+        if len(units) == 1:
+            return Verdict.ANISOTROPIC
+        if len(units) == 2:
+            # <a, b> is isotropic over Q iff -ab is a square
+            a, b = units
+            iso = squarefree_split(-a * b)[0] == 1
+            return Verdict.ISOTROPIC if iso else Verdict.ANISOTROPIC
+        return _rational_base_verdict(units)
     unit_part, uniformizer_part = _split(entries, 1 << (top.bit_length() - 1))
     left = recursive_verdict(unit_part)
     right = recursive_verdict(uniformizer_part)
@@ -241,8 +252,53 @@ def diagonal_forms(draw):
     return DiagonalForm(nvars, tuple(draw(st.lists(entry, max_size=12))))
 
 
+class TestSplitReference:
+    @settings(max_examples=200, deadline=None)
+    @given(diagonal_forms())
+    def test_split_at_every_variable(self, f):
+        for var in range(1, f.nvars + 1):
+            bit = 1 << (var - 1)
+            unit, uniformizer = springer_split(f, var)
+            assert all(not b & bit for _, b in unit.entries)
+            assert all(not b & bit for _, b in uniformizer.entries)
+            # the parts partition the entries, the moved ones with u_var
+            # divided out
+            restored = unit.entries + tuple((u, b | bit) for u, b in uniformizer.entries)
+            assert sorted(restored) == sorted(f.entries)
+            # each part is what the validating constructor builds from its
+            # entries, so the derived parts are sorted as every form is
+            assert unit == DiagonalForm(f.nvars, unit.entries)
+            assert uniformizer == DiagonalForm(f.nvars, uniformizer.entries)
+
+
 class TestRecursionReference:
     @settings(max_examples=400, deadline=None)
     @given(diagonal_forms())
     def test_matches_recursion(self, f):
         assert is_anisotropic(f) is recursive_verdict(f.entries)
+
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            # the empty form
+            (DiagonalForm(2, ()), Verdict.ANISOTROPIC),
+            # an isotropic pair as the first run, then anisotropic runs
+            (DiagonalForm(2, ((1, 0), (-1, 0), (1, 0b01), (2, 0b11))), Verdict.ISOTROPIC),
+            # an isotropic pair as the last run, after an unsupported run
+            (
+                DiagonalForm(2, ((1, 0), (1, 0), (-1, 0), (1, 0b10), (2, 0b11), (-2, 0b11))),
+                Verdict.ISOTROPIC,
+            ),
+            # an anisotropic pair as the last run
+            (DiagonalForm(2, ((1, 0), (1, 0b11), (-2, 0b11))), Verdict.ANISOTROPIC),
+            # a single-entry last run after pairs
+            (DiagonalForm(2, ((1, 0), (2, 0), (-1, 0b01), (-2, 0b01), (1, 0b11))), Verdict.ANISOTROPIC),
+            # an unsupported last run of three
+            (DiagonalForm(2, ((1, 0), (2, 0b10), (1, 0b11), (1, 0b11), (-2, 0b11))), Verdict.UNSUPPORTED),
+            # a definite run of three between pairs
+            (DiagonalForm(2, ((1, 0), (2, 0), (1, 0b01), (1, 0b01), (2, 0b01), (-1, 0b10), (-2, 0b10))), Verdict.ANISOTROPIC),
+        ],
+    )
+    def test_boundary_runs(self, f, expected):
+        assert recursive_verdict(f.entries) is expected
+        assert is_anisotropic(f) is expected
