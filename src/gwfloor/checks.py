@@ -523,14 +523,14 @@ def _cfg_name(cfg) -> str:
     return ",".join(map(str, cfg))
 
 
-def rank_specs(max_degree: int, max_pairs: int):
-    """The rank oracle at degrees 1..max_degree and every pair count s,
-    at most max_pairs from degree 4 on."""
-    specs = []
-    for d in range(1, max_degree + 1):
-        top = (3 * d - 1) // 2 if d < 4 else min((3 * d - 1) // 2, max_pairs)
-        specs += [(f"rank-oracle:d={d}:s={s}", _check_rank_oracle, (d, s)) for s in range(top + 1)]
-    return specs
+def rank_specs(max_degree: int):
+    """The rank oracle at degrees 1..max_degree and every pair count s
+    that fits, 2s <= 3d - 1."""
+    return [
+        (f"rank-oracle:d={d}:s={s}", _check_rank_oracle, (d, s))
+        for d in range(1, max_degree + 1)
+        for s in range((3 * d - 1) // 2 + 1)
+    ]
 
 
 def shift_level_specs(d: int, s: int):
@@ -542,7 +542,7 @@ def shift_level_specs(d: int, s: int):
     listed, so that its check meets the fault and fails with it."""
     specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s))]
     try:
-        shifts = [pair for *pair, _rhs in transfer_targets(d, s)[0]]
+        shifts = [(t.target_from, t.target_to) for t in transfer_targets(d, s)[0][0]]
     except Exception:
         shifts = unit_shift_pairs(3 * d - 1, s)
     for cfg_from, cfg_to in shifts:
@@ -560,7 +560,9 @@ def pfister_specs(levels: int):
 
 
 def _count_specs():
-    specs = rank_specs(4, 2)
+    # (d, s) up to (4, 2) in tuple order: every level below degree 4, and
+    # degree 4 only up to s = 2; scripts/rank_sweep.py runs the rest
+    specs = [spec for spec in rank_specs(4) if spec[2] <= (4, 2)]
     specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
     for s in range(0, 5):
         specs.append((f"signature-invariance:d=3:s={s}", _check_signature_invariance, (3, s)))

@@ -18,7 +18,7 @@ import sys
 from .checks import SUITE_NAMES, run_suite
 from .diagrams import MAX_DEGREE, enumerate_merged_diagrams, floor_count
 from .fields import field_model, specialize_field
-from .springer import MAX_TOWER_VARS, form_report, pfister_concrete
+from .springer import MAX_TOWER_VARS, is_anisotropic, pfister_concrete
 from .univ import pfister_element
 from .wallcross import SCHEMA_VERSION, wallcross_report
 
@@ -184,17 +184,18 @@ def _cmd_pfister(args):
     if s > MAX_TOWER_VARS:
         raise UsageError(f"--vars must be at most {MAX_TOWER_VARS}, got {s}")
     element = pfister_element(s)
-    concrete = form_report(pfister_concrete(s))
+    form = pfister_concrete(s)
+    verdict = is_anisotropic(form).value
     doc = {
         "schema": SCHEMA_VERSION,
         "s": s,
         "element": element.to_json(),
-        "form": concrete["form"],
-        "verdict": concrete["verdict"],
+        "form": form.to_json(),
+        "verdict": verdict,
     }
     lines = [
         f"{s}-variable Pfister element: {element!r}",
-        f"  concrete diagonal form of rank {2 ** (s + 1)}: verdict {concrete['verdict']}",
+        f"  concrete diagonal form of rank {2 ** (s + 1)}: verdict {verdict}",
     ]
     return doc, lines, 0
 

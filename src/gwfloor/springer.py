@@ -28,6 +28,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .intmath import squarefree_split
+from .univ import mask_labels
 
 
 # The largest tower the ``pfister`` command and scripts/pfister_tower.py
@@ -101,10 +102,7 @@ class DiagonalForm(namedtuple("DiagonalForm", "nvars entries")):
         return _derived(nvars, self.entries)
 
     def to_json(self) -> list:
-        return [
-            [unit, [l for l in range(1, self.nvars + 1) if bits >> (l - 1) & 1]]
-            for unit, bits in self.entries
-        ]
+        return [[unit, list(mask_labels(bits))] for unit, bits in self.entries]
 
 
 def _derived(nvars: int, entries: tuple) -> DiagonalForm:
@@ -202,8 +200,3 @@ def is_anisotropic(f: DiagonalForm) -> Verdict:
             verdict = Verdict.UNSUPPORTED
         start = end
     return verdict
-
-
-def form_report(f: DiagonalForm) -> dict:
-    """CLI-facing document: the form together with its verdict."""
-    return {"form": f.to_json(), "verdict": is_anisotropic(f).value}

@@ -365,12 +365,15 @@ def unit_shift_pairs(n: int, s: int) -> list[tuple[tuple[int, ...], tuple[int, .
 
 @functools.cache
 def transfer_targets(d: int, s: int):
-    """Each supported unit-shift pair with s pairs at degree d, in
-    ``unit_shift_pairs`` order, with the <2>-parity of its delta's top
-    coefficient: the right side of the transfer congruence for every
-    source with s + 1 pairs.  The pairs whose counts raise
-    ``UnsupportedShapeError`` are set aside and returned as the second
-    item.
+    """The transfer checks of level (d, s) and its unsupported pairs.
+
+    Each supported unit-shift pair with s pairs at degree d, in
+    ``unit_shift_pairs`` order, is the target of one ``TransferCheck``
+    whose rhs is the <2>-parity of its delta's top coefficient: the
+    right side of the transfer congruence for every source with s + 1
+    pairs.  The first item holds those checks for a source whose
+    <1>-parity is 0, then for parity 1; the second, the pairs whose
+    counts raise ``UnsupportedShapeError``.
 
     Cached per level (d, s)."""
     targets = []
@@ -384,19 +387,11 @@ def transfer_targets(d: int, s: int):
             unsupported.append(pair)
             continue
         targets.append((*pair, (n2_from - n2_to) % 2))
-    return tuple(targets), tuple(unsupported)
-
-
-@functools.cache
-def _transfer_checks(d: int, s: int, lhs: int) -> tuple[TransferCheck, ...]:
-    """The ``TransferCheck`` of every target of ``transfer_targets(d, s)``
-    against a source whose <1>-parity is ``lhs``.
-
-    Cached per (d, s, lhs)."""
-    return tuple(
-        TransferCheck(target_from, target_to, lhs, rhs)
-        for target_from, target_to, rhs in transfer_targets(d, s)[0]
+    by_parity = tuple(
+        tuple(TransferCheck(cfg_from, cfg_to, lhs, rhs) for cfg_from, cfg_to, rhs in targets)
+        for lhs in (0, 1)
     )
+    return by_parity, tuple(unsupported)
 
 
 def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
@@ -431,8 +426,8 @@ def residual_report(d: int, cfg_from, cfg_to) -> ResidualReport:
 
     transfers = unsupported = ()
     if s >= 2:
-        transfers = _transfer_checks(d, s - 1, top.a)
-        unsupported = transfer_targets(d, s - 1)[1]
+        by_parity, unsupported = transfer_targets(d, s - 1)
+        transfers = by_parity[top.a]
 
     return ResidualReport(
         d=d,

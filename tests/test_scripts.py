@@ -72,10 +72,10 @@ class TestRankSweep:
         assert capsys.readouterr().out.splitlines()[-1] == "10 checks, 0 failed"
 
     def test_degree_four_names_unsupported_configurations(self, capsys):
-        """The sweep CI runs at d = 4, s = 4..5: its stdout is pinned byte
+        """The sweep CI runs at d = 4, s = 0..5: its stdout is pinned byte
         for byte, naming the three unsupported configurations."""
         main = load_script("rank_sweep").main
-        assert main(["--max-degree", "4", "--max-pairs", "5"]) == 0
+        assert main(["--max-degree", "4"]) == 0
         out = capsys.readouterr().out
         for cfg in ["(1, 3, 5, 7)", "(1, 3, 5, 7, 9)", "(1, 3, 5, 7, 10)"]:
             assert f" {cfg}" in out
@@ -89,7 +89,6 @@ class TestRankSweep:
                 ["--max-degree", str(TOP + 1)],
                 f"--max-degree must be in 1..{TOP}, got {TOP + 1}",
             ),
-            (["--max-pairs", "-1"], "--max-pairs must be nonnegative, got -1"),
         ],
     )
     def test_bad_range_is_a_usage_error(self, capsys, argv, message):
@@ -97,6 +96,12 @@ class TestRankSweep:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_max_pairs_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            load_script("rank_sweep").main(["--max-pairs", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-pairs 5" in capsys.readouterr().err
 
 
 class TestWallcrossSweep:

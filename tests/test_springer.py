@@ -10,7 +10,6 @@ from gwfloor.springer import (
     Verdict,
     _rational_base_verdict,
     _split,
-    form_report,
     is_anisotropic,
     negate,
     pfister_concrete,
@@ -199,11 +198,9 @@ class TestVerdicts:
 
 class TestFormReport:
     def test_shape(self):
-        doc = form_report(pfister_concrete(1))
-        assert doc == {
-            "form": [[-2, []], [1, []], [-1, [1]], [2, [1]]],
-            "verdict": "aniso",
-        }
+        form = pfister_concrete(1)
+        assert form.to_json() == [[-2, []], [1, []], [-1, [1]], [2, [1]]]
+        assert is_anisotropic(form).value == "aniso"
 
 
 def recursive_verdict(entries: tuple) -> Verdict:

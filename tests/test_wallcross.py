@@ -27,7 +27,6 @@ from gwfloor.wallcross import (
     extract_universal_coefficient,
     proof_cascade_order,
     residual_report,
-    transfer_targets,
     unit_shift_pairs,
     wallcross_report,
 )
@@ -287,7 +286,12 @@ class TestCachedReportObjects:
 
     @pytest.mark.parametrize("s", [2, 3])
     def test_match_fresh_construction(self, s):
-        targets = transfer_targets(4, s - 1)[0]
+        # every target at d = 4, s <= 2 is supported; each rhs is read
+        # from the target's own delta
+        targets = [
+            (*target, top_coefficient(delta_count(4, *target)).c2 % 2)
+            for target in unit_shift_pairs(11, s - 1)
+        ]
         for pair in unit_shift_pairs(11, s):
             report, residual = wallcross_report(4, *pair), residual_report(4, *pair)
             assert residual.transfers == tuple(
@@ -356,6 +360,13 @@ class TestWallcrossLevelCheck:
         # d = 3 has one configuration with s = 4 pairs and no free point
         result = checks._run_check(("level", checks._check_wallcross_level, (3, 4)))
         assert (result.passed, result.detail) == (False, "no unit shifts")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rank_specs_list_every_pair_count(self, d):
+        """The rank oracle runs at every level (d', s) with d' <= d and
+        2s <= 3d' - 1, in degree order, with no cap on s."""
+        levels = [args for _, _, args in checks.rank_specs(d)]
+        assert levels == [(e, s) for e in range(1, d + 1) for s in range((3 * e - 1) // 2 + 1)]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_shift_levels_are_the_levels_with_a_unit_shift(self, d):
