@@ -8,7 +8,7 @@ then the residual check of each shift, printing one line per check.  A
 failing level names its first failing shift and that shift's failing
 checks; an unsupported shift is named on its level's line and never
 counted as a pass.  A degree outside 2 up to the largest supported
-degree exits 2; a failing check, 1.
+degree, or one listed twice, exits 2; a failing check, 1.
 """
 
 import argparse
@@ -30,6 +30,14 @@ def main(argv=None) -> int:
     if not degrees or not all(2 <= d <= MAX_DEGREE for d in degrees):
         print(
             f"error: --degrees must list degrees in 2..{MAX_DEGREE}, got {args.degrees!r}",
+            file=sys.stderr,
+        )
+        return 2
+    repeated = sorted({d for d in degrees if degrees.count(d) > 1})
+    if repeated:
+        print(
+            f"error: --degrees must list degrees in 2..{MAX_DEGREE} once each, "
+            f"got {', '.join(map(str, repeated))} more than once in {args.degrees!r}",
             file=sys.stderr,
         )
         return 2

@@ -20,6 +20,10 @@ Each suite bundles related checks into individually named verdicts:
 - ``springer``: anisotropy certificates over the Laurent tower.
 - ``all``: everything above, in that order.
 
+Each suite is built at a degree budget: its builder lists only the
+checks of degrees up to it, so no higher degree is counted, not even to
+name a check.  A check's id is output only; nothing parses it back.
+
 Checks never abort a sweep: a crash inside one check is reported as a
 failing verdict, and an unsupported configuration is never a pass (see
 ``_supported``).  Results carry wall-clock times for interactive use
@@ -31,7 +35,6 @@ the same public level builders and run by ``run_checks``.
 from __future__ import annotations
 
 import itertools
-import re
 from collections import namedtuple
 from time import perf_counter
 
@@ -515,8 +518,8 @@ def shift_levels(d: int) -> range:
     return range(1, (3 * d - 2) // 2 + 1)
 
 
-def _gated_levels():
-    return [(d, s) for d in SHIFT_DEGREES for s in shift_levels(d)]
+def _gated_levels(budget: int):
+    return [(d, s) for d in SHIFT_DEGREES if d <= budget for s in shift_levels(d)]
 
 
 def _cfg_name(cfg) -> str:
@@ -559,13 +562,14 @@ def pfister_specs(levels: int):
     return [(f"springer:pfister-aniso:s={s}", _check_pfister_aniso, (s,)) for s in range(levels + 1)]
 
 
-def _count_specs():
+def _count_specs(budget: int):
     # (d, s) up to (4, 2) in tuple order: every level below degree 4, and
     # degree 4 only up to s = 2; scripts/rank_sweep.py runs the rest
-    specs = [spec for spec in rank_specs(4) if spec[2] <= (4, 2)]
-    specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
-    for s in range(0, 5):
-        specs.append((f"signature-invariance:d=3:s={s}", _check_signature_invariance, (3, s)))
+    specs = [spec for spec in rank_specs(min(budget, 4)) if spec[2] <= (4, 2)]
+    if budget >= 3:
+        specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
+        for s in range(0, 5):
+            specs.append((f"signature-invariance:d=3:s={s}", _check_signature_invariance, (3, s)))
     specs.extend(
         [
             ("anchor:type-a-m3", _check_anchor_type_a_m3, ()),
@@ -578,9 +582,9 @@ def _count_specs():
     return specs
 
 
-def _dissolution_specs():
+def _dissolution_specs(budget: int):
     specs = []
-    for d in range(1, 4):
+    for d in range(1, min(budget, 3) + 1):
         n = 3 * d - 1
         for s in range(1, n // 2 + 1):
             for cfg in enumerate_merge_configs(n, s):
@@ -591,22 +595,22 @@ def _dissolution_specs():
     return specs
 
 
-def _wallcross_specs():
+def _wallcross_specs(budget: int):
     # the level checks alone, built without counting
-    specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s)) for d, s in _gated_levels()]
+    specs = [(f"wallcross:d={d}:s={s}", _check_wallcross_level, (d, s)) for d, s in _gated_levels(budget)]
     for n in range(2, MAX_GRAPH_POINTS + 1):
         for s in range(0, n // 2 + 1):
             specs.append((f"merge-graph:n={n}:s={s}", _check_graph_connected, (n, s)))
     return specs
 
 
-def _residual_specs():
+def _residual_specs(budget: int):
     specs = []
     for m in range(1, MAX_RESIDUAL_WEIGHT + 1):
         specs.append((f"residual-factors:m={m}", _check_residual_factors, (m,)))
     specs.append(("residual-twin-trees", _check_residual_twin_trees, ()))
     # the base checks of every gated level, then the transfers above them
-    for d, s in sorted(_gated_levels(), key=lambda level: level[1] > 1):
+    for d, s in sorted(_gated_levels(budget), key=lambda level: level[1] > 1):
         specs.extend(shift_level_specs(d, s)[1:])
     return specs
 
@@ -618,24 +622,19 @@ def _springer_specs():
     return specs
 
 
-def _all_specs():
-    return (
-        _identity_specs()
-        + _count_specs()
-        + _dissolution_specs()
-        + _wallcross_specs()
-        + _residual_specs()
-        + _springer_specs()
-    )
+def _all_specs(budget: int):
+    # every suite before it, in order
+    return [spec for name in SUITE_NAMES[:-1] for spec in _SUITE_BUILDERS[name](budget)]
 
 
+# Each builder lists the checks of degrees up to the budget, in order.
 _SUITE_BUILDERS = {
-    "identities": _identity_specs,
+    "identities": lambda budget: _identity_specs(),
     "counts": _count_specs,
     "dissolution": _dissolution_specs,
     "wallcross": _wallcross_specs,
     "residual": _residual_specs,
-    "springer": _springer_specs,
+    "springer": lambda budget: _springer_specs(),
     "all": _all_specs,
 }
 SUITE_NAMES = tuple(_SUITE_BUILDERS)
@@ -662,20 +661,13 @@ def run_checks(specs) -> list[CheckResult]:
     return results
 
 
-def _id_degree(check_id: str) -> int:
-    """The degree a check id names in a ``d=`` part, 0 if it names none."""
-    found = re.search(r":d=(\d+)", check_id)
-    return int(found.group(1)) if found else 0
-
-
 def run_suite(name: str, budget: int = MAX_DEGREE) -> SuiteResult:
-    """Run one verification suite; results keep their listed order.
+    """Run one verification suite at the degrees up to the budget.
 
-    A check whose id names a degree ``d=`` above the budget is left out,
-    and every other check stays in its place."""
+    The suite is built at the budget: a check of a higher degree is
+    never built, and every other check keeps its place."""
     if name not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if budget < 1:
         raise ValueError(f"budget must be a positive degree bound, got {budget}")
-    specs = [spec for spec in _SUITE_BUILDERS[name]() if _id_degree(spec[0]) <= budget]
-    return SuiteResult(name, tuple(_run_check(spec) for spec in specs))
+    return SuiteResult(name, tuple(_run_check(spec) for spec in _SUITE_BUILDERS[name](budget)))

@@ -34,7 +34,7 @@ class UsageError(Exception):
 
 def _parse_positions(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(map(int, text.split(","))) if text else ()
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 

@@ -71,9 +71,10 @@ class DiagonalForm(namedtuple("DiagonalForm", "nvars entries")):
             raise ValueError(f"variable count must be nonnegative, got {nvars}")
         clean = []
         for unit, bits in entries:
+            if type(unit) is not int or type(bits) is not int:
+                raise ValueError(f"entry ({unit!r}, {bits!r}) must hold two integers")
             if unit == 0:
                 raise ValueError("diagonal entries must be nonzero")
-            bits = int(bits)
             if bits < 0 or bits >= 1 << nvars:
                 raise ValueError(
                     f"monomial mask {bits:#x} exceeds {nvars} variables"

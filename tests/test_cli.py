@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
+import functools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 import gwfloor
 from gwfloor import cli, fields
-from gwfloor.checks import run_suite
+from gwfloor.checks import SUITE_NAMES, run_suite
 from gwfloor.cli import main
 from gwfloor.diagrams import MAX_DEGREE
 from gwfloor.springer import MAX_TOWER_VARS
@@ -23,6 +24,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@functools.cache
+def _suite_ids(name, budget):
+    return [c.check_id for c in run_suite(name, budget).checks]
+
+
+# Runs one suite at one budget and prints, as a JSON list, the degree of
+# every entry into ``diagrams``' degree check: each count and each
+# enumeration passes it first.
+_DEGREE_PROBE = """
+import json, sys
+from gwfloor import diagrams
+from gwfloor.checks import run_suite
+
+entered = []
+check_degree = diagrams._check_degree
+
+def recording(d):
+    entered.append(d)
+    check_degree(d)
+
+diagrams._check_degree = recording
+run_suite(sys.argv[1], int(sys.argv[2]))
+print(json.dumps(entered))
+"""
 
 
 def run_json(capsys, *argv):
@@ -65,6 +92,18 @@ class TestCount:
         assert code == 2
         assert "positions must lie in 1..7" in err
         assert "ascending" not in err
+
+    @pytest.mark.parametrize("merge", ["5,,7", "5,7,", ",5"])
+    def test_empty_position_is_a_usage_error(self, capsys, merge):
+        code, out, err = run_cli(capsys, "count", "--degree", "3", "--merge", merge)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: expected comma-separated integers, got {merge!r}\n"
+
+    def test_empty_merge_is_no_pairs(self, capsys):
+        assert run_json(capsys, "count", "--degree", "3", "--merge", "") == run_json(
+            capsys, "count", "--degree", "3"
+        )
 
     def test_adjacent_positions_name_the_gap(self, capsys):
         code, out, err = run_cli(capsys, "count", "--degree", "3", "--merge", "3,4")
@@ -285,15 +324,37 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
-    @pytest.mark.parametrize("budget", [1, 2, 3])
-    def test_budget_keeps_the_checks_of_its_degrees(self, budget, suite_all):
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_budget_keeps_the_checks_of_its_degrees(self, budget):
+        """Each suite at the budget lists its budget-4 checks, less those
+        whose id names a higher degree, in the same order."""
         def degree(check_id):
             found = re.search(r"\bd=(\d+)", check_id)
             return int(found.group(1)) if found else 0
 
-        full = [c.check_id for c in suite_all.checks]
-        kept = [c.check_id for c in run_suite("all", budget).checks]
-        assert kept == [i for i in full if degree(i) <= budget]
+        for name in SUITE_NAMES:
+            full = _suite_ids(name, 4)
+            assert _suite_ids(name, budget) == [i for i in full if degree(i) <= budget], name
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_budget_counts_no_higher_degree(self, name, budget):
+        """Each degree that the run enters ``diagrams`` at, on the way
+        into a count or an enumeration, is at most the budget.  A fresh
+        interpreter starts with empty caches, so none hides a call."""
+        src = Path(gwfloor.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEGREE_PROBE, name, str(budget)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        entered = set(json.loads(proc.stdout))
+        assert entered <= set(range(1, budget + 1))
+        if name == "all":  # the probe sees the counts it lets through
+            assert budget in entered
 
     def test_table_flag(self, capsys):
         code, out, err = run_cli(

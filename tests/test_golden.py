@@ -44,14 +44,16 @@ COMMANDS = {
 }
 
 
+def _golden_name(name: str) -> str:
+    return f"{name}.txt" if "--table" in COMMANDS[name] else f"{name}.json"
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, capsys):
-    argv = COMMANDS[name]
-    code = main(argv)
+    code = main(COMMANDS[name])
     out = capsys.readouterr().out
     assert code == 0
-    suffix = ".txt" if "--table" in argv else ".json"
-    assert out.encode() == (GOLDEN / f"{name}{suffix}").read_bytes()
+    assert out.encode() == (GOLDEN / _golden_name(name)).read_bytes()
 
 
 def _all_counts() -> tuple[list, list]:
@@ -145,3 +147,13 @@ def test_every_unit_shift_report_at_degree_four_matches_golden():
     assert shifts == golden["shifts"]
     assert unsupported == golden["unsupported"]
     assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.iterdir()), ids=lambda p: p.name)
+def test_every_golden_is_named_by_a_test(path):
+    """A golden that no test names is read by nothing: it is the output
+    of one of ``COMMANDS``, or some test module names its file."""
+    if path.name in map(_golden_name, COMMANDS):
+        return
+    modules = Path(__file__).parent.glob("test_*.py")
+    assert any(path.name in module.read_text() for module in modules)

@@ -79,7 +79,7 @@ class TestRankSweep:
         out = capsys.readouterr().out
         for cfg in ["(1, 3, 5, 7)", "(1, 3, 5, 7, 9)", "(1, 3, 5, 7, 10)"]:
             assert f" {cfg}" in out
-        assert out.encode() == (GOLDEN / "rank_sweep_d4_p5.txt").read_bytes()
+        assert out.encode() == (GOLDEN / "rank_sweep_d4.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -130,12 +130,27 @@ class TestWallcrossSweep:
         assert "residual-transfer:d=4:1,3,5,7>" not in out
         assert out.encode() == (GOLDEN / "wallcross_sweep_d4.txt").read_bytes()
 
-    @pytest.mark.parametrize("degrees", [str(TOP + 1), "x", "1", f"2,{TOP + 1}", ""])
-    def test_bad_degrees_are_a_usage_error(self, capsys, degrees):
+    @pytest.mark.parametrize(
+        "degrees, named",
+        [
+            pytest.param(degrees, named, id=degrees)
+            for degrees, named in [
+                (str(TOP + 1), f"got '{TOP + 1}'"),
+                ("x", "got 'x'"),
+                ("1", "got '1'"),
+                (f"2,{TOP + 1}", f"got '2,{TOP + 1}'"),
+                ("", "got ''"),
+                ("2,2", "once each, got 2 more than once in '2,2'"),
+                ("3,2,4,3", "once each, got 3 more than once in '3,2,4,3'"),
+            ]
+        ],
+    )
+    def test_bad_degrees_are_a_usage_error(self, capsys, degrees, named):
         assert load_script("wallcross_sweep").main(["--degrees", degrees]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: --degrees must list degrees in 2..{TOP}")
+        assert err.endswith(f"{named}\n")
 
     def test_verbose_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

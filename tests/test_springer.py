@@ -1,5 +1,7 @@
 """Anisotropy certificates for diagonal forms over Laurent towers."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,13 @@ class TestDiagonalForm:
             DiagonalForm(1, ((1, 2),))  # mask uses variable 2
         with pytest.raises(ValueError):
             DiagonalForm(-1, ())
+
+    @pytest.mark.parametrize("entry", [(1.0, 1.5), (1, 1.0), (1.0, 0), (True, 0), (1, "1")])
+    def test_entry_that_is_not_two_integers_is_rejected(self, entry):
+        """A float mask is not truncated, nor a float unit kept: the error
+        names the entry."""
+        with pytest.raises(ValueError, match=f"entry {re.escape(repr(entry))} must hold two integers"):
+            DiagonalForm(1, (entry, (2, 0)))
 
     def test_sorted_equality(self):
         a = DiagonalForm(1, ((1, 0), (-2, 1)))
