@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     ap.add_argument("--degrees", default=default, help=f"comma-separated degrees (default {default})")
     args = ap.parse_args(argv)
     try:
-        degrees = [int(t) for t in args.degrees.split(",") if t]
+        degrees = [int(t) for t in args.degrees.split(",")]
     except ValueError:
         degrees = []
     if not degrees or not all(2 <= d <= MAX_DEGREE for d in degrees):

@@ -140,6 +140,7 @@ class TestWallcrossSweep:
                 ("1", "got '1'"),
                 (f"2,{TOP + 1}", f"got '2,{TOP + 1}'"),
                 ("", "got ''"),
+                ("2,,3", "got '2,,3'"),
                 ("2,2", "once each, got 2 more than once in '2,2'"),
                 ("3,2,4,3", "once each, got 3 more than once in '3,2,4,3'"),
             ]
