@@ -491,7 +491,6 @@ def _weights(diagram: FloorDiagram) -> tuple[int, ...]:
     return tuple(sorted(w for _lo, _hi, w in diagram.elevators))
 
 
-@cache
 def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tuple[tuple, ...]:
     """Keys of a merged diagram's local factors (see ``local_factors``) in
     a canonical order, so that equal multisets give equal tuples: one
@@ -502,9 +501,7 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
     label pairs of ``_joins``.  A type-A pair on
     an elevator consumes that elevator; a joined pair consumes its two
     weight-1 elevators.  Down ends contribute <1> and are left out.
-
-    Cached per (weights, classes, joins) triple, a set that grows with
-    the configurations counted."""
+    ``_factor_id`` builds each tuple once and gives it its id."""
     joined = dict(joins)
     left = list(weights)
     out: list[tuple] = []
@@ -525,6 +522,37 @@ def _factor_keys(weights: tuple[int, ...], classes: tuple, joins: tuple) -> tupl
         elif j not in joined.values():
             out.append(("R", j))
     return (*out, *[("square", w) for w in sorted(left)])
+
+
+# The factor-key tuple of each factor id, in the order ``_intern`` hands
+# the ids out.  Nothing removes an entry, so an id names one tuple for the
+# life of the process, and a memo keyed by ids stays right when the caches
+# are cleared.
+_FACTOR_KEYS: list[tuple] = []
+
+
+@cache
+def _intern(key: tuple) -> int:
+    """The next free factor id, for a factor-key tuple of ``_factor_keys``:
+    ``_FACTOR_KEYS[id]`` is the tuple again.
+
+    Cached per distinct factor-key tuple, so equal tuples share one id: the
+    table grows with the distinct tuples the counts meet, not with the
+    configurations (268 over the 103 configurations at d = 4 with s <= 3,
+    618 over every supported configuration at d <= 4)."""
+    _FACTOR_KEYS.append(key)
+    return len(_FACTOR_KEYS) - 1
+
+
+@cache
+def _factor_id(weights: tuple[int, ...], classes: tuple, joins: tuple) -> int:
+    """The factor id of ``_factor_keys(weights, classes, joins)``, so that a
+    count hashes ints, not factor-key tuples.
+
+    Cached per (weights, classes, joins) triple: a leaf's pair classes
+    with an elevator-weight tuple and joins that its rows hold, over the
+    configurations counted (356 triples at d = 4 with s <= 3)."""
+    return _intern(_factor_keys(weights, classes, joins))
 
 
 @cache
@@ -683,13 +711,16 @@ class MergedDiagram(namedtuple("MergedDiagram", "diagram marking cfg classes joi
 
     def factors(self) -> tuple[tuple, ...]:
         """The local factor keys in the canonical order of ``_factor_keys``."""
-        return _factor_keys(_weights(self.diagram), self.classes, self.joins)
+        return _FACTOR_KEYS[self._fid()]
+
+    def _fid(self) -> int:
+        return _factor_id(_weights(self.diagram), self.classes, self.joins)
 
     def multiplicity(self) -> TildeElement:
-        return _multiset_product(TildeElement, factor_value, self.s, self.factors())
+        return _multiset_product(TildeElement, factor_value, self.s, self._fid())
 
     def residual_multiplicity(self) -> ResidualTilde:
-        return _multiset_product(ResidualTilde, residual_factor, self.s, self.factors())
+        return _multiset_product(ResidualTilde, residual_factor, self.s, self._fid())
 
     def to_json(self) -> dict:
         partner = {}
@@ -756,39 +787,50 @@ def enumerate_merged_diagrams(d: int, cfg: Sequence[int] = ()) -> tuple[MergedDi
 
 
 @cache
-def _multiset_product(ring, value, nvars: int, multiset: tuple):
-    """Product of ``value(key, nvars)`` over a canonical factor-key tuple,
-    in ``ring`` (``TildeElement`` or ``ResidualTilde``), multiplied left to
+def _key_product(ring, value, nvars: int, multiset: tuple):
+    """Product of ``value(key, nvars)`` over a factor-key tuple, in
+    ``ring`` (``TildeElement`` or ``ResidualTilde``), multiplied left to
     right from the ring's <1> (the degree-1 diagram has no factor).
 
     Cached per (ring, value, nvars, multiset), across configurations, and
     so is every prefix: the product is the cached product of
-    ``multiset[:-1]`` times the last factor.  At
-    degree 4 with s <= 3 the 18,859 orbits carry only 268 distinct
-    (s, multiset) pairs per ring, with 447 distinct prefixes (the empty
-    one included); ``_sum_by_multiset`` reads each product, weighted by
-    its orbit count, and never mutates it.
-    """
+    ``multiset[:-1]`` times the last factor.  At degree 4 with s <= 3
+    the 18,859 orbits carry only 268 distinct (s, multiset) pairs per
+    ring, with 447 distinct prefixes (the empty one included)."""
     if not multiset:
         return ring.constant(1, nvars)
-    return _multiset_product(ring, value, nvars, multiset[:-1]) * value(multiset[-1], nvars)
+    return _key_product(ring, value, nvars, multiset[:-1]) * value(multiset[-1], nvars)
 
 
 @cache
-def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[tuple, int]:
+def _multiset_product(ring, value, nvars: int, fid: int):
+    """The ``_key_product`` of the factor-key tuple whose id is ``fid``:
+    ``_sum_by_multiset`` finds each product by int, reads it, weighted by
+    its orbit count, and never mutates it.
+
+    Cached per (ring, value, nvars, factor id), across configurations, so
+    each factor-key tuple is hashed once per (ring, value, nvars), never
+    per configuration."""
+    return _key_product(ring, value, nvars, _FACTOR_KEYS[fid])
+
+
+@cache
+def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[int, int]:
     """How many merged diagrams (orbits) of a valid configuration carry
-    each factor-key tuple, counted by stabiliser weights (see the module
-    docstring); no ``MergedDiagram`` is built.
+    each factor multiset, as ``{factor id: orbit count}``, counted by
+    stabiliser weights (see the module docstring); no ``MergedDiagram``
+    is built, and no factor-key tuple is hashed, since ``_factor_id``
+    gives each (weights, classes, joins) its id.
 
     Each leaf of ``_leaves`` (one tuple of pair classes) is counted by
     one loop.  When the leaf holds a row with an element of
     ``_stabiliser_table`` inside the configuration, each such row is
     read on its own: its joins come from those elements, and it adds
-    1 + their number (the identity and them) to its factor tuple.  Every
+    1 + their number (the identity and them) to its factor id.  Every
     other row has a trivial stabiliser, and the rows of one
-    elevator-weight tuple add their number to one factor tuple.  A leaf
+    elevator-weight tuple add their number to one factor id.  A leaf
     with r type-R pairs then holds weight / 2^r merged diagrams of each
-    factor tuple, and a weight that 2^r does not divide raises.
+    factor id, and a weight that 2^r does not divide raises.
 
     Cached per validated configuration, so it grows with the number of
     configurations counted; both rings read it.
@@ -801,9 +843,9 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[tuple, int]:
     for mask, rows in by_mask:
         if not mask & ~cfg_mask:
             stabilised |= rows
-    counts: dict[tuple, int] = {}
+    counts: dict[int, int] = {}
     for chosen, rpairs, rows in _leaves(d, cfg):
-        weight: dict[tuple, int] = {}
+        weight: dict[int, int] = {}
         trivial = rows
         if held := rows & stabilised:
             trivial = rows ^ held
@@ -811,21 +853,21 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[tuple, int]:
                 diagram, marking = marked[index]
                 stabiliser = tuple(pos for mask, pos in elements[index] if not mask & ~cfg_mask)
                 joins = _joins(d, marking, cfg, chosen, stabiliser)
-                key = _factor_keys(_weights(diagram), chosen, joins)
-                weight[key] = weight.get(key, 0) + 1 + len(stabiliser)
+                fid = _factor_id(_weights(diagram), chosen, joins)
+                weight[fid] = weight.get(fid, 0) + 1 + len(stabiliser)
         for w, mask in weights:
             if n := (trivial & mask).bit_count():
-                key = _factor_keys(w, chosen, ())
-                weight[key] = weight.get(key, 0) + n
+                fid = _factor_id(w, chosen, ())
+                weight[fid] = weight.get(fid, 0) + n
         size = 1 << len(rpairs)
-        for key, total in weight.items():
+        for fid, total in weight.items():
             if total % size:
                 raise RuntimeError(
                     f"configuration {cfg}: marked diagrams with pair classes "
-                    f"{chosen} weigh {total} toward factor key {key}, not a "
-                    f"whole number of orbits of size {size}"
+                    f"{chosen} weigh {total} toward factor key {_FACTOR_KEYS[fid]}, "
+                    f"not a whole number of orbits of size {size}"
                 )
-            counts[key] = counts.get(key, 0) + total // size
+            counts[fid] = counts.get(fid, 0) + total // size
     return counts
 
 
@@ -833,8 +875,9 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[tuple, int]:
 def _sum_by_multiset(d: int, cfg: tuple[int, ...], ring, value):
     """The sum in ``ring`` of the multiplicity of every merged diagram of
     the configuration, its factors read by ``value``: each distinct factor
-    multiset is multiplied out once, and ``ring.linear_combination`` adds
-    the products, each times its orbit count, in integer coordinates.
+    multiset is multiplied out once (``_multiset_product``, found by its
+    factor id), and ``ring.linear_combination`` adds the products, each
+    times its orbit count, in integer coordinates.
 
     Cached per validated configuration and ring, so it grows with the
     number of configurations counted.  It is one of the two memos keyed
@@ -843,7 +886,7 @@ def _sum_by_multiset(d: int, cfg: tuple[int, ...], ring, value):
     rings read, so a configuration's second ring does not walk again."""
     s = len(cfg)
     return ring.linear_combination(
-        s, ((_multiset_product(ring, value, s, m), n) for m, n in _factor_multisets(d, cfg).items())
+        s, ((_multiset_product(ring, value, s, fid), n) for fid, n in _factor_multisets(d, cfg).items())
     )
 
 

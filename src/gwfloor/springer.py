@@ -28,7 +28,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .intmath import squarefree_split
-from .univ import mask_labels
+from .univ import check_variable_count, mask_labels
 
 
 # The largest tower the ``pfister`` command and scripts/pfister_tower.py
@@ -67,8 +67,7 @@ class DiagonalForm(namedtuple("DiagonalForm", "nvars entries")):
     __slots__ = ()
 
     def __new__(cls, nvars: int, entries) -> "DiagonalForm":
-        if nvars < 0:
-            raise ValueError(f"variable count must be nonnegative, got {nvars}")
+        check_variable_count(nvars)
         clean = []
         for unit, bits in entries:
             if type(unit) is not int or type(bits) is not int:
@@ -93,8 +92,7 @@ class DiagonalForm(namedtuple("DiagonalForm", "nvars entries")):
 
     def restrict_variables(self, nvars: int) -> "DiagonalForm":
         """Reinterpret the form over a smaller tower; all entries must fit."""
-        if nvars < 0:
-            raise ValueError(f"variable count must be nonnegative, got {nvars}")
+        check_variable_count(nvars)
         # entries are sorted by mask, so the last one has the largest
         if self.entries and self.entries[-1][1] >> nvars:
             raise ValueError(
@@ -122,8 +120,7 @@ def negate(f: DiagonalForm) -> DiagonalForm:
 def pfister_concrete(s: int) -> DiagonalForm:
     """Diagonal expansion of <1,-2> tensored with <1,-u_l> for l = 1..s:
     under each mask b the entries <1,-2> times (-1)^|b|, in sorted order."""
-    if s < 0:
-        raise ValueError(f"variable count must be nonnegative, got {s}")
+    check_variable_count(s)
     units = ((-2, 1), (-1, 2))  # <1,-2> and <-1,2>, each sorted
     return _derived(s, tuple((u, b) for b in range(1 << s) for u in units[b.bit_count() & 1]))
 

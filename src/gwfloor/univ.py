@@ -32,9 +32,13 @@ subclasses ``TildeElement`` (universal coefficients) and
 
 Variable labels are validated only where they enter from outside: the
 constructor taking ``{frozenset(labels): coeff}``, ``variable``,
-``coefficient`` and ``specialize_one``.  Products, sums
-(all through ``linear_combination``), the cascade and the residual
-reduction work on masks.
+``coefficient`` and ``specialize_one``; a variable count must be an
+``int`` (``check_variable_count``).  Products, the cascade and the
+residual reduction work on masks.  Every sum, difference, negation and
+count goes through ``linear_combination``, which adds integer
+coordinates key by key with the ring's own unrolled step,
+``_accumulate``, just as each ring supplies its ``__add__`` and
+``__mul__``.
 
 All coefficients are Python integers and therefore arbitrary precision;
 no arithmetic in this module can overflow or round.
@@ -218,6 +222,13 @@ RES_EPS = ResidualElement(0, 1)
 # ---------------------------------------------------------------------------
 
 
+def check_variable_count(nvars) -> None:
+    """Raise ValueError unless ``nvars`` is a nonnegative ``int``; a
+    ``bool`` or a float of integral value is not a count."""
+    if type(nvars) is not int or nvars < 0:
+        raise ValueError(f"variable count must be a nonnegative int, got {nvars!r}")
+
+
 def _label_mask(labels: Iterable[int], nvars: int) -> int:
     """Bitmask of a set of variable labels, each checked to lie in 1..nvars."""
     labels = frozenset(labels)
@@ -242,16 +253,15 @@ class MultiAffine:
     ``coeffs`` maps monomial bitmasks to nonzero coefficients; key 0 is
     the constant part.  Every variable is involutive, so keys multiply by
     XOR and no key repeats a variable.  A subclass fixes the coefficient
-    ring through ``_zero``, whose type is the ring, and ``_one``.  A ring
-    element is the tuple of its integer coordinates, so a coefficient is
-    zero exactly when all of them are.
+    ring through ``_zero``, whose type is the ring, ``_one`` and
+    ``_accumulate``.  A ring element is the tuple of its integer
+    coordinates, so a coefficient is zero exactly when all of them are.
     """
 
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs: Mapping[frozenset, object] | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be non-negative")
+        check_variable_count(nvars)
         self.nvars = nvars
         clean = {}
         for key, val in (coeffs or {}).items():
@@ -275,9 +285,14 @@ class MultiAffine:
     @classmethod
     def _of_masks(cls, nvars: int, coeffs: dict):
         """Wrap mask-keyed coefficients without checking keys; drop zeros."""
+        return cls._wrap(nvars, {k: v for k, v in coeffs.items() if any(v)})
+
+    @classmethod
+    def _wrap(cls, nvars: int, coeffs: dict):
+        """Wrap mask-keyed nonzero coefficients as they are."""
         out = object.__new__(cls)
         out.nvars = nvars
-        out.coeffs = {k: v for k, v in coeffs.items() if any(v)}
+        out.coeffs = coeffs
         return out
 
     # -- constructors ------------------------------------------------------
@@ -288,6 +303,7 @@ class MultiAffine:
 
     @classmethod
     def variable(cls, label: int, nvars: int):
+        check_variable_count(nvars)
         if not 1 <= label <= nvars:
             raise ValueError(f"variable label {label} out of range 1..{nvars}")
         return cls(nvars, {frozenset({label}): cls._one})
@@ -317,22 +333,17 @@ class MultiAffine:
     @classmethod
     def linear_combination(cls, nvars: int, terms: Iterable[tuple["MultiAffine", int]]):
         """The sum of n*e over the (e, n) pairs, each e in ``nvars``
-        variables: every key's integer coordinates (each coefficient is the
-        tuple of them) are summed in one dict and one ring element is built
-        per key.  The inputs are only read."""
+        variables.  The ring's ``_accumulate`` adds each term's integer
+        coordinates into one row per key, and one ring element is built
+        per nonzero row.  The inputs are only read."""
         acc: dict[int, list[int]] = {}
+        accumulate = cls._accumulate
         for e, n in terms:
             if e.nvars != nvars:
                 raise ValueError(f"variable count mismatch: {nvars} vs {e.nvars}")
-            for key, val in e.coeffs.items():
-                row = acc.get(key)
-                if row is None:
-                    acc[key] = list(val) if n == 1 else [x * n for x in val]
-                else:
-                    for i, x in enumerate(val):
-                        row[i] += x * n
+            accumulate(acc, e.coeffs, n)
         ring = type(cls._zero)
-        return cls._of_masks(nvars, {k: ring(*row) for k, row in acc.items()})
+        return cls._wrap(nvars, {k: _new(ring, row) for k, row in acc.items() if any(row)})
 
     def __neg__(self):
         return self.linear_combination(self.nvars, ((self, -1),))
@@ -408,6 +419,19 @@ class TildeElement(MultiAffine):
     _zero = UNIV_ZERO
     _one = UNIV_ONE
 
+    @staticmethod
+    def _accumulate(acc: dict, coeffs: dict, n: int) -> None:
+        """Add n times each coefficient (c1, ch, c2) to its key's row."""
+        get = acc.get
+        for key, (c1, ch, c2) in coeffs.items():
+            row = get(key)
+            if row is None:
+                acc[key] = [n * c1, n * ch, n * c2]
+            else:
+                row[0] += n * c1
+                row[1] += n * ch
+                row[2] += n * c2
+
     @property
     def rank(self) -> int:
         """Rank of the image under any field map (all x_l have rank 1)."""
@@ -424,6 +448,21 @@ class ResidualTilde(MultiAffine):
 
     _zero = RES_ZERO
     _one = RES_ONE
+
+    @staticmethod
+    def _accumulate(acc: dict, coeffs: dict, n: int) -> None:
+        """Add n times each coefficient (a, b) to its key's row, mod 2: an
+        even n adds nothing, and an odd n adds the coefficient by XOR."""
+        if not n & 1:
+            return
+        get = acc.get
+        for key, (a, b) in coeffs.items():
+            row = get(key)
+            if row is None:
+                acc[key] = [a, b]
+            else:
+                row[0] ^= a
+                row[1] ^= b
 
 
 def top_coefficient(e: MultiAffine):
@@ -524,14 +563,10 @@ def pfister_element(s: int) -> TildeElement:
     x^b is (-1)^|b| (<1> - <2>).  Every coefficient is nonzero by
     construction, so the dict is wrapped as it is, without the zero test
     of ``_of_masks``."""
-    if s < 0:
-        raise ValueError(f"variable count must be nonnegative, got {s}")
+    check_variable_count(s)
     even = UNIV_ONE - UNIV_TWO
     odd = -even
-    out = object.__new__(TildeElement)
-    out.nvars = s
-    out.coeffs = {b: odd if b.bit_count() & 1 else even for b in range(1 << s)}
-    return out
+    return TildeElement._wrap(s, {b: odd if b.bit_count() & 1 else even for b in range(1 << s)})
 
 
 def first_term_name(e: MultiAffine) -> str:

@@ -1,11 +1,15 @@
 """Floor diagrams, merge configurations, counts, and dissolution."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, permutations, product
 from operator import mul, or_
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from gwfloor.diagrams import (
     FloorDiagram,
     MergedDiagram,
     UnsupportedShapeError,
+    _FACTOR_KEYS,
     _apply_swaps,
     _class_table,
     _factor_multisets,
@@ -339,6 +344,23 @@ class TestWelschinger:
         )
 
 
+# Counts the 103 configurations at d = 4 with s <= 3 in the order given by
+# argv[1] and prints one JSON line per configuration, sorted by it.
+_ORDER_PROBE = """
+import json, sys
+from gwfloor import enumerate_merge_configs, floor_count, floor_count_residual
+
+configs = sorted(cfg for s in range(4) for cfg in enumerate_merge_configs(11, s))
+if sys.argv[1] == "reversed":
+    configs.reverse()
+rows = {}
+for cfg in configs:
+    residual = [[list(labels), list(v)] for labels, v in floor_count_residual(4, cfg).terms()]
+    rows[cfg] = json.dumps([list(cfg), floor_count(4, cfg).to_json(), residual])
+print("\\n".join(rows[cfg] for cfg in sorted(rows)))
+"""
+
+
 class TestMultisetMemo:
     """floor_count and floor_count_residual multiply each distinct factor
     multiset once; they must equal the naive per-diagram sums."""
@@ -382,15 +404,16 @@ class TestMultisetMemo:
             assert all(len(tuples) == 1 for tuples in orders.values()), (d, cfg)
 
     def test_factor_ids_match_factors(self):
-        """The key tuples counted by orbit weights are the factor tuples of
-        the merged diagrams (the orbit minima), with the same
-        multiplicities, on every supported configuration at d <= 4."""
+        """The key tuples counted by orbit weights, read back from their
+        ids, are the factor tuples of the merged diagrams (the orbit
+        minima), with the same multiplicities, on every supported
+        configuration at d <= 4."""
         supported = joined = 0
         for d, cfg in _all_configs(4):
             if (d, cfg[:4]) == (4, (1, 3, 5, 7)):
                 continue
             merged = enumerate_merged_diagrams(d, cfg)
-            by_keys = _factor_multisets(d, cfg)
+            by_keys = {_FACTOR_KEYS[fid]: n for fid, n in _factor_multisets(d, cfg).items()}
             assert by_keys == Counter(m.factors() for m in merged), (d, cfg)
             supported += 1
             joined += sum(1 for m in merged if m.joins)
@@ -463,14 +486,58 @@ class TestMultisetMemo:
         multisets = set()
         for d, cfg in _all_configs(4):
             if (d, cfg[:4]) != (4, (1, 3, 5, 7)):
-                multisets.update((len(cfg), m) for m in _factor_multisets(d, cfg))
+                multisets.update((len(cfg), fid) for fid in _factor_multisets(d, cfg))
         for ring, value in ((TildeElement, factor_value), (ResidualTilde, residual_factor)):
-            for s, multiset in multisets:
+            for s, fid in multisets:
+                multiset = _FACTOR_KEYS[fid]
                 product = ring.constant(1, s)
                 for key in multiset:
                     product = product * value(key, s)
-                assert _multiset_product(ring, value, s, multiset) == product, (s, multiset)
-            assert _multiset_product(ring, value, 2, ()) == ring.constant(1, 2)
+                assert _multiset_product(ring, value, s, fid) == product, (s, multiset)
+            assert _multiset_product(ring, value, 2, diagrams._intern(())) == ring.constant(1, 2)
+
+    def test_factor_ids_grow_with_distinct_tuples(self):
+        """Each distinct factor tuple gets one id: over every supported
+        configuration at d <= 4 the ids are as many as the distinct
+        ``MergedDiagram.factors()`` tuples, and walking every
+        configuration again, its per-configuration memos and its
+        (weights, classes, joins) ids cleared, adds no id."""
+        _clear_caches()
+        supported = [(d, cfg) for d, cfg in _all_configs(4) if (d, cfg[:4]) != (4, (1, 3, 5, 7))]
+        for d, cfg in supported:
+            floor_count(d, cfg)
+            floor_count_residual(d, cfg)
+        ids = len(_FACTOR_KEYS)
+        for memo in (diagrams._factor_multisets, diagrams._sum_by_multiset, diagrams._factor_id):
+            memo.cache_clear()
+        for d, cfg in supported:
+            floor_count(d, cfg)
+            floor_count_residual(d, cfg)
+        assert len(_FACTOR_KEYS) == ids
+        distinct = {m.factors() for d, cfg in supported for m in enumerate_merged_diagrams(d, cfg)}
+        assert diagrams._intern.cache_info().currsize == len(distinct) == 618
+        assert len(_FACTOR_KEYS) == ids
+
+    def test_counts_do_not_depend_on_the_order_ids_are_given(self):
+        """Ids are handed out in first-seen order, so two interpreters that
+        count the 103 configurations at d = 4 with s <= 3 in opposite
+        orders, under different hash seeds, give each configuration other
+        ids; every count's ``to_json``, and the residual count's terms,
+        must still match byte for byte."""
+        src = Path(diagrams.__file__).resolve().parents[1]
+        outputs = []
+        for order, seed in (("sorted", "0"), ("reversed", "12345")):
+            proc = subprocess.run(
+                [sys.executable, "-c", _ORDER_PROBE, order],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 103
+        assert outputs[0] == outputs[1]
 
     @staticmethod
     def _drop_r_row(monkeypatch):

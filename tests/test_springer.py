@@ -44,6 +44,21 @@ class TestDiagonalForm:
         with pytest.raises(ValueError, match=f"entry {re.escape(repr(entry))} must hold two integers"):
             DiagonalForm(1, (entry, (2, 0)))
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "2"])
+    def test_count_that_is_not_an_int_is_rejected(self, count):
+        """A variable count must be an int, not a bool: the error names it,
+        where ``DiagonalForm(1.5, ())`` built and a float count with
+        entries raised TypeError."""
+        builds = (
+            lambda: DiagonalForm(count, ()),
+            lambda: DiagonalForm(count, ((1, 1),)),
+            lambda: DiagonalForm(2, ((1, 1),)).restrict_variables(count),
+            lambda: pfister_concrete(count),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape(f"variable count must be a nonnegative int, got {count!r}")):
+                build()
+
     def test_sorted_equality(self):
         a = DiagonalForm(1, ((1, 0), (-2, 1)))
         b = DiagonalForm(1, ((-2, 1), (1, 0)))

@@ -1,5 +1,8 @@
 """Ring laws for the universal coefficients and their extensions."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from gwfloor.univ import (
     cascade_reconstruct,
     first_term_name,
     gw_normal_form,
+    pfister_element,
     residual_reduce,
     top_coefficient,
 )
@@ -154,6 +158,28 @@ class TestTildeElement:
             TildeElement(2, {frozenset({0}): UNIV_ONE})
         with pytest.raises(ValueError):
             ResidualTilde(2, {frozenset({1, 3}): RES_ONE})
+
+    @pytest.mark.parametrize("ring", [TildeElement, ResidualTilde])
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "2"])
+    def test_count_that_is_not_an_int_is_rejected(self, ring, count):
+        """Every constructor names a variable count that is not an int (a
+        bool is not one), where a float count built an element whose
+        ``top_coefficient`` raised TypeError."""
+        builds = (
+            lambda: ring(count, {frozenset({1}): 1}),
+            lambda: ring(count),
+            lambda: ring.constant(1, count),
+            lambda: ring.variable(1, count),
+            lambda: ring.zero(count),
+        )
+        for build in builds:
+            with pytest.raises(ValueError, match=re.escape(f"variable count must be a nonnegative int, got {count!r}")):
+                build()
+
+    @pytest.mark.parametrize("count", [2.0, True, -1])
+    def test_pfister_count_must_be_a_nonnegative_int(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"variable count must be a nonnegative int, got {count!r}")):
+            pfister_element(count)
 
     def test_coefficient_lookup(self):
         e = TildeElement(2, {frozenset({1}): UNIV_TWO})
@@ -403,6 +429,43 @@ class TestLinearCombination:
         assert total == sum((e * n for e, n in terms), ring.zero(3))
         assert all(not v.is_zero() for v in total.coeffs.values())
         assert [e.coeffs for e, _n in terms] == before
+
+    @pytest.mark.parametrize("ring", [TildeElement, ResidualTilde])
+    def test_large_coefficients_over_many_terms(self, ring):
+        """200 terms in 6 variables, coefficients and multipliers near
+        10**30, against a fold of ring-element sums key by key: the sum
+        stays exact, and a zero sum leaves no key.  Over the residual
+        ring an even multiplier adds nothing."""
+        rng = random.Random(6)
+        big = 10**30
+
+        def near_big():
+            return rng.choice((-1, 1)) * (big + rng.randrange(-50, 51))
+
+        def element():
+            coeffs = {}
+            for _ in range(rng.randrange(1, 9)):
+                labels = frozenset(l for l in range(1, 7) if rng.random() < 0.5)
+                coeffs[labels] = UnivElement(near_big(), near_big(), near_big())
+            e = TildeElement(6, coeffs)
+            return e if ring is TildeElement else residual_reduce(e)
+
+        elements = [element() for _ in range(40)]
+        terms = [(rng.choice(elements), near_big()) for _ in range(200)]
+        terms += [(e, -n) for e, n in terms[:20]]  # cancels some keys away
+        fold = {}
+        for e, n in terms:
+            for key, value in (e * n).coeffs.items():
+                fold[key] = fold[key] + value if key in fold else value
+        total = ring.linear_combination(6, terms)
+        assert total.coeffs == {k: v for k, v in fold.items() if not v.is_zero()}
+        assert all(not v.is_zero() for v in total.coeffs.values())
+        if ring is ResidualTilde:
+            even = [(e, n) for e, n in terms if n % 2 == 0]
+            assert even and ring.linear_combination(6, even).coeffs == {}
+            assert ring.linear_combination(6, terms + even) == total
+        else:
+            assert max(abs(c) for v in total.coeffs.values() for c in v) > big**2
 
     def test_residual_coefficients_reduce_mod_two(self):
         x1 = ResidualTilde.variable(1, 2)
