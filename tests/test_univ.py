@@ -460,6 +460,7 @@ class TestLinearCombination:
         total = ring.linear_combination(6, terms)
         assert total.coeffs == {k: v for k, v in fold.items() if not v.is_zero()}
         assert all(not v.is_zero() for v in total.coeffs.values())
+        assert ring.linear_combination(6, terms + [(e, -n) for e, n in terms]).coeffs == {}
         if ring is ResidualTilde:
             even = [(e, n) for e, n in terms if n % 2 == 0]
             assert even and ring.linear_combination(6, even).coeffs == {}
