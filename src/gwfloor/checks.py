@@ -19,6 +19,10 @@ Each suite bundles related checks into individually named verdicts:
   then the base case and the transfer congruence of those levels.
 - ``springer``: anisotropy certificates over the Laurent tower.
 - ``all``: everything above, in that order.
+- ``sweep``: the wider ranges that ``all`` does not gate: the rank
+  oracle at every pair count, the wall-crossing and residual checks of
+  every level with a unit shift, and the whole Pfister tower.  It is not
+  part of ``all``.
 
 Each suite is built at a degree budget: its builder lists only the
 checks of degrees up to it, so no higher degree is counted, not even to
@@ -27,9 +31,7 @@ name a check.  A check's id is output only; nothing parses it back.
 Checks never abort a sweep: a crash inside one check is reported as a
 failing verdict, and an unsupported configuration is never a pass (see
 ``_supported``).  Results carry wall-clock times for interactive use
-but serialise without them so repeated runs are byte-identical.  The
-scripts under ``scripts/`` run these checks over wider ranges, built by
-the same public level builders and run by ``run_checks``.
+but serialise without them so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .group_ring import (
     type_a_closed_raw,
 )
 from .springer import (
+    MAX_TOWER_VARS,
     DiagonalForm,
     Verdict,
     is_anisotropic,
@@ -564,7 +567,7 @@ def pfister_specs(levels: int):
 
 def _count_specs(budget: int):
     # (d, s) up to (4, 2) in tuple order: every level below degree 4, and
-    # degree 4 only up to s = 2; scripts/rank_sweep.py runs the rest
+    # degree 4 only up to s = 2; the sweep suite runs the rest
     specs = [spec for spec in rank_specs(min(budget, 4)) if spec[2] <= (4, 2)]
     if budget >= 3:
         specs.append(("count-anchor:d=3:s=0", _check_count_anchor, ()))
@@ -623,8 +626,18 @@ def _springer_specs():
 
 
 def _all_specs(budget: int):
-    # every suite before it, in order
-    return [spec for name in SUITE_NAMES[:-1] for spec in _SUITE_BUILDERS[name](budget)]
+    # the six gated suites, in order; the sweep is not one of them
+    names = ("identities", "counts", "dissolution", "wallcross", "residual", "springer")
+    return [spec for name in names for spec in _SUITE_BUILDERS[name](budget)]
+
+
+def _sweep_specs(budget: int):
+    top = min(budget, MAX_DEGREE)
+    specs = rank_specs(top)
+    for d in range(2, top + 1):
+        for s in shift_levels(d):
+            specs.extend(shift_level_specs(d, s))
+    return specs + pfister_specs(MAX_TOWER_VARS)
 
 
 # Each builder lists the checks of degrees up to the budget, in order.
@@ -636,6 +649,7 @@ _SUITE_BUILDERS = {
     "residual": _residual_specs,
     "springer": lambda budget: _springer_specs(),
     "all": _all_specs,
+    "sweep": _sweep_specs,
 }
 SUITE_NAMES = tuple(_SUITE_BUILDERS)
 
@@ -650,15 +664,6 @@ def _run_check(spec) -> CheckResult:
     except Exception as exc:
         ok, detail = False, f"exception: {exc}"
     return CheckResult(check_id, ok, detail, perf_counter() - start)
-
-
-def run_checks(specs) -> list[CheckResult]:
-    """Run the specs in order, printing each row as its check finishes."""
-    results = []
-    for spec in specs:
-        results.append(_run_check(spec))
-        print(results[-1].line())
-    return results
 
 
 def run_suite(name: str, budget: int = MAX_DEGREE) -> SuiteResult:

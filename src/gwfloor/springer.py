@@ -31,8 +31,8 @@ from .intmath import squarefree_split
 from .univ import check_variable_count, mask_labels
 
 
-# The largest tower the ``pfister`` command and scripts/pfister_tower.py
-# accept.  The Pfister element and the concrete form both double with each
+# The largest tower the ``pfister`` command accepts, and the top of the
+# tower that ``verify --suite sweep`` checks.  The Pfister element and the concrete form both double with each
 # level, and the command's cost grows about fourfold per two levels.
 MAX_TOWER_VARS = 14
 

@@ -32,12 +32,13 @@ subclasses ``TildeElement`` (universal coefficients) and
 
 Variable labels are validated only where they enter from outside: the
 constructor taking ``{frozenset(labels): coeff}``, ``variable``,
-``coefficient`` and ``specialize_one``; a variable count must be an
-``int`` (``check_variable_count``).  Products, the cascade and the
-residual reduction work on masks.  Every sum, difference, negation and
-count goes through ``linear_combination``, which adds integer
-coordinates key by key with the ring's own unrolled step,
-``_accumulate``, just as each ring supplies its ``__add__`` and
+``coefficient``, ``specialize_one`` and the cascade orders, each
+through one rule (``_label_mask``: an ``int`` in 1..nvars); a variable
+count must be an ``int`` (``check_variable_count``).  Products, the
+cascade and the residual reduction work on masks.  Every sum,
+difference, negation and count goes through ``linear_combination``,
+which adds integer coordinates key by key with the ring's own unrolled
+step, ``_accumulate``, just as each ring supplies its ``__add__`` and
 ``__mul__``.
 
 All coefficients are Python integers and therefore arbitrary precision;
@@ -230,14 +231,12 @@ def check_variable_count(nvars) -> None:
 
 
 def _label_mask(labels: Iterable[int], nvars: int) -> int:
-    """Bitmask of a set of variable labels, each checked to lie in 1..nvars."""
-    labels = frozenset(labels)
+    """Bitmask of a set of variable labels, each checked to be an ``int``
+    in 1..nvars; a ``bool`` or a float of integral value is not a label."""
     mask = 0
-    for label in labels:
-        if not 1 <= label <= nvars:
-            raise ValueError(
-                f"variable label out of range in key {sorted(labels)} (1..{nvars})"
-            )
+    for label in frozenset(labels):
+        if type(label) is not int or not 1 <= label <= nvars:
+            raise ValueError(f"variable label must be an int in 1..{nvars}, got {label!r}")
         mask |= 1 << (label - 1)
     return mask
 
@@ -304,9 +303,7 @@ class MultiAffine:
     @classmethod
     def variable(cls, label: int, nvars: int):
         check_variable_count(nvars)
-        if not 1 <= label <= nvars:
-            raise ValueError(f"variable label {label} out of range 1..{nvars}")
-        return cls(nvars, {frozenset({label}): cls._one})
+        return cls._wrap(nvars, {_label_mask((label,), nvars): cls._one})
 
     @classmethod
     def zero(cls, nvars: int):
@@ -494,7 +491,7 @@ def cascade_decompose(
     the ambient variable set; witness q does not involve x_{j_1}..x_{j_q}.
     """
     order = list(order)
-    if sorted(order) != list(range(1, e.nvars + 1)):
+    if len(order) != e.nvars or _label_mask(order, e.nvars) != (1 << e.nvars) - 1:
         raise ValueError(f"order {order} is not a permutation of 1..{e.nvars}")
     witnesses: list[TildeElement] = []
     current = e
@@ -533,10 +530,10 @@ def cascade_reconstruct(
                 row[2] += n * c2
 
     for label, witness in zip(order, witnesses):
-        if witness.nvars != nvars or not 1 <= label <= nvars:
-            raise ValueError(f"witness or label {label} does not fit {nvars} variables")
+        bit = _label_mask((label,), nvars)
+        if witness.nvars != nvars:
+            raise ValueError(f"witness in {witness.nvars} variables does not fit {nvars}")
         add(witness.coeffs)
-        bit = 1 << (label - 1)
         moved = {}
         for mask, n in shift.items():
             moved[mask ^ bit] = moved.get(mask ^ bit, 0) + n

@@ -12,6 +12,13 @@ def suite_all():
     return run_suite("all")
 
 
+@pytest.fixture(scope="session")
+def suite_sweep():
+    """``run_suite("sweep")`` at the default budget 4, run once per
+    session: the result of ``gwfloor verify --suite sweep``."""
+    return run_suite("sweep")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Replay the per-criterion acceptance verdicts after the run.
 

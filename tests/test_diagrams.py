@@ -571,7 +571,7 @@ class TestMultisetMemo:
             _clear_caches()
         assert floor_count(3, (6,)).rank == 12
 
-    @pytest.mark.parametrize("suite", ["counts", "dissolution", "wallcross", "residual", "all"])
+    @pytest.mark.parametrize("suite", ["counts", "dissolution", "wallcross", "residual", "all", "sweep"])
     def test_faulting_count_fails_every_suite_that_holds_it(self, monkeypatch, suite):
         """A count that faults is a failing row naming its configuration in
         every suite that counts degree 3, never a raise while the suite

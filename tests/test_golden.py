@@ -41,6 +41,7 @@ COMMANDS = {
     "pfister_3": ["pfister", "--vars", "3"],
     "verify_all": ["verify", "--suite", "all"],
     "verify_wallcross_table": ["verify", "--suite", "wallcross", "--table"],
+    "verify_sweep": ["verify", "--suite", "sweep"],
 }
 
 

@@ -139,7 +139,7 @@ def test_group_ring_has_one_ring_element():
     assert "local_factors" not in imported
 
 
-@pytest.mark.parametrize("top", ["src", "scripts", "tests", "perfbench"])
+@pytest.mark.parametrize("top", ["src", "tests", "perfbench"])
 def test_sources_parse_as_python_3_10(top):
     """Every Python file parses with the grammar of Python 3.10, the
     oldest version the package supports, so a newer construct (``except*``,

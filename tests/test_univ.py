@@ -176,6 +176,33 @@ class TestTildeElement:
             with pytest.raises(ValueError, match=re.escape(f"variable count must be a nonnegative int, got {count!r}")):
                 build()
 
+    @pytest.mark.parametrize("ring", [TildeElement, ResidualTilde])
+    @pytest.mark.parametrize("label", [1.0, 1.5, True])
+    def test_label_that_is_not_an_int_is_rejected(self, ring, label):
+        """Every entry point names a variable label that is not an int (a
+        bool is not one), where a float raised TypeError from ``<<`` and
+        ``True`` built x1."""
+        e = ring.variable(1, 2)
+        uses = (
+            lambda: ring.variable(label, 2),
+            lambda: ring(2, {frozenset({label}): 1}),
+            lambda: e.coefficient([label]),
+            lambda: e.specialize_one(label),
+        )
+        for use in uses:
+            with pytest.raises(ValueError, match=re.escape(f"variable label must be an int in 1..2, got {label!r}")):
+                use()
+
+    @pytest.mark.parametrize("label", [1.0, True])
+    def test_cascade_order_label_that_is_not_an_int_is_rejected(self, label):
+        e = TildeElement.variable(1, 1)
+        message = re.escape(f"variable label must be an int in 1..1, got {label!r}")
+        with pytest.raises(ValueError, match=message):
+            cascade_decompose(e, [label])
+        witnesses, full = cascade_decompose(e, [1])
+        with pytest.raises(ValueError, match=message):
+            cascade_reconstruct(witnesses, full, [label], 1)
+
     @pytest.mark.parametrize("count", [2.0, True, -1])
     def test_pfister_count_must_be_a_nonnegative_int(self, count):
         with pytest.raises(ValueError, match=re.escape(f"variable count must be a nonnegative int, got {count!r}")):

@@ -386,6 +386,50 @@ class TestWallcrossLevelCheck:
         assert not report._replace(first_witness="S_1 x1").passed
 
 
+class TestSweepSuite:
+    """``verify --suite sweep``: the rank oracle at every pair count, the
+    wall-crossing and residual checks of every level with a unit shift,
+    and the whole Pfister tower."""
+
+    def test_every_check_passes(self, suite_sweep):
+        assert [c.check_id for c in suite_sweep.checks if not c.passed] == []
+        assert len(suite_sweep.checks) == 316
+
+    def test_rank_rows_name_the_unsupported_configurations(self, suite_sweep):
+        details = {c.check_id: c.detail for c in suite_sweep.checks}
+        assert details["rank-oracle:d=4:s=4"].endswith("1 unsupported: (1, 3, 5, 7)")
+        assert details["rank-oracle:d=4:s=5"].endswith(
+            "2 unsupported: (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)"
+        )
+
+    def test_unsupported_transfer_target_is_named(self, suite_sweep):
+        """The three unsupported shifts have no residual row, and the rows
+        of supported sources name their unsupported target."""
+        ids = [c.check_id for c in suite_sweep.checks]
+        assert not [i for i in ids if i.startswith("residual-transfer:d=4:1,3,5,7>")]
+        named = [
+            c.check_id
+            for c in suite_sweep.checks
+            if c.detail.endswith("59 dissolved targets; 1 unsupported: (1, 3, 5, 7) -> (1, 3, 5, 8)")
+        ]
+        assert len(named) == 3
+        assert all(i.startswith("residual-transfer:d=4:") for i in named)
+
+    def test_holds_every_level_that_all_gates(self, suite_all, suite_sweep):
+        """Each rank, wall-crossing, residual-level and Pfister row of
+        ``all`` is a sweep row with the same verdict and detail."""
+        levels = ("rank-oracle:", "wallcross:", "residual-base:", "residual-transfer:", "springer:pfister-aniso:")
+        sweep = {c.check_id: c.to_json() for c in suite_sweep.checks}
+        gated = [c.to_json() for c in suite_all.checks if c.check_id.startswith(levels)]
+        assert len(gated) == 69
+        assert [sweep.get(row["id"]) for row in gated] == gated
+
+    def test_budget_above_the_top_degree_is_the_top_degree(self, suite_sweep):
+        assert [c.check_id for c in checks.run_suite("sweep", 9).checks] == [
+            c.check_id for c in suite_sweep.checks
+        ]
+
+
 class TestResidualCheck:
     def test_no_supported_target_fails(self, monkeypatch):
         def no_supported_target(d, cfg_from, cfg_to):
