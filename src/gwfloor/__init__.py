@@ -21,6 +21,7 @@ from .diagrams import (
     kontsevich_nd,
     unit_shift_graph,
     unit_shifts,
+    unsupported,
 )
 from .fields import (
     ClosedField,
@@ -77,6 +78,7 @@ __all__ = [
     "kontsevich_nd",
     "unit_shift_graph",
     "unit_shifts",
+    "unsupported",
     "ClosedField",
     "FiniteField",
     "RealField",

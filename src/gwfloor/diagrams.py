@@ -49,7 +49,11 @@ elevators some floor relabeling fixes (``_stabiliser_table``).  Every
 other marked diagram has a trivial stabiliser, and n of them with the
 same pair classes and elevator weights, hence the same local factors,
 hold n / 2^r orbits.  The stabiliser, the same for each member of an
-orbit, also detects joined twins and unsupported shapes.
+orbit, also detects joined twins and unsupported shapes.  Which of its
+elements join two pairs into one twin tree, and which break the rule, is
+decided once per degree (``_support_table``); a configuration adds only
+whether its elements are disjoint, and ``unsupported`` names the first
+marked diagram, in the counts' walk, whose stabiliser the rule rejects.
 ``enumerate_merged_diagrams`` lists every orbit's minimum encoding,
 found by the orbit test, and is the oracle of the weighted counts.  This
 rule set makes the rank of the total count equal the classical degree-d
@@ -276,6 +280,10 @@ def enumerate_markings(diagram: FloorDiagram) -> list[tuple[tuple, ...]]:
 
 
 def _check_degree(d: int) -> None:
+    """A degree is an ``int`` in 1..MAX_DEGREE; a ``bool`` or a float of
+    integral value is not a degree, whatever the memos hold."""
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, got {d!r}")
     if not 1 <= d <= MAX_DEGREE:
         raise ValueError(f"degree {d} outside supported range 1..{MAX_DEGREE}")
 
@@ -316,9 +324,26 @@ def enumerate_merge_configs(n: int, s: int) -> list[tuple[int, ...]]:
     return [combo for combo in combinations(range(1, n), s) if is_merge_config(combo, n)]
 
 
-def unit_shifts(cfg: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Configurations reachable by moving one pair a single position."""
+def _check_positions(cfg: Sequence[int], n: int) -> tuple[int, ...]:
+    """cfg as a tuple, after checking that it is, exactly as given, a merge
+    configuration among n marks of ``int`` positions; the error names the
+    rule that is broken."""
     cfg = tuple(cfg)
+    if not all(type(p) is int for p in cfg):
+        rule = "positions must be ints"
+    elif any(not 1 <= p < n for p in cfg):
+        rule = f"positions must lie in 1..{n - 1}"
+    elif not is_merge_config(cfg, n):
+        rule = "positions must be ascending and at least 2 apart"
+    else:
+        return cfg
+    raise ValueError(f"{cfg} is not a valid merge configuration for {n} points ({rule})")
+
+
+def unit_shifts(cfg: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Configurations reachable by moving one pair a single position; cfg
+    must be a merge configuration among the n marks."""
+    cfg = _check_positions(cfg, n)
     out = []
     for i in range(len(cfg)):
         for delta in (-1, 1):
@@ -448,9 +473,30 @@ def _orbit_test(d: int, index: int, rpairs: tuple[tuple[int, tuple], ...]):
     return tuple(stabiliser)
 
 
+class ShapeWitness(namedtuple("ShapeWitness", "row positions rule")):
+    """Why a merge configuration is unsupported: the marked diagram
+    ``enumerate_diagrams(d)[row]`` has the stabiliser element at
+    ``positions`` (the fused pairs its floor relabeling moves), and that
+    element breaks ``rule``, a rule of ``_joins`` in the words of its
+    error."""
+
+    __slots__ = ()
+
+
 class UnsupportedShapeError(ValueError):
     """Raised by the counts for a merge configuration whose diagrams have a
-    fused-pair interaction the local-factor model does not cover."""
+    fused-pair interaction the local-factor model does not cover.
+
+    ``witness`` is the ``ShapeWitness`` that ``unsupported`` returns for
+    the configuration, or None when the error was raised without one."""
+
+    def __init__(self, message: str, witness: ShapeWitness | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
+def _pairs_message(d: int, positions: tuple) -> str:
+    return f"unsupported twin interaction between fused pairs {list(positions)} (degree {d})"
 
 
 def _joins(d: int, marking: tuple, cfg: tuple, classes: tuple, stabiliser: tuple) -> tuple:
@@ -467,10 +513,7 @@ def _joins(d: int, marking: tuple, cfg: tuple, classes: tuple, stabiliser: tuple
     used: set[int] = set()
     for positions in stabiliser:
         if len(positions) != 2 or used.intersection(positions):
-            raise UnsupportedShapeError(
-                "unsupported twin interaction between fused pairs "
-                f"{list(positions)} (degree {d})"
-            )
+            raise UnsupportedShapeError(_pairs_message(d, positions))
         i, j = (cfg.index(p) + 1 for p in positions)
         if classes[i - 1] == _R_FLOORS:
             i, j = j, i
@@ -539,7 +582,8 @@ def _intern(key: tuple) -> int:
     Cached per distinct factor-key tuple, so equal tuples share one id: the
     table grows with the distinct tuples the counts meet, not with the
     configurations (268 over the 103 configurations at d = 4 with s <= 3,
-    618 over every supported configuration at d <= 4)."""
+    618 over every configuration at d <= 4: an unsupported one raises
+    before it is given any)."""
     _FACTOR_KEYS.append(key)
     return len(_FACTOR_KEYS) - 1
 
@@ -670,6 +714,56 @@ def _stabiliser_table(d: int) -> tuple[tuple[tuple[int, int], ...], dict[int, tu
     return tuple((mask, _mask(ks)) for mask, ks in by_mask.items()), elements
 
 
+@cache
+def _support_table(d: int) -> tuple[dict[int, tuple], tuple[tuple, ...], int]:
+    """Each stabilised row's joins, decided once per degree.
+
+    Returns ``(rows, groups, other)``.  For each row k holding an element
+    of ``_stabiliser_table(d)``, ``rows[k]`` is ``(weights, verdicts)``:
+    the row's sorted elevator weights, and for each of its elements, in
+    the table's order, ``(mask, positions, verdict)``.  The verdict is
+    what ``_joins`` gives the element alone, with its own positions as
+    the configuration and ``classify_pair`` for the classes: the joined
+    pair as ``(elevator-pair position, floor-pair position)``, or the
+    error it raises.  Under a configuration holding several of a row's
+    elements, ``_joins`` decides each one the same way, and only their
+    disjointness depends on the configuration (``_stabilised``).
+
+    Most rows hold one element, and a configuration either holds it or
+    not, so ``groups`` lists them as ``(mask, weights, verdict, rows)``,
+    one entry per distinct element mask, weights and verdict, in the
+    order of their first row.  ``other`` masks the remaining rows.
+
+    Cached per degree."""
+    marked = enumerate_diagrams(d)
+    weights: dict[FloorDiagram, tuple[int, ...]] = {}
+    known: dict[tuple, object] = {}  # equal verdicts share one object
+    rows = {}
+    groups: dict[tuple, list[int]] = {}
+    other = []
+    for k, found in _stabiliser_table(d)[1].items():
+        diagram, marking = marked[k]
+        verdicts = []
+        for mask, positions in found:
+            classes = tuple(classify_pair(marking[p - 1], marking[p]) for p in positions)
+            try:
+                ((i, j),) = _joins(d, marking, positions, classes, (positions,))
+            except ValueError as exc:
+                verdict = known.setdefault((type(exc), str(exc)), exc.with_traceback(None))
+            else:
+                pair = positions[i - 1], positions[j - 1]
+                verdict = known.setdefault(pair, pair)
+            verdicts.append((mask, positions, verdict))
+        if diagram not in weights:
+            weights[diagram] = _weights(diagram)
+        rows[k] = weights[diagram], tuple(verdicts)
+        if len(verdicts) == 1:
+            groups.setdefault((mask, weights[diagram], verdict), []).append(k)
+        else:
+            other.append(k)
+    return rows, tuple((*key, _mask(ks)) for key, ks in groups.items()), _mask(other)
+
+
 def _leaves(d: int, cfg: tuple[int, ...]) -> list[tuple[tuple, tuple, int]]:
     """Each ``(classes, rpairs, rows)`` under the valid configuration cfg,
     one per tuple of pair classes that some marked diagram has: ``rows``
@@ -755,16 +849,7 @@ def _merge_config(d: int, cfg: Sequence[int]) -> tuple[int, ...]:
     that cfg, exactly as given, is a merge configuration among its 3d-1
     marks; the error names the rule that is broken."""
     _check_degree(d)
-    cfg = tuple(cfg)
-    n = 3 * d - 1
-    if not is_merge_config(cfg, n):
-        rule = (
-            f"positions must lie in 1..{n - 1}"
-            if any(not 1 <= p < n for p in cfg)
-            else "positions must be ascending and at least 2 apart"
-        )
-        raise ValueError(f"{cfg} is not a valid merge configuration for {n} points ({rule})")
-    return cfg
+    return _check_positions(cfg, 3 * d - 1)
 
 
 def enumerate_merged_diagrams(d: int, cfg: Sequence[int] = ()) -> tuple[MergedDiagram, ...]:
@@ -814,6 +899,87 @@ def _multiset_product(ring, value, nvars: int, fid: int):
     return _key_product(ring, value, nvars, _FACTOR_KEYS[fid])
 
 
+def _stabilised(d: int, cfg: tuple[int, ...], leaves: list) -> dict[int, tuple[int, dict]]:
+    """The stabilised rows of each leaf that holds some, under the valid
+    configuration cfg, as ``{leaf index: (rows, tally)}``: ``rows`` are
+    the leaf's rows holding an element of ``_stabiliser_table`` inside
+    the configuration, and ``tally`` maps each ``(weights, joins)`` they
+    carry to their summed weight, 1 + the number of such elements per row
+    (the identity and them).  The joins are read off ``_support_table``
+    and given as label pairs.  A group of rows holding one element is
+    decided once for the configuration and counted by popcount; every
+    other row is decided on its own.
+
+    The rows are decided in leaf order, each leaf's in ascending order, as
+    the count meets them, so the first row with an element ``_joins``
+    rejects, or with two elements sharing a fused pair, names the error:
+    an ``UnsupportedShapeError`` carrying its ``ShapeWitness``, or the
+    ``ValueError`` of ``_joins``' weight guard."""
+    cfg_mask = sum(1 << p for p in cfg)
+    stabilised = 0
+    for mask, rows in _stabiliser_table(d)[0]:
+        if not mask & ~cfg_mask:
+            stabilised |= rows
+    if not stabilised:
+        return {}
+    table, groups, other = _support_table(d)
+    label = {p: j for j, p in enumerate(cfg, start=1)}
+
+    def decide(index: int) -> tuple[tuple, int]:
+        weights, verdicts = table[index]
+        stabiliser = [v for v in verdicts if not v[0] & ~cfg_mask]
+        used = 0
+        for mask, positions, verdict in stabiliser:
+            if mask & used:
+                message = _pairs_message(d, positions)
+                raise UnsupportedShapeError(message, ShapeWitness(index, positions, message))
+            if isinstance(verdict, UnsupportedShapeError):
+                message = str(verdict)
+                raise UnsupportedShapeError(message, ShapeWitness(index, positions, message))
+            if isinstance(verdict, ValueError):
+                raise ValueError(str(verdict))
+            used |= mask
+        joins = tuple(sorted((label[i], label[j]) for _mask, _positions, (i, j) in stabiliser))
+        return (weights, joins), 1 + len(stabiliser)
+
+    alone = stabilised & other  # rows decided on their own
+    decided = []  # (rows, key, weight) of the groups that hold
+    for mask, _weights, verdict, rows in groups:
+        if mask & ~cfg_mask:
+            continue
+        if isinstance(verdict, tuple):
+            decided.append((rows, *decide((rows & -rows).bit_length() - 1)))
+        else:
+            alone |= rows
+    out = {}
+    for leaf, (_chosen, _rpairs, rows) in enumerate(leaves):
+        if held := rows & stabilised:
+            tally: dict[tuple, int] = {}
+            for index in _bits(held & alone):
+                key, weight = decide(index)
+                tally[key] = tally.get(key, 0) + weight
+            for group, key, weight in decided:
+                if n := (held & group).bit_count():
+                    tally[key] = tally.get(key, 0) + n * weight
+            out[leaf] = held, tally
+    return out
+
+
+def unsupported(d: int, cfg: Sequence[int] = ()) -> ShapeWitness | None:
+    """None when the counts can count the configuration, and otherwise the
+    ``ShapeWitness`` that their ``UnsupportedShapeError`` carries: the
+    first marked diagram in the counts' walk with a stabiliser element
+    that the joint-twin rule of ``_joins`` rejects.  No count is made and
+    no factor id is given out.  A row that the rule's weight guard stops
+    raises its ``ValueError`` here as in the counts."""
+    cfg = _merge_config(d, cfg)
+    try:
+        _stabilised(d, cfg, _leaves(d, cfg))
+    except UnsupportedShapeError as exc:
+        return exc.witness
+    return None
+
+
 @cache
 def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[int, int]:
     """How many merged diagrams (orbits) of a valid configuration carry
@@ -823,10 +989,10 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[int, int]:
     gives each (weights, classes, joins) its id.
 
     Each leaf of ``_leaves`` (one tuple of pair classes) is counted by
-    one loop.  When the leaf holds a row with an element of
-    ``_stabiliser_table`` inside the configuration, each such row is
-    read on its own: its joins come from those elements, and it adds
-    1 + their number (the identity and them) to its factor id.  Every
+    one loop.  Its rows with an element of ``_stabiliser_table`` inside
+    the configuration are tallied first by ``_stabilised``, which decides
+    the whole configuration's support before any factor id is given out:
+    an unsupported configuration raises and leaves no id behind.  Every
     other row has a trivial stabiliser, and the rows of one
     elevator-weight tuple add their number to one factor id.  A leaf
     with r type-R pairs then holds weight / 2^r merged diagrams of each
@@ -836,25 +1002,17 @@ def _factor_multisets(d: int, cfg: tuple[int, ...]) -> dict[int, int]:
     configurations counted; both rings read it.
     """
     weights = _class_table(d)[1]
-    by_mask, elements = _stabiliser_table(d)
-    marked = enumerate_diagrams(d)
-    cfg_mask = sum(1 << p for p in cfg)
-    stabilised = 0
-    for mask, rows in by_mask:
-        if not mask & ~cfg_mask:
-            stabilised |= rows
+    leaves = _leaves(d, cfg)
+    stabilised = _stabilised(d, cfg, leaves)
     counts: dict[int, int] = {}
-    for chosen, rpairs, rows in _leaves(d, cfg):
+    for leaf, (chosen, rpairs, trivial) in enumerate(leaves):
         weight: dict[int, int] = {}
-        trivial = rows
-        if held := rows & stabilised:
-            trivial = rows ^ held
-            for index in _bits(held):
-                diagram, marking = marked[index]
-                stabiliser = tuple(pos for mask, pos in elements[index] if not mask & ~cfg_mask)
-                joins = _joins(d, marking, cfg, chosen, stabiliser)
-                fid = _factor_id(_weights(diagram), chosen, joins)
-                weight[fid] = weight.get(fid, 0) + 1 + len(stabiliser)
+        if leaf in stabilised:
+            held, tally = stabilised[leaf]
+            trivial ^= held
+            for (w, joins), n in tally.items():
+                fid = _factor_id(w, chosen, joins)
+                weight[fid] = weight.get(fid, 0) + n
         for w, mask in weights:
             if n := (trivial & mask).bit_count():
                 fid = _factor_id(w, chosen, ())

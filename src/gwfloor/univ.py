@@ -472,6 +472,15 @@ def top_coefficient(e: MultiAffine):
 # ---------------------------------------------------------------------------
 
 
+def _permutation(order: Iterable[int], nvars: int) -> list[int]:
+    """order as a list, after checking that it is a permutation of the
+    labels 1..nvars, each an ``int``."""
+    order = list(order)
+    if len(order) != nvars or _label_mask(order, nvars) != (1 << nvars) - 1:
+        raise ValueError(f"order {order} is not a permutation of 1..{nvars}")
+    return order
+
+
 def cascade_decompose(
     e: TildeElement, order: Iterable[int]
 ) -> tuple[list[TildeElement], UnivElement]:
@@ -490,9 +499,7 @@ def cascade_decompose(
     Returns (witnesses, full_coefficient).  Witnesses are expressed in
     the ambient variable set; witness q does not involve x_{j_1}..x_{j_q}.
     """
-    order = list(order)
-    if len(order) != e.nvars or _label_mask(order, e.nvars) != (1 << e.nvars) - 1:
-        raise ValueError(f"order {order} is not a permutation of 1..{e.nvars}")
+    order = _permutation(order, e.nvars)
     witnesses: list[TildeElement] = []
     current = e
     for label in order:
@@ -516,7 +523,13 @@ def cascade_reconstruct(
 ) -> TildeElement:
     """Rebuild the decomposed element from its cascade data.  The shift
     polynomial prod_{p<q} (x_{j_p} - 1) is kept as a map from mask to
-    signed integer, and each witness is multiplied into it by XOR of keys."""
+    signed integer, and each witness is multiplied into it by XOR of keys.
+
+    As in ``cascade_decompose``, ``order`` must be a permutation of
+    1..nvars, and there must be one witness per label."""
+    order = _permutation(order, nvars)
+    if len(witnesses) != nvars:
+        raise ValueError(f"{len(witnesses)} witnesses for the {nvars} labels of order {order}")
     acc: dict[int, list[int]] = {}
     shift = {0: 1}
 
@@ -530,7 +543,7 @@ def cascade_reconstruct(
                 row[2] += n * c2
 
     for label, witness in zip(order, witnesses):
-        bit = _label_mask((label,), nvars)
+        bit = 1 << (label - 1)
         if witness.nvars != nvars:
             raise ValueError(f"witness in {witness.nvars} variables does not fit {nvars}")
         add(witness.coeffs)

@@ -32,7 +32,7 @@ def _survivor(file, old, new, reason, name):
 MUTANTS = [
     # verify fails on these six
     pytest.param(
-        "diagrams.py", "+ 1 + len(stabiliser)", "+ 1", "rank-oracle:d=3:s=2", id="stabiliser-weight-one"
+        "diagrams.py", "1 + len(stabiliser)", "1", "rank-oracle:d=3:s=2", id="stabiliser-weight-one"
     ),
     pytest.param(
         "local_factors.py",
