@@ -288,17 +288,20 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree {d} outside supported range 1..{MAX_DEGREE}")
 
 
-@cache
 def enumerate_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
-    """All (diagram, marking) pairs for the simple-point problem.
-
-    Cached per degree."""
+    """All (diagram, marking) pairs for the simple-point problem.  The
+    degree is checked on every call, before the memo of
+    ``_marked_diagrams`` is read."""
     _check_degree(d)
-    out = []
-    for diagram in _weighted_diagrams(d):
-        for marking in enumerate_markings(diagram):
-            out.append((diagram, marking))
-    return tuple(out)
+    return _marked_diagrams(d)
+
+
+@cache
+def _marked_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
+    """Cached per degree."""
+    return tuple(
+        (diagram, marking) for diagram in _weighted_diagrams(d) for marking in enumerate_markings(diagram)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +310,11 @@ def enumerate_diagrams(d: int) -> tuple[tuple[FloorDiagram, tuple], ...]:
 
 
 def is_merge_config(cfg: tuple[int, ...], n: int) -> bool:
-    """Whether cfg fuses disjoint mark pairs among n marks: positions
-    p_1 < ... < p_s in {1..n-1} with consecutive gaps >= 2."""
+    """Whether cfg fuses disjoint mark pairs among n marks: ``int``
+    positions p_1 < ... < p_s in {1..n-1} with consecutive gaps >= 2."""
     prev = -1  # p_1 >= 1 reads as a gap of 2 from here
     for p in cfg:
-        if p - prev < 2:
+        if type(p) is not int or p - prev < 2:
             return False
         prev = p
     return prev <= n - 1
@@ -329,14 +332,14 @@ def _check_positions(cfg: Sequence[int], n: int) -> tuple[int, ...]:
     configuration among n marks of ``int`` positions; the error names the
     rule that is broken."""
     cfg = tuple(cfg)
+    if is_merge_config(cfg, n):
+        return cfg
     if not all(type(p) is int for p in cfg):
         rule = "positions must be ints"
     elif any(not 1 <= p < n for p in cfg):
         rule = f"positions must lie in 1..{n - 1}"
-    elif not is_merge_config(cfg, n):
-        rule = "positions must be ascending and at least 2 apart"
     else:
-        return cfg
+        rule = "positions must be ascending and at least 2 apart"
     raise ValueError(f"{cfg} is not a valid merge configuration for {n} points ({rule})")
 
 
@@ -344,12 +347,12 @@ def unit_shifts(cfg: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """Configurations reachable by moving one pair a single position; cfg
     must be a merge configuration among the n marks."""
     cfg = _check_positions(cfg, n)
+    bounds = (-1, *cfg, n + 1)  # a moved pair keeps gaps of 2 to these
     out = []
-    for i in range(len(cfg)):
-        for delta in (-1, 1):
-            t = cfg[:i] + (cfg[i] + delta,) + cfg[i + 1 :]
-            if is_merge_config(t, n):
-                out.append(t)
+    for i, p in enumerate(cfg):
+        for q in (p - 1, p + 1):
+            if bounds[i] + 2 <= q <= bounds[i + 2] - 2:
+                out.append(cfg[:i] + (q,) + cfg[i + 1 :])
     return sorted(out)
 
 

@@ -529,7 +529,7 @@ def cascade_reconstruct(
     1..nvars, and there must be one witness per label."""
     order = _permutation(order, nvars)
     if len(witnesses) != nvars:
-        raise ValueError(f"{len(witnesses)} witnesses for the {nvars} labels of order {order}")
+        raise ValueError(f"order {order} needs one witness per label, got {len(witnesses)}")
     acc: dict[int, list[int]] = {}
     shift = {0: 1}
 

@@ -105,6 +105,14 @@ class TestCount:
             capsys, "count", "--degree", "3"
         )
 
+    def test_unsupported_configuration_is_a_usage_error(self, capsys):
+        """The support table decides the configuration before anything is
+        counted or printed; the message names the fused pairs."""
+        code, out, err = run_cli(capsys, "count", "--degree", "4", "--merge", "1,3,5,7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unsupported twin interaction between fused pairs [1, 3, 5, 7] (degree 4)\n"
+
     def test_adjacent_positions_name_the_gap(self, capsys):
         code, out, err = run_cli(capsys, "count", "--degree", "3", "--merge", "3,4")
         assert code == 2

@@ -1,7 +1,9 @@
 """Floor diagrams, merge configurations, counts, and dissolution."""
 
 import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
+import gwfloor
 from gwfloor import checks, diagrams, local_factors, wallcross
 from gwfloor.diagrams import (
     FloorDiagram,
     MergedDiagram,
+    ShapeWitness,
     UnsupportedShapeError,
     _FACTOR_KEYS,
     _apply_swaps,
@@ -26,6 +30,7 @@ from gwfloor.diagrams import (
     _multiset_product,
     _orbit_test,
     _stabiliser_table,
+    _support_table,
     _weighted_diagrams,
     classify_pair,
     dissolved_config,
@@ -40,6 +45,7 @@ from gwfloor.diagrams import (
     kontsevich_nd,
     unit_shift_graph,
     unit_shifts,
+    unsupported,
 )
 from gwfloor.fields import ClosedField, FiniteField, RealField, specialize_field
 from gwfloor.local_factors import factor_value, residual_factor
@@ -191,6 +197,44 @@ def _obeys_marking_rules(diagram: FloorDiagram, marking: tuple) -> bool:
     )
 
 
+# Calls of the public API that must raise, each with its int twin and its
+# message: the twin fills the memos that the call would hit if it were
+# read as that int.
+_INVALID_POSITIONS = "is not a valid merge configuration for {} points (positions must be ints)"
+_BAD_CALLS = {
+    "floor_count(3, (5.0,))": ("floor_count(3, (5,))", "(5.0,) " + _INVALID_POSITIONS.format(8)),
+    "floor_count(3, (True,))": ("floor_count(3, (1,))", "(True,) " + _INVALID_POSITIONS.format(8)),
+    "floor_count(True, ())": ("floor_count(1, ())", "degree must be an int, got True"),
+    "floor_count(3.0, ())": ("floor_count(3, ())", "degree must be an int, got 3.0"),
+    "floor_count_residual(3, [5.0])": ("floor_count_residual(3, (5,))", "(5.0,) " + _INVALID_POSITIONS.format(8)),
+    "enumerate_merged_diagrams(3, (5.0,))": (
+        "enumerate_merged_diagrams(3, (5,))",
+        "(5.0,) " + _INVALID_POSITIONS.format(8),
+    ),
+    "enumerate_diagrams(True)": ("enumerate_diagrams(1)", "degree must be an int, got True"),
+    "unsupported(4, (1, 3, 5, 7.0))": ("unsupported(4, (1, 3, 5, 7))", "(1, 3, 5, 7.0) " + _INVALID_POSITIONS.format(11)),
+    "unit_shifts((9,), 8)": (
+        "unit_shifts((7,), 8)",
+        "(9,) is not a valid merge configuration for 8 points (positions must lie in 1..7)",
+    ),
+}
+
+# Evaluates each call of the JSON list in argv[1] against the package and
+# prints {call: message} of the ValueErrors they raise.
+_VALIDATION_PROBE = """
+import json, sys
+import gwfloor
+
+raised = {}
+for call in json.loads(sys.argv[1]):
+    try:
+        eval(call, vars(gwfloor))
+    except ValueError as exc:
+        raised[call] = str(exc)
+print(json.dumps(raised))
+"""
+
+
 class TestMergeConfigs:
     def test_counts(self):
         assert len(enumerate_merge_configs(8, 0)) == 1
@@ -222,6 +266,38 @@ class TestMergeConfigs:
         assert unit_shifts((1,), 8) == [(2,)]
         assert unit_shifts((4,), 8) == [(3,), (5,)]
         assert unit_shifts((1, 3), 5) == [(1, 4)]
+
+    @pytest.mark.parametrize(
+        "cfg, rule",
+        [((9,), r"must lie in 1\.\.7"), ((3, 4), "must be ascending"), ((5.0,), "must be ints"), ((True,), "must be ints")],
+    )
+    def test_unit_shifts_refuse_an_invalid_configuration(self, cfg, rule):
+        """A configuration that is not one has no neighbours to list: it
+        is refused, as the counts refuse it, and never read as []."""
+        message = rf"^{re.escape(repr(cfg))} is not a valid merge configuration for 8 points \(positions {rule}"
+        with pytest.raises(ValueError, match=message):
+            unit_shifts(cfg, 8)
+
+    def test_degree_and_positions_must_be_ints_whatever_the_memos_hold(self):
+        """A bool or a float equals an int and hashes like it, so a memo
+        keyed by it would return the int's entry once that is cached.  Each
+        call raises the same ``ValueError`` in a fresh interpreter and
+        after its int twin has been memoised."""
+        src = Path(diagrams.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _VALIDATION_PROBE, json.dumps(list(_BAD_CALLS))],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages = {call: message for call, (_twin, message) in _BAD_CALLS.items()}
+        assert json.loads(proc.stdout) == messages
+        for call, (twin, message) in _BAD_CALLS.items():
+            eval(twin, vars(gwfloor))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                eval(call, vars(gwfloor))
 
     def test_graph_connected_small(self):
         for n in (5, 8, 11):
@@ -358,6 +434,30 @@ for cfg in configs:
     residual = [[list(labels), list(v)] for labels, v in floor_count_residual(4, cfg).terms()]
     rows[cfg] = json.dumps([list(cfg), floor_count(4, cfg).to_json(), residual])
 print("\\n".join(rows[cfg] for cfg in sorted(rows)))
+"""
+
+
+# Prints the size of the factor-id table in a fresh interpreter, after
+# counting the three unsupported configurations at d = 4 in both rings, and
+# after counting every configuration at d <= 4.
+_INTERN_PROBE = """
+from gwfloor import diagrams
+from gwfloor.diagrams import UnsupportedShapeError, enumerate_merge_configs, floor_count, floor_count_residual
+
+def count(d, configs):
+    for cfg in configs:
+        for fn in (floor_count, floor_count_residual):
+            try:
+                fn(d, cfg)
+            except UnsupportedShapeError:
+                pass
+    return len(diagrams._FACTOR_KEYS)
+
+sizes = [len(diagrams._FACTOR_KEYS), count(4, [(1, 3, 5, 7), (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)])]
+for d in range(1, 5):
+    n = 3 * d - 1
+    sizes.append(count(d, [cfg for s in range(n // 2 + 1) for cfg in enumerate_merge_configs(n, s)]))
+print(*sizes)
 """
 
 
@@ -517,6 +617,24 @@ class TestMultisetMemo:
         distinct = {m.factors() for d, cfg in supported for m in enumerate_merged_diagrams(d, cfg)}
         assert diagrams._intern.cache_info().currsize == len(distinct) == 618
         assert len(_FACTOR_KEYS) == ids
+
+    def test_unsupported_configuration_interns_no_id(self):
+        """An unsupported configuration is decided before any factor id is
+        given out: in a fresh interpreter the three at d = 4 leave the id
+        table empty, and every configuration at d <= 4 then fills it with
+        the 618 tuples of the supported ones."""
+        src = Path(diagrams.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _INTERN_PROBE],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        start, after_unsupported, *_, at_four = map(int, proc.stdout.split())
+        assert start == after_unsupported == 0
+        assert at_four == 618
 
     def test_counts_do_not_depend_on_the_order_ids_are_given(self):
         """Ids are handed out in first-seen order, so two interpreters that
@@ -683,6 +801,37 @@ def test_tables_are_pinned(d):
     )
     digests = tuple(hashlib.sha256(repr(table).encode()).hexdigest() for table in tables)
     assert digests == TABLE_SHA256[d]
+
+
+# sha256 of the repr of _support_table(d): each stabilised row's weights
+# and element verdicts, the groups of one-element rows, and the mask of
+# the other rows.
+SUPPORT_SHA256 = {
+    1: "0df9a24c4525ce4480c74383fff5ff4401923e40b398edb40f6505d82f290424",
+    2: "0df9a24c4525ce4480c74383fff5ff4401923e40b398edb40f6505d82f290424",
+    3: "508487938a83597eb2a4035841b8509a32cdfe53e1e5da674065d28953115a35",
+    4: "cc6efcff940b8860c813a778d427110a778db19404f113654f48c31deb9ddd62",
+}
+
+
+@pytest.mark.parametrize("d", sorted(SUPPORT_SHA256))
+def test_support_table_is_pinned(d):
+    """The counts read every join and every unsupported message off the
+    support table, so it is gated byte for byte like the tables it is
+    built from."""
+    assert hashlib.sha256(repr(_support_table(d)).encode()).hexdigest() == SUPPORT_SHA256[d]
+
+
+def test_support_table_at_degree_three():
+    """Rows 0 and 2 each hold one element, which joins the weight-1
+    elevator pair at 5 to the floor pair at 7 above it.  Being alike,
+    they form one group, and no row is left over."""
+    mask = 1 << 5 | 1 << 7
+    verdicts = ((mask, (5, 7), (5, 7)),)
+    rows, groups, other = _support_table(3)
+    assert rows == {0: ((1, 1), verdicts), 2: ((1, 1), verdicts)}
+    assert groups == ((mask, (1, 1), (5, 7), 1 << 0 | 1 << 2),)
+    assert other == 0
 
 
 @cache
@@ -987,6 +1136,125 @@ class TestUnsupportedShapes:
             True,
             "34 configurations at rank 620; 1 unsupported: (1, 3, 5, 7)",
         )
+
+    def test_predicate_is_the_raise(self):
+        """From cold tables, ``unsupported`` is None exactly where both
+        counts succeed, at every configuration with d <= 4; elsewhere both
+        counts raise the witness it returns, its rule as their message.
+        It gives out no factor id."""
+        _clear_caches()
+        witnesses = {}
+        for d, cfg in _all_configs(4):
+            ids = len(_FACTOR_KEYS)
+            witnesses[d, cfg] = witness = unsupported(d, cfg)
+            assert len(_FACTOR_KEYS) == ids
+            for count in (floor_count, floor_count_residual):
+                if witness is None:
+                    count(d, cfg)
+                    continue
+                with pytest.raises(UnsupportedShapeError) as exc:
+                    count(d, cfg)
+                assert exc.value.witness == witness
+                assert str(exc.value) == witness.rule
+        assert len(witnesses) == 188
+        rule = "unsupported twin interaction between fused pairs [1, 3, 5, 7] (degree 4)"
+        assert {key: w for key, w in witnesses.items() if w} == {
+            (4, cfg): ShapeWitness(281, (1, 3, 5, 7), rule)
+            for cfg in [(1, 3, 5, 7), (1, 3, 5, 7, 9), (1, 3, 5, 7, 10)]
+        }
+        assert (diagrams._mask([1, 3, 5, 7]), (1, 3, 5, 7)) in _stabiliser_table(4)[1][281]
+
+    def test_error_without_a_witness(self):
+        assert UnsupportedShapeError("message").witness is None
+
+    def test_shape_catalogue_at_degree_five(self, monkeypatch):
+        """The unsupported shapes at d = 5, which a model of doubled-floor
+        chains would have to cover.  Over the 610 configurations,
+        ``unsupported`` names 57, with the messages the counts raise, in
+        the same order (the digest was taken from the counts before the
+        support table existed).  Each witness is the first row that
+        ``_joins`` rejects in the counts' leaf order; 12 of the 57
+        configurations hold rows that ``_joins`` rejects with different
+        messages, so the order decides which one is named.
+
+        A shape lists, for each fused pair of the rejected element, the
+        two objects it fuses (an elevator with its weight).  The witnesses
+        have two shapes, and the table rejects seven (only four-pair and
+        larger elements; a lone joined pair is never rejected)."""
+        monkeypatch.setattr(diagrams, "MAX_DEGREE", 5)
+        try:
+            configs = [cfg for s in range(8) for cfg in enumerate_merge_configs(14, s)]
+            assert len(configs) == 610
+            ids = len(_FACTOR_KEYS)
+            witnesses = {cfg: w for cfg in configs if (w := unsupported(5, cfg))}
+            assert len(_FACTOR_KEYS) == ids
+            rules = [w.rule for w in witnesses.values()]
+            assert len(rules) == 57
+            digest = hashlib.sha256(repr(rules).encode()).hexdigest()
+            assert digest == "8b2bbe2aea8f9ade813284e1083b6446cea91db32783fa0e725ebd04b931fb32"
+            several = 0
+            for cfg, witness in witnesses.items():
+                rejected = _rejected_in_walk(5, cfg)
+                assert rejected[0] == (witness.row, witness.rule), cfg
+                several += len({rule for _row, rule in rejected}) > 1
+            assert several == 12
+            shapes = Counter(_shape(5, w.row, w.positions) for w in witnesses.values())
+            assert shapes == {
+                (("end", "end"), ("end", "end"), ("floor", "floor"), ("elev1", "elev1")): 44,
+                (("elev1", "elev1"), ("elev1", "elev1"), ("floor", "floor"), ("floor", "floor")): 13,
+            }
+            rejected = Counter(
+                _shape(5, row, positions)
+                for row, (_weights, verdicts) in _support_table(5)[0].items()
+                for _mask, positions, verdict in verdicts
+                if isinstance(verdict, Exception)
+            )
+            assert rejected == {
+                (("end", "end"), ("end", "end"), ("floor", "floor"), ("elev1", "elev1")): 216,
+                (("elev1", "elev1"), ("elev1", "elev1"), ("floor", "floor"), ("floor", "floor")): 8,
+                (("elev1", "elev1"), ("floor", "floor"), ("elev1", "elev1"), ("floor", "floor")): 4,
+                (("elev2", "elev2"), ("floor", "floor"), ("elev1", "elev1"), ("floor", "floor")): 8,
+                (("elev1", "elev1"), ("end", "end"), ("floor", "floor"), ("elev1", "elev1"), ("floor", "floor")): 16,
+                (("end", "end"), ("elev1", "elev1"), ("floor", "floor"), ("elev1", "elev1"), ("floor", "floor")): 80,
+                (
+                    ("end", "end"),
+                    ("end", "end"),
+                    ("floor", "floor"),
+                    ("elev1", "elev1"),
+                    ("elev1", "elev1"),
+                    ("floor", "floor"),
+                ): 80,
+            }
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+
+
+def _shape(d: int, row: int, positions: tuple) -> tuple:
+    """The objects that each fused pair at ``positions`` joins in the
+    marked diagram ``row``, an elevator named with its weight."""
+    marking = enumerate_diagrams(d)[row][1]
+    return tuple(
+        tuple(f"elev{obj[3]}" if obj[0] == "elev" else obj[0] for obj in marking[p - 1 : p + 1]) for p in positions
+    )
+
+
+def _rejected_in_walk(d: int, cfg: tuple) -> list[tuple[int, str]]:
+    """``(row, message)`` of each stabilised row under cfg that ``_joins``
+    rejects, in the counts' order: leaf by leaf, ascending in each."""
+    by_mask, elements = _stabiliser_table(d)
+    cfg_mask = diagrams._mask(cfg)
+    stabilised = reduce(or_, (rows for mask, rows in by_mask if not mask & ~cfg_mask), 0)
+    marking = [marking for _diagram, marking in enumerate_diagrams(d)]
+    out = []
+    for classes, _rpairs, rows in diagrams._leaves(d, cfg):
+        for row in diagrams._bits(rows & stabilised):
+            stabiliser = tuple(pos for mask, pos in elements[row] if not mask & ~cfg_mask)
+            try:
+                _joins(d, marking[row], cfg, classes, stabiliser)
+            except UnsupportedShapeError as exc:
+                out.append((row, str(exc)))
+    return out
 
 
 class TestDissolution:

@@ -279,6 +279,24 @@ class TestCascade:
         with pytest.raises(ValueError):
             cascade_decompose(e, [1, 1])
 
+    @pytest.mark.parametrize(
+        "order, kept, message",
+        [
+            ([1, 1], 2, r"order \[1, 1\] is not a permutation of 1\.\.2"),
+            ([1], 2, r"order \[1\] is not a permutation of 1\.\.2"),
+            ([1, 2], 1, r"order \[1, 2\] needs one witness per label, got 1"),
+        ],
+        ids=["repeated-label", "short-order", "witness-missing"],
+    )
+    def test_reconstruction_needs_a_permutation_and_one_witness_per_label(self, order, kept, message):
+        """A repeated or short order, or a missing witness, would rebuild
+        some other element, so the rebuild refuses what the decomposition
+        refuses."""
+        x1 = TildeElement.variable(1, 2)
+        witnesses, full = cascade_decompose(x1 * TildeElement.variable(2, 2) + x1, [1, 2])
+        with pytest.raises(ValueError, match=message):
+            cascade_reconstruct(witnesses[:kept], full, order, 2)
+
     @given(tilde_elements(3), st.permutations([1, 2, 3]))
     @settings(max_examples=100)
     def test_reconstruction(self, e, order):
