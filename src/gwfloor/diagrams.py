@@ -1074,7 +1074,7 @@ def dissolved_config(cfg: tuple[int, ...], j: int) -> tuple[int, ...]:
     if not is_merge_config(cfg, max(cfg, default=0) + 1):
         raise ValueError(
             f"{cfg} is not a valid merge configuration "
-            "(positions must be ascending and at least 2 apart)"
+            "(positions must be ints, ascending and at least 2 apart)"
         )
     if not 1 <= j <= len(cfg):
         raise ValueError(f"pair index {j} out of range")

@@ -822,18 +822,6 @@ def test_support_table_is_pinned(d):
     assert hashlib.sha256(repr(_support_table(d)).encode()).hexdigest() == SUPPORT_SHA256[d]
 
 
-def test_support_table_at_degree_three():
-    """Rows 0 and 2 each hold one element, which joins the weight-1
-    elevator pair at 5 to the floor pair at 7 above it.  Being alike,
-    they form one group, and no row is left over."""
-    mask = 1 << 5 | 1 << 7
-    verdicts = ((mask, (5, 7), (5, 7)),)
-    rows, groups, other = _support_table(3)
-    assert rows == {0: ((1, 1), verdicts), 2: ((1, 1), verdicts)}
-    assert groups == ((mask, (1, 1), (5, 7), 1 << 0 | 1 << 2),)
-    assert other == 0
-
-
 @cache
 def _orbits(d: int, cfg: tuple[int, ...]) -> list[list[tuple]]:
     """Every encoding of every classifiable marked diagram of the
@@ -1334,3 +1322,6 @@ class TestDissolution:
         # position 0 is not a merge position
         with pytest.raises(ValueError, match=r"\(0, 2\) .*ascending and at least 2 apart"):
             dissolved_config((0, 2), 1)
+        # a float equals an int, but is no position
+        with pytest.raises(ValueError, match=r"\(5\.0,\) .*must be ints"):
+            dissolved_config((5.0,), 1)
