@@ -212,7 +212,10 @@ _BAD_CALLS = {
         "(5.0,) " + _INVALID_POSITIONS.format(8),
     ),
     "enumerate_diagrams(True)": ("enumerate_diagrams(1)", "degree must be an int, got True"),
-    "unsupported(4, (1, 3, 5, 7.0))": ("unsupported(4, (1, 3, 5, 7))", "(1, 3, 5, 7.0) " + _INVALID_POSITIONS.format(11)),
+    "unsupported(4, (1, 3, 5, 7.0))": (
+        "unsupported(4, (1, 3, 5, 7))",
+        "(1, 3, 5, 7.0) " + _INVALID_POSITIONS.format(11),
+    ),
     "unit_shifts((9,), 8)": (
         "unit_shifts((7,), 8)",
         "(9,) is not a valid merge configuration for 8 points (positions must lie in 1..7)",
@@ -269,7 +272,12 @@ class TestMergeConfigs:
 
     @pytest.mark.parametrize(
         "cfg, rule",
-        [((9,), r"must lie in 1\.\.7"), ((3, 4), "must be ascending"), ((5.0,), "must be ints"), ((True,), "must be ints")],
+        [
+            ((9,), r"must lie in 1\.\.7"),
+            ((3, 4), "must be ascending"),
+            ((5.0,), "must be ints"),
+            ((True,), "must be ints"),
+        ],
     )
     def test_unit_shifts_refuse_an_invalid_configuration(self, cfg, rule):
         """A configuration that is not one has no neighbours to list: it
